@@ -33,8 +33,8 @@ from .harness import (
     run_verification,
 )
 from .mesh import load_off
-from .packing import gny_decompose, pushforward_measure, verify_family
-from .spectral import eigensolve, weyl_fit
+from .packing import PackingError, gny_decompose, pushforward_measure, verify_family
+from .spectral import SolverError, eigensolve, weyl_fit
 
 _FIXTURES = {
     "icosphere": (icosphere, (int,)),
@@ -135,7 +135,19 @@ fmt_opt = click.option("--format", "fmt", default="json", show_default=True,
                        type=click.Choice(["json", "csv"]))
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns the library's errors into one-line messages for every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except VerificationError as exc:
+            raise click.ClickException(f"verification aborted: {exc}") from exc
+        except (ValueError, PackingError, SolverError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main() -> None:
     """Eigenvalue bounds, conformal volume and annulus decompositions."""
@@ -147,10 +159,7 @@ def main() -> None:
 @out_opt
 def constants(n: int, m: int, out: str | None) -> None:
     """Exact proof constants for maps of n-manifolds into S^m."""
-    try:
-        cs = proof_constants(n, m)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    cs = proof_constants(n, m)
     _emit(cs.as_dict(), "json", out)
     _write_meta(out, "constants")
 
@@ -258,11 +267,8 @@ def gny(fixture, mesh, k, density, seed, out) -> None:
 def index(fixture, mesh, shape_squared, reference, seed, out) -> None:
     """Morse index bound for a minimal surface in the 3-sphere."""
     surface = _get_mesh(fixture, mesh)
-    try:
-        result = check_index(surface, shape_squared,
-                             reference_index=reference, seed=seed)
-    except VerificationError as exc:
-        raise click.ClickException(f"verification aborted: {exc}")
+    result = check_index(surface, shape_squared,
+                         reference_index=reference, seed=seed)
     click.echo(result.line())
     _emit(result.as_dict(), "json", out) if out else None
     _write_meta(out, "index")
@@ -278,12 +284,7 @@ def index(fixture, mesh, shape_squared, reference, seed, out) -> None:
 @out_opt
 def verify(which, seed, kmax, out) -> None:
     """Run the verification battery (WHICH: all or a section name)."""
-    try:
-        report = run_verification(which, seed=seed, kmax=kmax)
-    except VerificationError as exc:
-        raise click.ClickException(f"verification aborted: {exc}")
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    report = run_verification(which, seed=seed, kmax=kmax)
     for line in report.lines():
         click.echo(line)
     if out:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, unique_edges
 
 __all__ = [
     "clifford_torus",
@@ -58,15 +58,10 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One round of midpoint (Loop-connectivity) subdivision."""
     nv = verts.shape[0]
-    pairs = np.sort(
-        np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]]), axis=1
-    )
-    keys = pairs[:, 0] * nv + pairs[:, 1]
-    edge_keys, inv = np.unique(keys, return_inverse=True)
-    eu, ev = edge_keys // nv, edge_keys % nv
-    midpoints = 0.5 * (verts[eu] + verts[ev])
+    edges, opposite = unique_edges(faces, nv)
+    midpoints = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
     new_verts = np.vstack([verts, midpoints])
-    mid = nv + inv.reshape(3, faces.shape[0]).T  # columns: mid of edges opp 0,1,2
+    mid = nv + opposite  # columns: mid of edges opp 0,1,2
     v0, v1, v2 = faces[:, 0], faces[:, 1], faces[:, 2]
     m0, m1, m2 = mid[:, 0], mid[:, 1], mid[:, 2]
     new_faces = np.concatenate(
@@ -103,6 +98,17 @@ def icosphere(level: int = 3) -> TriangleMesh:
 # tori
 
 
+def _grid_faces(n: int) -> np.ndarray:
+    """Faces of the periodic n x n grid, each square (i, j) split along its
+    diagonal into (v00, v10, v11) and (v00, v11, v01), vertex i * n + j."""
+    k = np.arange(n, dtype=np.int64)
+    i, j = np.meshgrid(k, k, indexing="ij")
+    i1, j1 = (i + 1) % n, (j + 1) % n
+    v00, v10, v01, v11 = i * n + j, i1 * n + j, i * n + j1, i1 * n + j1
+    cells = np.stack([np.stack([v00, v10, v11], -1), np.stack([v00, v11, v01], -1)], -2)
+    return cells.reshape(-1, 3)
+
+
 def flat_torus(a: float = 2 * np.pi, b: float = 2 * np.pi, n: int = 32) -> TriangleMesh:
     """Abstract flat torus R^2 / (a Z x b Z) on a right-triangle grid.
 
@@ -119,38 +125,12 @@ def flat_torus(a: float = 2 * np.pi, b: float = 2 * np.pi, n: int = 32) -> Trian
         raise ValueError("torus side lengths must be positive")
     hx, hy = a / n, b / n
     diag = float(np.hypot(hx, hy))
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    faces = np.array(faces, dtype=np.int64)
-
-    # edge list in the same (sorted unique pair) order TriangleMesh uses
-    nv = n * n
-    pairs = np.sort(
-        np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]]), axis=1
-    )
-    keys = np.unique(pairs[:, 0] * nv + pairs[:, 1])
-    edges = np.column_stack([keys // nv, keys % nv])
-    lengths = np.empty(edges.shape[0])
-    for e, (u, v) in enumerate(edges):
-        iu, ju = divmod(int(u), n)
-        iv, jv = divmod(int(v), n)
-        di = min((iu - iv) % n, (iv - iu) % n)
-        dj = min((ju - jv) % n, (jv - ju) % n)
-        if di and dj:
-            lengths[e] = diag
-        elif di:
-            lengths[e] = hx
-        else:
-            lengths[e] = hy
+    faces = _grid_faces(n)
+    edges, _ = unique_edges(faces, n * n)  # in the order TriangleMesh uses
+    (iu, ju), (iv, jv) = np.divmod(edges[:, 0], n), np.divmod(edges[:, 1], n)
+    di = (iu - iv) % n != 0
+    dj = (ju - jv) % n != 0
+    lengths = np.where(di & dj, diag, np.where(di, hx, hy))
     return TriangleMesh(None, faces, edge_lengths=lengths)
 
 
@@ -185,16 +165,7 @@ def clifford_torus(n: int = 24) -> TriangleMesh:
     verts = np.column_stack(
         [np.cos(uu).ravel(), np.sin(uu).ravel(), np.cos(vv).ravel(), np.sin(vv).ravel()]
     ) / np.sqrt(2.0)
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), ambient="unit_sphere")
+    return TriangleMesh(verts, _grid_faces(n), ambient="unit_sphere")
 
 
 def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> TriangleMesh:
@@ -217,16 +188,7 @@ def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> Tr
     verts = np.column_stack(
         [(rho * np.cos(pp)).ravel(), (rho * np.sin(pp)).ravel(), (r * np.sin(tt)).ravel()]
     )
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), ambient="euclidean")
+    return TriangleMesh(verts, _grid_faces(n), ambient="euclidean")
 
 
 # ---------------------------------------------------------------------- #

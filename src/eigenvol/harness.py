@@ -47,6 +47,7 @@ from .packing import (
     verify_family,
 )
 from .spectral import (
+    SpectrumResult,
     assemble_laplacian,
     eigensolve,
     negative_count,
@@ -239,23 +240,76 @@ def _ineq(
 
 
 # ---------------------------------------------------------------------- #
+# the per-surface context
+
+
+class Surface:
+    """A mesh with what every check of it shares, each computed once.
+
+    Owns the Laplace pencil, one spectrum that checks read the leading
+    pairs of (solved again only when more pairs are asked for), the
+    Willmore integral per curvature component and, when known, a sphere
+    immersion with its conformal volume `vc`.  `seed` seeds the iterative
+    eigensolver; `name` labels the surface's checks in the battery.
+    """
+
+    def __init__(self, mesh, immersion=None, vc=None, name="", seed=0):
+        self.mesh = mesh
+        self.ops = assemble_laplacian(mesh)
+        self.immersion = immersion
+        self.vc = vc
+        self.name = name
+        self.seed = seed
+        self._spectrum = None
+        self._willmore = {}
+
+    def spectrum(self, count: int) -> SpectrumResult:
+        """The lowest `count` eigenpairs."""
+        if self._spectrum is None or self._spectrum.eigenvalues.shape[0] < count:
+            self._spectrum = eigensolve(self.ops, count=count, seed=self.seed)
+        return self._spectrum.head(count)
+
+    def willmore(self, kappa: float) -> float:
+        """int |H|^2 for ambient curvature `kappa`: in a unit-sphere mesh
+        with kappa = 1, H is the mean curvature seen inside the sphere."""
+        if self.mesh.vertices is None:
+            raise ValueError("curvature bounds need an embedded mesh")
+        component = (
+            "sphere" if kappa == 1.0 and self.mesh.ambient == "unit_sphere" else "ambient"
+        )
+        if component not in self._willmore:
+            self._willmore[component] = willmore_energy(self.mesh, component=component)
+        return self._willmore[component]
+
+
+def _surface(mesh_or_surface, seed: int = 0) -> Surface:
+    if isinstance(mesh_or_surface, Surface):
+        return mesh_or_surface
+    return Surface(mesh_or_surface, seed=seed)
+
+
+# eigenpairs read by the first-eigenvalue checks: the kernel, the first
+# eigenvalue's multiplicity on every reference surface, and some margin
+_FIRST_PAIRS = 8
+
+
+# ---------------------------------------------------------------------- #
 # first eigenvalue: conformal volume bound with a constructive replay
 
 
 def check_first_eigenvalue(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     immersion: SphereImmersion | None = None,
     vc_reference: float | None = None,
     rel_tol: float = 0.03,
     seed: int = 0,
-    spectrum=None,
 ) -> CheckResult:
     """lambda_1 Vol^{2/n} <= n Vc^{2/n}, plus a test-function replay.
 
     With `vc_reference` (a known conformal volume) the verdict is
     conclusive.  With only an `immersion`, the search supplies a lower
     bound for Vc, so a violated inequality is reported as inconclusive
-    rather than failed.
+    rather than failed.  A :class:`Surface` supplies both by default.
 
     When an immersion is available the proof is replayed: center the
     images so the weighted barycenter vanishes, then use the centered
@@ -264,10 +318,13 @@ def check_first_eigenvalue(
     lambda_1 * sum ||u_i||^2 <= sum E(u_i) exactly; a violation beyond
     rounding aborts.
     """
-    ops = assemble_laplacian(mesh)
-    spec = spectrum if spectrum is not None else eigensolve(ops, count=6, seed=seed)
+    surface = _surface(mesh, seed)
+    immersion = surface.immersion if immersion is None else immersion
+    vc_reference = surface.vc if vc_reference is None else vc_reference
+    ops = surface.ops
+    spec = surface.spectrum(_FIRST_PAIRS)
     lam1 = float(spec.nonzero()[0])
-    vol = mesh.area
+    vol = surface.mesh.area
     lhs = lam1 * vol
 
     detail: dict = {"lambda_1": lam1, "volume": vol}
@@ -331,11 +388,10 @@ def check_first_eigenvalue(
 
 
 def check_curvature_first_eigenvalue(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     kappa: float = 0.0,
     rel_tol: float = 0.03,
     seed: int = 0,
-    spectrum=None,
 ) -> CheckResult:
     """lambda_1 <= (n / Vol) int (|H|^2 + kappa), sharp for round spheres.
 
@@ -343,14 +399,11 @@ def check_curvature_first_eigenvalue(
     surface in Euclidean space, 1 for one sitting inside the unit
     sphere (where |H| means the mean curvature seen in the sphere).
     """
-    if mesh.vertices is None:
-        raise ValueError("curvature bound needs an embedded mesh")
-    ops = assemble_laplacian(mesh)
-    spec = spectrum if spectrum is not None else eigensolve(ops, count=6, seed=seed)
+    surface = _surface(mesh, seed)
+    w2 = surface.willmore(kappa)
+    spec = surface.spectrum(_FIRST_PAIRS)
     lam1 = float(spec.nonzero()[0])
-    vol = mesh.area
-    component = "sphere" if kappa == 1.0 and mesh.ambient == "unit_sphere" else "ambient"
-    w2 = willmore_energy(mesh, component=component)
+    vol = surface.mesh.area
     rhs = 2.0 * (w2 + kappa * vol) / vol
     return _ineq(
         "first-eigenvalue-curvature",
@@ -374,14 +427,13 @@ def check_curvature_first_eigenvalue(
 
 
 def check_higher_eigenvalues(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     kmax: int = 8,
     m: int = 2,
     vc_reference: float | None = None,
     immersion: SphereImmersion | None = None,
     kappa: float | None = None,
     seed: int = 0,
-    spectrum=None,
 ) -> list[CheckResult]:
     """lambda_k bounds for k = 1..kmax, in both available forms.
 
@@ -392,19 +444,34 @@ def check_higher_eigenvalues(
     The constants are astronomically generous; the point of evaluating
     them literally is that the margin, too, becomes a number.
     """
-    ops = assemble_laplacian(mesh)
-    spec = (
-        spectrum
-        if spectrum is not None
-        else eigensolve(ops, count=kmax + 4, seed=seed)
-    )
+    surface = _surface(mesh, seed)
+    immersion = surface.immersion if immersion is None else immersion
+    vc_reference = surface.vc if vc_reference is None else vc_reference
+    spec = surface.spectrum(kmax + 4)
     lams = spec.nonzero()[:kmax]
     if lams.shape[0] < kmax:
         raise ValueError(f"spectrum only has {lams.shape[0]} nonzero eigenvalues")
-    vol = mesh.area
+    vol = surface.mesh.area
     ks = np.arange(1, kmax + 1, dtype=float)
     consts = proof_constants(2, m)
     results = []
+
+    # both forms bound lambda_k (times Vol in the conformal one) by C x k
+    def form(name, claim, values, bounds, constant, soft=False, **detail):
+        margins = bounds / values
+        worst = int(np.argmin(margins))
+        results.append(
+            _ineq(
+                name,
+                f"{claim} for k <= {kmax}; "
+                f"smallest margin {margins[worst]:.3e} at k = {worst + 1}",
+                float(values[worst]),
+                float(bounds[worst]),
+                inconclusive_on_fail=soft,
+                detail=dict(detail, eigenvalues=lams, bounds=bounds, constant=str(constant)),
+                error_bars={"spectral_residual": spec.max_residual},
+            )
+        )
 
     if vc_reference is not None or immersion is not None:
         if vc_reference is not None:
@@ -413,66 +480,25 @@ def check_higher_eigenvalues(
         else:
             vc = conformal_volume(immersion, seed=seed).value
             soft = True
-        C = float(consts.higher_eigenvalue)
-        bounds = C * vc * ks
-        margins = bounds / (lams * vol)
-        worst = int(np.argmin(margins))
-        results.append(
-            _ineq(
-                "higher-eigenvalues",
-                f"lambda_k Vol <= C Vc k for k <= {kmax}; "
-                f"smallest margin {margins[worst]:.3e} at k = {worst + 1}",
-                float(lams[worst] * vol),
-                float(bounds[worst]),
-                inconclusive_on_fail=soft,
-                detail={
-                    "eigenvalues": lams,
-                    "bounds": bounds,
-                    "constant": str(consts.higher_eigenvalue),
-                    "vc": vc,
-                },
-                error_bars={"spectral_residual": spec.max_residual},
-            )
-        )
-
+        C = consts.higher_eigenvalue
+        bounds = float(C) * vc * ks
+        form("higher-eigenvalues", "lambda_k Vol <= C Vc k", lams * vol, bounds, C, soft, vc=vc)
     if kappa is not None:
-        if mesh.vertices is None:
-            raise ValueError("curvature form needs an embedded mesh")
-        component = (
-            "sphere" if kappa == 1.0 and mesh.ambient == "unit_sphere" else "ambient"
-        )
-        w2 = willmore_energy(mesh, component=component)
-        avg = (w2 + kappa * vol) / vol
-        C = float(consts.curvature_eigenvalue)
-        bounds = C * avg * ks
-        margins = bounds / lams
-        worst = int(np.argmin(margins))
-        results.append(
-            _ineq(
-                "higher-eigenvalues-curvature",
-                f"lambda_k <= C avg(|H|^2 + {kappa:g}) k for k <= {kmax}; "
-                f"smallest margin {margins[worst]:.3e} at k = {worst + 1}",
-                float(lams[worst]),
-                float(bounds[worst]),
-                detail={
-                    "eigenvalues": lams,
-                    "bounds": bounds,
-                    "constant": str(consts.curvature_eigenvalue),
-                    "average_curvature": avg,
-                },
-                error_bars={"spectral_residual": spec.max_residual},
-            )
-        )
+        avg = (surface.willmore(kappa) + kappa * vol) / vol
+        C = consts.curvature_eigenvalue
+        claim = f"lambda_k <= C avg(|H|^2 + {kappa:g}) k"
+        bounds = float(C) * avg * ks
+        form("higher-eigenvalues-curvature", claim, lams, bounds, C, average_curvature=avg)
     if not results:
         raise ValueError("nothing to check: pass vc_reference, immersion or kappa")
     return results
 
 
 # ---------------------------------------------------------------------- #
-# negative eigenvalue counts
+# annulus replays: the shared step of the counting and eigenvalue proofs
 
 
-def _annulus_test_functions(ops, images, annuli):
+def _annulus_test_functions(images, annuli):
     """Evaluate the annulus functions at the vertex images, stacked."""
     return np.stack([np.asarray(u_annulus(a, images), dtype=float) for a in annuli])
 
@@ -507,9 +533,9 @@ def _image_gap(mesh: TriangleMesh, images: np.ndarray) -> float:
     return 1.02 * longest
 
 
-def _potential_mass_floor(ops, images, annuli, U, nu_masses) -> None:
-    """The squared-function mass of each annulus dominates 81/625 of its
-    measure; exact given the pointwise floor 9/25 on annulus vertices."""
+def _potential_mass_floor(images, annuli, U) -> None:
+    """Each test function is at least 9/25 at every image vertex inside
+    its annulus: the pointwise floor behind the 81/625 mass bound."""
     for i, a in enumerate(annuli):
         inside = a.contains(images)
         if inside.any() and U[i][inside].min() < 9.0 / 25.0 - 1e-9:
@@ -519,8 +545,38 @@ def _potential_mass_floor(ops, images, annuli, U, nu_masses) -> None:
             )
 
 
+def _replay_family(ops, images, nu, pieces, seed, gap, light=None):
+    """Pack `pieces` annuli against `nu` and pull back their test functions.
+
+    The family is re-verified; with `light = (mu, count)` only the
+    `count` annuli of lightest doubled `mu`-mass are kept.  Disjoint
+    supports, zero stiffness cross terms and the 9/25 floor are exact
+    links and abort on failure.  Returns the packing's beta, the kept
+    indices, their verified `nu`-masses, the test functions (one per row)
+    and their energies.
+    """
+    family = gny_decompose(nu, pieces, seed=seed, r_max=R_MAX_TEST, gap=gap)
+    rep = verify_family(nu, family)
+    if not rep.ok:
+        raise VerificationError("annulus family failed re-verification")
+    if light is None:
+        chosen = np.arange(len(family.annuli))
+    else:
+        chosen = select_light(light[0], family, light[1])
+    annuli = [family.annuli[i] for i in chosen]
+    U = _annulus_test_functions(images, annuli)
+    _exact_orthogonality(ops, U)
+    _potential_mass_floor(images, annuli, U)
+    energies = np.array([ops.energy(u) for u in U])
+    return family.beta, chosen, rep.masses[chosen], U, energies
+
+
+# ---------------------------------------------------------------------- #
+# negative eigenvalue counts
+
+
 def check_eigenvalue_counts(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     potential,
     m: int = 2,
     vc_reference: float | None = None,
@@ -543,7 +599,10 @@ def check_eigenvalue_counts(
     guaranteed count zero the constant function is the witness: its
     form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
-    ops = assemble_laplacian(mesh)
+    surface = _surface(mesh, seed)
+    immersion = surface.immersion if immersion is None else immersion
+    vc_reference = surface.vc if vc_reference is None else vc_reference
+    mesh, ops = surface.mesh, surface.ops
     V = np.broadcast_to(np.asarray(potential, dtype=float), (ops.n,)).copy()
     if np.any(V < 0.0):
         raise ValueError("potential must be nonnegative")
@@ -584,13 +643,7 @@ def check_eigenvalue_counts(
 
     k_curvature = None
     if kappa is not None:
-        if mesh.vertices is None:
-            raise ValueError("curvature count forms need an embedded mesh")
-        component = (
-            "sphere" if kappa == 1.0 and mesh.ambient == "unit_sphere" else "ambient"
-        )
-        w2 = willmore_energy(mesh, component=component)
-        denom = w2 + kappa * vol
+        denom = surface.willmore(kappa) + kappa * vol
         C3 = float(consts.count_curvature)
         lhs3 = C3 * intV / denom
         k_curvature = count_check(
@@ -614,55 +667,31 @@ def check_eigenvalue_counts(
         nu = pushforward_measure(mesh, images, density=V)
         mu = pushforward_measure(mesh, images)
 
-        if k_conformal is not None:
-            kk = max(k_conformal, 0)
-            family = gny_decompose(
-                nu, 2 * (kk + 1), seed=seed, r_max=R_MAX_TEST, gap=gap
+        # the conformal form packs twice the annuli it needs and keeps the
+        # lightest; the curvature form uses every annulus it packs
+        for key, guaranteed, doubled in (
+            ("conformal_family", k_conformal, True),
+            ("curvature_family", k_curvature, False),
+        ):
+            if guaranteed is None:
+                continue
+            kk = max(guaranteed, 0)
+            pieces = 2 * (kk + 1) if doubled else kk + 1
+            beta, chosen, _, U, energies = _replay_family(
+                ops, images, nu, pieces, seed, gap, light=(mu, kk + 1) if doubled else None
             )
-            rep = verify_family(nu, family)
-            if not rep.ok:
-                raise VerificationError("annulus family failed re-verification")
-            chosen = select_light(mu, family, kk + 1)
-            annuli = [family.annuli[i] for i in chosen]
-            U = _annulus_test_functions(ops, images, annuli)
-            _exact_orthogonality(ops, U)
-            _potential_mass_floor(ops, images, annuli, U, rep.masses[chosen])
-            energies = np.array([ops.energy(u) for u in U])
             pot_masses = np.array([float(np.sum(ops.areas * V * u * u)) for u in U])
             strict = energies < pot_masses
-            replay["conformal_family"] = {
-                "annuli": 2 * (kk + 1),
-                "selected": chosen,
-                "beta": family.beta,
+            replay[key] = {
+                "annuli": pieces,
+                "beta": beta,
                 "energies": energies,
                 "potential_masses": pot_masses,
                 "strictly_negative": strict,
             }
-            if k_conformal >= 1 and not strict.all():
-                raise VerificationError(
-                    "guaranteed count >= 1 but an annulus function fails "
-                    "to make the form negative"
-                )
-
-        if k_curvature is not None:
-            kk = max(k_curvature, 0)
-            family = gny_decompose(nu, kk + 1, seed=seed, r_max=R_MAX_TEST, gap=gap)
-            rep = verify_family(nu, family)
-            if not rep.ok:
-                raise VerificationError("annulus family failed re-verification")
-            U = _annulus_test_functions(ops, images, family.annuli)
-            _exact_orthogonality(ops, U)
-            energies = np.array([ops.energy(u) for u in U])
-            pot_masses = np.array([float(np.sum(ops.areas * V * u * u)) for u in U])
-            strict = energies < pot_masses
-            replay["curvature_family"] = {
-                "annuli": kk + 1,
-                "beta": family.beta,
-                "energies": energies,
-                "potential_masses": pot_masses,
-                "strictly_negative": strict,
-            }
-            if k_curvature >= 1 and not strict.all():
+            if doubled:
+                replay[key]["selected"] = chosen
+            if guaranteed >= 1 and not strict.all():
                 raise VerificationError(
                     "guaranteed count >= 1 but an annulus function fails "
                     "to make the form negative"
@@ -678,7 +707,7 @@ def check_eigenvalue_counts(
 
 
 def check_index(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     shape_squared,
     reference_index: int | None = None,
     seed: int = 0,
@@ -690,9 +719,10 @@ def check_index(
     int|S|^2 bounds known in two dimensions are noted for context; this
     check evaluates the explicit-constant form only.
     """
-    ops = assemble_laplacian(mesh)
+    surface = _surface(mesh, seed)
+    ops = surface.ops
     S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (ops.n,))
-    vol = mesh.area
+    vol = surface.mesh.area
     avg = float(ops.areas @ S2) / vol
     C = float(index_constant(2))
     lhs = C * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
@@ -806,7 +836,7 @@ class ConformalBalance:
         }
 
 
-def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
+def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
     """Check  |H|^2 = e^f (|H_lift|^2 + 1) - (1/2) div grad f  vertexwise.
 
     H_lift is the mean curvature of the lifted surface seen inside S^3
@@ -816,10 +846,11 @@ def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     lifted coordinates) is recorded too; for a sphere centered at the
     origin both sides equal the sphere area.
     """
+    surface = _surface(mesh)
+    mesh, ops = surface.mesh, surface.ops
     if mesh.vertices is None or mesh.vertices.shape[1] != 3:
         raise ValueError("the balance needs a surface embedded in R^3")
     x = mesh.vertices
-    ops = assemble_laplacian(mesh)
     sq = np.sum(x * x, axis=1)
     ef = 4.0 / (1.0 + sq) ** 2
     f = np.log(ef)
@@ -897,7 +928,7 @@ class WitnessChain:
 
 
 def build_witness_chain(
-    mesh: TriangleMesh,
+    mesh: TriangleMesh | Surface,
     immersion: SphereImmersion,
     k: int,
     vc_reference: float,
@@ -918,38 +949,29 @@ def build_witness_chain(
       explicit constant -- numeric;
     * lambda_k at most the largest Rayleigh quotient -- the variational
       principle, allowed only the eigensolver's own residual.
+
+    `spectrum` replaces the surface's own k + 4 lowest pairs, for example
+    with pairs solved elsewhere.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    ops = assemble_laplacian(mesh)
-    spec = (
-        spectrum
-        if spectrum is not None
-        else eigensolve(ops, count=k + 4, seed=seed)
-    )
+    surface = _surface(mesh, seed)
+    ops = surface.ops
+    spec = surface.spectrum(k + 4) if spectrum is None else spectrum
     lam_k = float(spec.nonzero()[k - 1])
-    vol = mesh.area
+    vol = surface.mesh.area
     images = immersion.images
-    gap = _image_gap(mesh, images)
-    mu = pushforward_measure(mesh, images)
+    gap = _image_gap(surface.mesh, images)
+    mu = pushforward_measure(surface.mesh, images)
 
-    family = gny_decompose(mu, 2 * (k + 1), seed=seed, r_max=R_MAX_TEST, gap=gap)
-    rep = verify_family(mu, family)
-    if not rep.ok:
-        raise VerificationError("annulus family failed re-verification")
-    chosen = select_light(mu, family, k + 1)
-    annuli = [family.annuli[i] for i in chosen]
-    U = _annulus_test_functions(ops, images, annuli)
-    _exact_orthogonality(ops, U)
-
-    shell_masses = rep.masses[chosen]
+    beta, chosen, shell_masses, U, energies = _replay_family(
+        ops, images, mu, 2 * (k + 1), seed, gap, light=(mu, k + 1)
+    )
     sq_masses = np.array([float(np.sum(ops.areas * u * u)) for u in U])
     floor = (81.0 / 625.0) * shell_masses
-    _potential_mass_floor(ops, images, annuli, U, shell_masses)
     if np.any(sq_masses < floor * (1.0 - 1e-9)):
         raise VerificationError("squared mass fell below 81/625 of the annulus")
 
-    energies = np.array([ops.energy(u) for u in U])
     rayleighs = energies / sq_masses
     consts = proof_constants(2, immersion.target_dim)
     punch = float(consts.higher_eigenvalue) * vc_reference / vol * k
@@ -969,14 +991,14 @@ def build_witness_chain(
             status="pass",
             lhs=0.0,
             rhs=0.0,
-            detail={"gap": gap, "beta": family.beta},
+            detail={"gap": gap, "beta": beta},
             error_bars={"exact": 0.0},
         ),
         _ineq(
             "witness-mass-floor",
             f"min u^2-mass / (81/625 annulus mass) = "
             f"{float((sq_masses / floor).min()):.4f} >= 1",
-            float(floor.max() and (floor / sq_masses).max()),
+            float((floor / sq_masses).max()),
             1.0,
             detail={"sq_masses": sq_masses, "shell_masses": shell_masses},
             error_bars={"exact": 0.0},
@@ -1013,7 +1035,7 @@ def build_witness_chain(
         shell_masses=shell_masses,
         rayleighs=rayleighs,
         lambda_k=lam_k,
-        beta=family.beta,
+        beta=beta,
         results=results,
         error_bars=bars,
     )
@@ -1066,11 +1088,17 @@ class VerificationReport:
         }
 
 
-# reference geometries: name -> (builder, known conformal volume,
-# target sphere dimension, shape |S|^2 when minimal in S^3)
-_SPHERE_AREA = 4.0 * np.pi
-_CLIFFORD_AREA = 2.0 * np.pi**2
-_VERONESE_AREA = 6.0 * np.pi
+# reference surfaces: name -> (mesh builder, sphere immersion, known Vc)
+_REFERENCE_SURFACES = {
+    "sphere": (lambda: icosphere(3), SphereImmersion.identity, 4.0 * np.pi),
+    "clifford": (lambda: clifford_torus(32), SphereImmersion.identity, 2.0 * np.pi**2),
+    "veronese": (lambda: veronese(3), SphereImmersion.identity, 6.0 * np.pi),
+    "revolution": (lambda: revolution_torus(3.0, 1.0, 32), SphereImmersion.lifted, None),
+    "flat-torus": (lambda: flat_torus(2 * np.pi, 2 * np.pi, 33), None, None),
+}
+
+# eigenpairs the Weyl fit reads, the most any battery check reads
+_WEYL_PAIRS = 70
 
 
 def _constants_section() -> list[CheckResult]:
@@ -1106,257 +1134,154 @@ def _constants_section() -> list[CheckResult]:
     return rs
 
 
+def _genus_check(surface: Surface, seed: int = 0) -> CheckResult:
+    """lambda_1 Vol <= 2 Vc with Vc bounded by the covering degree."""
+    mesh = surface.mesh
+    lam1 = float(surface.spectrum(_FIRST_PAIRS).nonzero()[0])
+    bound = 2.0 * genus_conformal_volume_bound(mesh.genus, mesh.orientable)
+    return _ineq(
+        f"first-eigenvalue-genus-{surface.name}",
+        f"lambda_1 Vol = {lam1 * mesh.area:.4f} <= "
+        f"2 Vc(genus {mesh.genus}) = {bound:.4f}",
+        lam1 * mesh.area,
+        bound,
+        rel_tol=0.03,
+        detail={"genus": mesh.genus, "orientable": mesh.orientable},
+    )
+
+
+def _balance_decay_check() -> CheckResult:
+    decay = balance_decay(levels=(3, 4), center=(0.5, 0.0, 0.0))
+    return _ineq(
+        "balance-decay",
+        f"residual L2 {decay['l2'][0]:.3e} -> {decay['l2'][1]:.3e}, "
+        f"factor {decay['factors'][0]:.2f} >= 2.5",
+        2.5,
+        decay["factors"][0],
+        detail=decay,
+    )
+
+
+def _balance_integral_check(surface: Surface, seed: int = 0) -> CheckResult:
+    bal = conformal_balance(surface)
+    return _ineq(
+        f"balance-integral-{surface.name}",
+        f"int |H|^2 = {bal.willmore:.4f} >= E(lift)/2 = "
+        f"{0.5 * bal.lifted_energy:.4f}",
+        0.5 * bal.lifted_energy,
+        bal.willmore,
+        rel_tol=0.02,
+        detail=bal.as_dict(),
+    )
+
+
+def _witness_check(surface: Surface, k: int, pairs: int, seed: int = 0) -> list:
+    """The witness chain at `k`, its spectral error bar over `pairs` pairs."""
+    chain = build_witness_chain(
+        surface,
+        surface.immersion,
+        k=k,
+        vc_reference=surface.vc,
+        seed=seed,
+        spectrum=surface.spectrum(pairs),
+    )
+    for r in chain.results:
+        r.name = f"{r.name}-{surface.name}"
+    return chain.results
+
+
+def _weyl_check(surface: Surface, seed: int = 0) -> CheckResult:
+    # the battery sticks to meshes small enough for the dense solver,
+    # so the fit window sits below the discretization-dominated tail
+    eigenvalues = surface.spectrum(_WEYL_PAIRS).eigenvalues
+    fit = weyl_fit(eigenvalues, surface.mesh.area, n=2, k_range=(15, 55))
+    return _ineq(
+        f"weyl-{surface.name}",
+        f"slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "
+        f"({100 * fit.relative_error:.1f}%)",
+        abs(fit.slope - fit.target),
+        0.10 * fit.target,
+        detail={"slope": fit.slope, "intercept": fit.intercept},
+    )
+
+
+def _battery(kmax: int) -> list:
+    """The battery as (section, report title, rows), each row a
+    (surface, check, kwargs) triple run in order.
+
+    A row naming a reference surface runs ``check(surface, seed=seed,
+    **kwargs)`` on it; a row without one runs ``check(**kwargs)``.  A
+    check returns one CheckResult or a list of them.
+    """
+    k = min(kmax, 4)
+    minimal = {"minimal_in_sphere": True}
+    vc_known = ("sphere", "clifford", "veronese")
+    return [
+        ("constants", "constants", [(None, _constants_section, {})]),
+        ("first", "first-eigenvalue",
+         [(s, check_first_eigenvalue, {}) for s in (*vc_known, "revolution")]
+         + [(s, _genus_check, {}) for s in vc_known]),
+        ("curvature", "curvature-first-eigenvalue",
+         [(s, check_curvature_first_eigenvalue, {"kappa": kappa})
+          for s, kappa in (("sphere", 0.0), ("revolution", 0.0), ("clifford", 1.0))]),
+        ("higher", "higher-eigenvalues", [
+            ("sphere", check_higher_eigenvalues, {"kmax": kmax, "m": 2, "kappa": 0.0}),
+            ("clifford", check_higher_eigenvalues, {"kmax": kmax, "m": 3, "kappa": 1.0}),
+            ("veronese", check_higher_eigenvalues, {"kmax": kmax, "m": 4}),
+        ]),
+        ("counts", "negative-counts", [
+            ("sphere", check_eigenvalue_counts,
+             {"potential": 2.5, "m": 2, "kappa": 0.0, **minimal}),
+            # the stability potential n + |S|^2 of the square torus
+            ("clifford", check_eigenvalue_counts,
+             {"potential": 4.0, "m": 3, "kappa": 1.0, **minimal}),
+            ("veronese", check_eigenvalue_counts, {"potential": 2.5, "m": 4, **minimal}),
+        ]),
+        ("index", "index", [
+            ("sphere", check_index, {"shape_squared": 0.0, "reference_index": 1}),
+            ("clifford", check_index, {"shape_squared": 2.0, "reference_index": 5}),
+        ]),
+        ("balance", "conformal-balance",
+         [(None, _balance_decay_check, {})]
+         + [(s, _balance_integral_check, {}) for s in ("sphere", "revolution")]),
+        ("witness", "witness-chain",
+         [(s, _witness_check, {"k": k, "pairs": kmax + 4}) for s in ("sphere", "clifford")]),
+        ("weyl", "weyl", [(s, _weyl_check, {}) for s in ("sphere", "flat-torus")]),
+    ]
+
+
 def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> VerificationReport:
     """Run the named battery (or everything) on the reference surfaces.
 
     All meshes are small enough for the dense eigensolver, so a fixed
-    seed yields bit-identical reports.  `which` is one of all,
-    constants, first, curvature, higher, counts, index, balance,
-    witness, weyl.
+    seed yields bit-identical reports.  `which` is "all" or a section of
+    :func:`_battery`: constants, first, curvature, higher, counts, index,
+    balance, witness, weyl.  Each reference surface is assembled and
+    solved once, for every check that reads it.
     """
-    valid = {
-        "all",
-        "constants",
-        "first",
-        "curvature",
-        "higher",
-        "counts",
-        "index",
-        "balance",
-        "witness",
-        "weyl",
-    }
+    battery = _battery(kmax)
+    valid = ["all"] + [section for section, _, _ in battery]
     if which not in valid:
         raise ValueError(f"unknown battery {which!r}; choose from {sorted(valid)}")
 
-    want = lambda name: which in ("all", name)
+    surfaces: dict = {}
+
+    def surface(name):
+        if name not in surfaces:
+            build, immerse, vc = _REFERENCE_SURFACES[name]
+            mesh = build()
+            immersion = immerse(mesh) if immerse else None
+            surfaces[name] = Surface(mesh, immersion, vc, name=name, seed=seed)
+            surfaces[name].spectrum(max(_WEYL_PAIRS, kmax + 4))
+        return surfaces[name]
+
     sections = []
-
-    sphere = icosphere(3)
-    cliff = clifford_torus(32)
-    vero = veronese(3)
-    revo = revolution_torus(3.0, 1.0, 32)
-
-    spectra = {}
-
-    def spec_for(name, mesh, count):
-        if name not in spectra or spectra[name].eigenvalues.shape[0] < count:
-            spectra[name] = eigensolve(mesh, count=count, seed=seed)
-        return spectra[name]
-
-    if want("constants"):
-        sections.append(("constants", _constants_section()))
-
-    if want("first"):
-        rs = [
-            check_first_eigenvalue(
-                sphere,
-                immersion=SphereImmersion.identity(sphere),
-                vc_reference=_SPHERE_AREA,
-                seed=seed,
-                spectrum=spec_for("sphere", sphere, 8),
-            ),
-            check_first_eigenvalue(
-                cliff,
-                immersion=SphereImmersion.identity(cliff),
-                vc_reference=_CLIFFORD_AREA,
-                seed=seed,
-                spectrum=spec_for("cliff", cliff, 8),
-            ),
-            check_first_eigenvalue(
-                vero,
-                immersion=SphereImmersion.identity(vero),
-                vc_reference=_VERONESE_AREA,
-                seed=seed,
-                spectrum=spec_for("vero", vero, 8),
-            ),
-            check_first_eigenvalue(
-                revo,
-                immersion=SphereImmersion.lifted(revo),
-                seed=seed,
-                spectrum=spec_for("revo", revo, 8),
-            ),
-        ]
-        # genus form: the conformal volume bound by covering degree
-        for name, mesh, spec_name in (
-            ("sphere", sphere, "sphere"),
-            ("clifford", cliff, "cliff"),
-            ("veronese", vero, "vero"),
-        ):
-            spec = spec_for(spec_name, mesh, 8)
-            lam1 = float(spec.nonzero()[0])
-            bound = 2.0 * genus_conformal_volume_bound(mesh.genus, mesh.orientable)
-            rs.append(
-                _ineq(
-                    f"first-eigenvalue-genus-{name}",
-                    f"lambda_1 Vol = {lam1 * mesh.area:.4f} <= "
-                    f"2 Vc(genus {mesh.genus}) = {bound:.4f}",
-                    lam1 * mesh.area,
-                    bound,
-                    rel_tol=0.03,
-                    detail={"genus": mesh.genus, "orientable": mesh.orientable},
-                )
-            )
-        sections.append(("first-eigenvalue", rs))
-
-    if want("curvature"):
-        sections.append(
-            (
-                "curvature-first-eigenvalue",
-                [
-                    check_curvature_first_eigenvalue(
-                        sphere, kappa=0.0, seed=seed, spectrum=spec_for("sphere", sphere, 8)
-                    ),
-                    check_curvature_first_eigenvalue(
-                        revo, kappa=0.0, seed=seed, spectrum=spec_for("revo", revo, 8)
-                    ),
-                    check_curvature_first_eigenvalue(
-                        cliff, kappa=1.0, seed=seed, spectrum=spec_for("cliff", cliff, 8)
-                    ),
-                ],
-            )
-        )
-
-    if want("higher"):
-        rs = []
-        rs += check_higher_eigenvalues(
-            sphere,
-            kmax=kmax,
-            m=2,
-            vc_reference=_SPHERE_AREA,
-            kappa=0.0,
-            seed=seed,
-            spectrum=spec_for("sphere", sphere, kmax + 4),
-        )
-        rs += check_higher_eigenvalues(
-            cliff,
-            kmax=kmax,
-            m=3,
-            vc_reference=_CLIFFORD_AREA,
-            kappa=1.0,
-            seed=seed,
-            spectrum=spec_for("cliff", cliff, kmax + 4),
-        )
-        rs += check_higher_eigenvalues(
-            vero,
-            kmax=kmax,
-            m=4,
-            vc_reference=_VERONESE_AREA,
-            seed=seed,
-            spectrum=spec_for("vero", vero, kmax + 4),
-        )
-        sections.append(("higher-eigenvalues", rs))
-
-    if want("counts"):
-        rs = []
-        rs += check_eigenvalue_counts(
-            sphere,
-            2.5,
-            m=2,
-            vc_reference=_SPHERE_AREA,
-            immersion=SphereImmersion.identity(sphere),
-            kappa=0.0,
-            minimal_in_sphere=True,
-            seed=seed,
-        )
-        rs += check_eigenvalue_counts(
-            cliff,
-            4.0,  # the stability potential n + |S|^2 of the square torus
-            m=3,
-            vc_reference=_CLIFFORD_AREA,
-            immersion=SphereImmersion.identity(cliff),
-            kappa=1.0,
-            minimal_in_sphere=True,
-            seed=seed,
-        )
-        rs += check_eigenvalue_counts(
-            vero,
-            2.5,
-            m=4,
-            vc_reference=_VERONESE_AREA,
-            immersion=SphereImmersion.identity(vero),
-            minimal_in_sphere=True,
-            seed=seed,
-        )
-        sections.append(("negative-counts", rs))
-
-    if want("index"):
-        sections.append(
-            (
-                "index",
-                [
-                    check_index(sphere, 0.0, reference_index=1, seed=seed),
-                    check_index(cliff, 2.0, reference_index=5, seed=seed),
-                ],
-            )
-        )
-
-    if want("balance"):
-        rs = []
-        decay = balance_decay(levels=(3, 4), center=(0.5, 0.0, 0.0))
-        rs.append(
-            _ineq(
-                "balance-decay",
-                f"residual L2 {decay['l2'][0]:.3e} -> {decay['l2'][1]:.3e}, "
-                f"factor {decay['factors'][0]:.2f} >= 2.5",
-                2.5,
-                decay["factors"][0],
-                detail=decay,
-            )
-        )
-        for name, mesh in (("sphere", sphere), ("revolution", revo)):
-            base = TriangleMesh(mesh.vertices, mesh.faces) if mesh.ambient != "euclidean" else mesh
-            bal = conformal_balance(base)
-            rs.append(
-                _ineq(
-                    f"balance-integral-{name}",
-                    f"int |H|^2 = {bal.willmore:.4f} >= E(lift)/2 = "
-                    f"{0.5 * bal.lifted_energy:.4f}",
-                    0.5 * bal.lifted_energy,
-                    bal.willmore,
-                    rel_tol=0.02,
-                    detail=bal.as_dict(),
-                )
-            )
-        sections.append(("conformal-balance", rs))
-
-    if want("witness"):
-        rs = []
-        for name, mesh, vc, spec_name in (
-            ("sphere", sphere, _SPHERE_AREA, "sphere"),
-            ("clifford", cliff, _CLIFFORD_AREA, "cliff"),
-        ):
-            chain = build_witness_chain(
-                mesh,
-                SphereImmersion.identity(mesh),
-                k=min(kmax, 4),
-                vc_reference=vc,
-                seed=seed,
-                spectrum=spec_for(spec_name, mesh, kmax + 4),
-            )
-            for r in chain.results:
-                r.name = f"{r.name}-{name}"
-            rs += chain.results
-        sections.append(("witness-chain", rs))
-
-    if want("weyl"):
-        rs = []
-        flat = flat_torus(2 * np.pi, 2 * np.pi, 33)
-        # the battery sticks to meshes small enough for the dense solver,
-        # so the fit window sits below the discretization-dominated tail
-        for name, mesh in (("sphere", sphere), ("flat-torus", flat)):
-            spec = eigensolve(mesh, count=70, seed=seed)
-            fit = weyl_fit(spec.eigenvalues, mesh.area, n=2, k_range=(15, 55))
-            rs.append(
-                _ineq(
-                    f"weyl-{name}",
-                    f"slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "
-                    f"({100 * fit.relative_error:.1f}%)",
-                    abs(fit.slope - fit.target),
-                    0.10 * fit.target,
-                    detail={"slope": fit.slope, "intercept": fit.intercept},
-                )
-            )
-        sections.append(("weyl", rs))
-
+    for section, title, rows in battery:
+        if which not in ("all", section):
+            continue
+        results = []
+        for name, check, kwargs in rows:
+            out = check(surface(name), seed=seed, **kwargs) if name else check(**kwargs)
+            results += out if isinstance(out, list) else [out]
+        sections.append((title, results))
     return VerificationReport(sections=sections, seed=seed, kmax=kmax)

@@ -30,6 +30,17 @@ __all__ = [
 _AMBIENTS = ("euclidean", "unit_sphere")
 
 
+def unique_edges(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges as sorted vertex pairs in lexicographic order, shape (ne, 2),
+    and per face the edge index opposite each corner, shape (nf, 3)."""
+    # corner i of a face is opposite the edge formed by the other two
+    opp = np.stack([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]], axis=1)
+    pairs = np.sort(opp.reshape(-1, 2), axis=1)
+    edge_keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack([edge_keys // nv, edge_keys % nv])
+    return edges, inverse.reshape(faces.shape[0], 3)
+
+
 class TriangleMesh:
     """A closed connected triangle mesh.
 
@@ -83,7 +94,7 @@ class TriangleMesh:
 
         self._cache = {}
         self._validate_faces()
-        self._edges, self._face_edge_idx = self._build_edges()
+        self._edges, self._face_edge_idx = unique_edges(faces, self._nv)
         self._validate_closed_connected()
 
         if vertices is None:
@@ -123,16 +134,6 @@ class TriangleMesh:
             raise ValueError(f"degenerate face {int(np.argmax(same))} repeats a vertex")
         if self.vertices is not None and self._nv != self.vertices.shape[0]:
             raise ValueError("vertex count does not match coordinate array")
-
-    def _build_edges(self):
-        f = self.faces
-        # corner i of a face is opposite the edge formed by the other two
-        opp = np.stack([f[:, [1, 2]], f[:, [2, 0]], f[:, [0, 1]]], axis=1)
-        pairs = np.sort(opp.reshape(-1, 2), axis=1)
-        keys = pairs[:, 0] * self._nv + pairs[:, 1]
-        edge_keys, inverse = np.unique(keys, return_inverse=True)
-        edges = np.column_stack([edge_keys // self._nv, edge_keys % self._nv])
-        return edges, inverse.reshape(f.shape[0], 3)
 
     def _validate_closed_connected(self):
         counts = np.bincount(self._face_edge_idx.ravel(), minlength=self._edges.shape[0])

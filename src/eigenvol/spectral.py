@@ -117,6 +117,16 @@ class SpectrumResult:
     def max_residual(self) -> float:
         return float(self.residuals.max()) if self.residuals.size else 0.0
 
+    def head(self, count: int) -> "SpectrumResult":
+        """The lowest `count` pairs, with their residuals."""
+        return SpectrumResult(
+            eigenvalues=self.eigenvalues[:count],
+            eigenvectors=self.eigenvectors[:, :count],
+            residuals=self.residuals[:count],
+            zero_tol=self.zero_tol,
+            method=self.method,
+        )
+
 
 def _residuals(K, M, lam, vecs):
     out = np.empty(lam.shape[0])
@@ -138,8 +148,8 @@ def eigensolve(
     """Lowest `count` eigenpairs of the Laplace pencil, ascending.
 
     Always includes the zero mode(s).  Dense below :data:`DENSE_CUTOFF`
-    vertices, otherwise shift-invert Lanczos with a seeded deterministic
-    start vector.
+    vertices or when every pair is asked for, otherwise shift-invert
+    Lanczos with a seeded deterministic start vector.
 
     Raises
     ------
@@ -157,7 +167,7 @@ def eigensolve(
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
-    if n <= DENSE_CUTOFF:
+    if n <= DENSE_CUTOFF or count >= n:  # eigsh serves only count < n
         lam, vecs = _dense_pencil(K, areas)
         lam, vecs = lam[:count], vecs[:, :count]
         method = "dense"

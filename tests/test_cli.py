@@ -145,3 +145,12 @@ def test_plot_data_csv(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,eigenvalue,weyl_line,fit_line"
     assert len(lines) == 31
+
+
+def test_library_error_is_one_line(runner):
+    # the flat torus has no coordinates, so it cannot be lifted to a sphere
+    result = runner.invoke(main, ["gny", "--fixture", "flat:6.283,6.283,12"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: lift needs vertex coordinates"]
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)

@@ -44,6 +44,19 @@ def test_icosphere_area_converges():
     assert errs[2] / errs[1] == pytest.approx(0.25, abs=0.05)
 
 
+def test_grid_faces_split_each_cell_in_row_major_order():
+    n = 8
+    vid = lambda i, j: (i % n) * n + (j % n)
+    expected = []
+    for i in range(n):
+        for j in range(n):
+            expected.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
+            expected.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    for mesh in (flat_torus(1.0, 2.0, n), clifford_torus(n), revolution_torus(3.0, 1.0, n)):
+        assert mesh.faces.dtype == np.int64
+        assert mesh.faces.tolist() == expected
+
+
 def test_flat_torus_matches_exact_stencil_spectrum():
     n = 16
     mesh = flat_torus(2 * np.pi, 2 * np.pi, n)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenvol import harness
 from eigenvol.confvol import SphereImmersion
 from eigenvol.fixtures import flat_torus, icosphere, revolution_torus
 from eigenvol.harness import (
     CheckResult,
+    Surface,
     VerificationError,
     _exact_orthogonality,
     _ineq,
@@ -120,6 +122,54 @@ def test_check_result_serializes():
     assert back["detail"]["arr"] == [0.0, 1.0, 2.0]
     assert back["detail"]["frac"] == "1/3"
     assert "pass" in r.line()
+
+
+# ---------------------------------------------------------------------- #
+# the per-surface context
+
+
+def test_surface_solves_once_for_every_check(sphere3, monkeypatch):
+    counts = []
+    solve = harness.eigensolve
+    def counting(ops, count, seed):
+        counts.append(count)
+        return solve(ops, count, seed)
+
+    monkeypatch.setattr(harness, "eigensolve", counting)
+    surface = Surface(sphere3, SphereImmersion.identity(sphere3), SPHERE_AREA)
+    surface.spectrum(12)
+    check_first_eigenvalue(surface)
+    check_curvature_first_eigenvalue(surface)
+    check_higher_eigenvalues(surface, kmax=6, kappa=0.0)
+    assert counts == [12]
+    surface.spectrum(20)  # more pairs than were solved for
+    assert counts == [12, 20]
+
+
+def test_checks_agree_on_mesh_and_surface(sphere3):
+    surface = Surface(sphere3, SphereImmersion.identity(sphere3), SPHERE_AREA)
+    immersion = SphereImmersion.identity(sphere3)
+    pairs = [
+        (
+            check_first_eigenvalue(surface),
+            check_first_eigenvalue(sphere3, immersion=immersion, vc_reference=SPHERE_AREA),
+        ),
+        (check_curvature_first_eigenvalue(surface), check_curvature_first_eigenvalue(sphere3)),
+        (check_index(surface, 0.0, 1), check_index(sphere3, 0.0, 1)),
+    ]
+    for a, b in pairs:
+        assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
+
+
+def test_surface_willmore_component_follows_kappa(sphere3, clifford32):
+    # on the unit sphere the ambient mean curvature has length one; the
+    # part seen inside the sphere vanishes for the minimal Clifford torus
+    assert Surface(sphere3).willmore(0.0) == pytest.approx(SPHERE_AREA, rel=0.01)
+    clifford = Surface(clifford32)
+    assert clifford.willmore(1.0) < 1e-9
+    assert clifford.willmore(0.0) == pytest.approx(CLIFFORD_AREA, rel=0.01)
+    with pytest.raises(ValueError):
+        Surface(flat_torus(2 * np.pi, 2 * np.pi, 8)).willmore(0.0)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eigenvol import spectral
 from eigenvol.fixtures import flat_torus, flat_torus_spectrum, icosphere
 from eigenvol.spectral import (
     DENSE_CUTOFF,
@@ -130,3 +131,23 @@ def test_weyl_fit_range_validation(sphere3_spec):
 def test_eigensolve_count_validation(sphere3):
     with pytest.raises(ValueError):
         eigensolve(sphere3, 0)
+
+
+def test_eigensolve_every_pair_past_the_cutoff(monkeypatch):
+    # ARPACK cannot return all n pairs; such requests take the dense path
+    mesh = icosphere(2)  # 162 vertices
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 100)
+    res = eigensolve(mesh, count=mesh.nv)
+    assert res.method == "dense"
+    assert res.eigenvalues.shape == (mesh.nv,)
+    assert res.max_residual < 1e-9
+    assert eigensolve(mesh, count=9).method == "arpack"
+
+
+def test_spectrum_head_is_the_smaller_solve(sphere3, sphere3_spec):
+    head = sphere3_spec.head(8)
+    direct = eigensolve(sphere3, 8)
+    assert np.array_equal(head.eigenvalues, direct.eigenvalues)
+    assert np.array_equal(head.eigenvectors, direct.eigenvectors)
+    assert np.array_equal(head.residuals, direct.residuals)
+    assert head.zero_tol == direct.zero_tol and head.method == direct.method
