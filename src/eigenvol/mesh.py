@@ -329,28 +329,31 @@ def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csc_matrix:
 
     ``u^T K u`` is the Dirichlet energy of the piecewise linear function
     with vertex values u; K is symmetric positive semidefinite with the
-    constants in its kernel.  Assembled from edge lengths only.
+    constants in its kernel.  Assembled from edge lengths only, once per
+    mesh: later calls return the same matrix, which must not be modified.
 
     Returns
     -------
     scipy.sparse.csc_matrix of shape (nv, nv)
     """
-    f = mesh.faces
-    cots = mesh.face_cotangents
-    nv = mesh.nv
-    rows, cols, vals = [], [], []
-    for corner in range(3):
-        j = f[:, (corner + 1) % 3]
-        k = f[:, (corner + 2) % 3]
-        w = 0.5 * cots[:, corner]
-        rows += [j, k, j, k]
-        cols += [k, j, j, k]
-        vals += [-w, -w, w, w]
-    K = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    )
-    return K.tocsc()
+    if "stiffness" not in mesh._cache:
+        f = mesh.faces
+        cots = mesh.face_cotangents
+        nv = mesh.nv
+        rows, cols, vals = [], [], []
+        for corner in range(3):
+            j = f[:, (corner + 1) % 3]
+            k = f[:, (corner + 2) % 3]
+            w = 0.5 * cots[:, corner]
+            rows += [j, k, j, k]
+            cols += [k, j, j, k]
+            vals += [-w, -w, w, w]
+        K = sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(nv, nv),
+        )
+        mesh._cache["stiffness"] = K.tocsc()
+    return mesh._cache["stiffness"]
 
 
 def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray:

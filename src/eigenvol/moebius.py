@@ -51,8 +51,12 @@ def geodesic_distance(x, y) -> np.ndarray | float:
     """Intrinsic distance on S^m: arccos of the clamped inner product."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    dots = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-    return np.arccos(dots)
+    # summed one coordinate at a time, left to right: the sum np.sum makes
+    # over fewer than eight coordinates, without its slow short-axis loop
+    dots = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        dots = dots + x[..., i] * y[..., i]
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 def stereographic(p, q) -> np.ndarray:

@@ -76,7 +76,6 @@ class DiscreteMeasure:
         self.points = merged_p[keep]
         self.weights = merged_w[keep]
         self.merged_atoms = int(points.shape[0] - first.shape[0])
-        self._geometry_cache = None
 
     @property
     def total(self) -> float:
@@ -149,32 +148,6 @@ def shells_disjoint(a: Annulus, b: Annulus) -> bool:
     return False
 
 
-def _blocked_interval(D: float, lo: float, hi: float) -> tuple[float, float]:
-    """Distances from a new center that can reach the shell [lo, hi].
-
-    A point at distance d1 from the new center and d2 from the shell
-    center exists iff (d1, d2) lies in the feasibility polygon; sweeping
-    d2 over [lo, hi] projects it to a single closed interval in d1.
-    """
-    lower = max(0.0, D - hi, lo - D)
-    upper = min(np.pi, D + hi, 2.0 * np.pi - D - lo)
-    return lower, upper
-
-
-def _free_gaps(blocked: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Complement of a union of closed intervals inside [0, pi]."""
-    live = sorted((lo, hi) for lo, hi in blocked if lo <= hi)
-    gaps = []
-    cursor = 0.0
-    for lo, hi in live:
-        if lo > cursor:
-            gaps.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < np.pi:
-        gaps.append((cursor, np.pi))
-    return gaps
-
-
 # ---------------------------------------------------------------------- #
 # greedy decomposition
 
@@ -214,59 +187,111 @@ def _candidate_centers(mu: DiscreteMeasure, seed: int, extra: int = 32) -> np.nd
     return np.vstack([mu.points, poles])
 
 
-def _center_geometry(center, mu):
-    """Sorted unique distances from `center` to the atoms, with running mass.
+# distances sorted per batch of centers: keeps each batch's temporaries
+# near a megabyte, so the tables dominate peak memory
+_GEOMETRY_CHUNK = 1 << 15
 
-    ``cum_at[i]`` is the mass at distance <= ``uniq[i]``; together they
-    answer every "smallest radius with mass tau" query by searchsorted.
+
+def _center_geometry(centers, mu):
+    """Distinct distances from every center to the atoms, with running mass.
+
+    Returns flat tables ``radii`` and ``cum`` with row offsets ``start``:
+    center i owns positions ``start[i]`` to ``start[i + 1] - 1``, which
+    hold its distinct atom distances in increasing order and the mass at
+    distance <= each, then +inf in both.  Centers are sorted about
+    ``_GEOMETRY_CHUNK`` distances at a time, and tied atoms are summed in
+    atom order, as a stable sort of one center's distances has them, so
+    every running sum is the same to the bit whatever the chunk.
     """
-    d = geodesic_distance(center, mu.points)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    ws = mu.weights[order]
-    uniq, start = np.unique(ds, return_index=True)
-    cum = np.cumsum(ws)
-    cum_at = cum[np.append(start[1:] - 1, len(ds) - 1)]
-    return uniq, cum_at
+    n = mu.size
+    # room for n distances and the +inf per row; pages left unwritten
+    # (where distances repeat) never become resident
+    radii = np.empty(centers.shape[0] * (n + 1))
+    cum = np.empty_like(radii)
+    start = np.zeros(centers.shape[0] + 1, dtype=np.intp)
+    step = max(1, _GEOMETRY_CHUNK // n)
+    for a in range(0, centers.shape[0], step):
+        b = min(a + step, centers.shape[0])
+        d = geodesic_distance(centers[a:b, None, :], mu.points)
+        ds = np.full((b - a, n + 1), np.inf)
+        mass = np.full_like(ds, np.inf)
+        order = np.argsort(d, axis=1)
+        ds[:, :n] = np.take_along_axis(d, order, axis=1)
+        # runs of equal distances start where `new`; each ends just before
+        # the next start, and the +inf column is a run of its own
+        new = np.ones(ds.shape, dtype=bool)
+        new[:, 1:n] = ds[:, 1:n] != ds[:, : n - 1]
+        # put each run back in atom order: a stable sort's order, found
+        # faster than by a stable sort
+        key = np.cumsum(new[:, :n], axis=1) * n + order
+        key.sort(axis=1)
+        np.cumsum(mu.weights[key % n], axis=1, out=mass[:, :n])
+        start[a + 1 : b + 1] = start[a] + np.cumsum(new.sum(axis=1))
+        radii[start[a] : start[b]] = ds[new]
+        cum[start[a] : start[b]] = mass[np.roll(new, -1, axis=1)]
+    return radii, cum, start
 
 
-def _best_annulus_at(center, geometry, shells, tau, r_max, gap):
-    """Cheapest admissible annulus around one candidate center, or None.
+def _searchsorted(table, lo, hi, values):
+    """``lo + np.searchsorted(table[lo:hi + 1], v)`` for every query.
 
-    Returns (outer_radius, Annulus).  The doubled shell must avoid every
-    accepted shell inflated by `gap`; by the triangle inequality that
-    leaves geodesic distance >= gap between the actual doubled regions,
-    which is what later makes test-function supports combinatorially
-    disjoint on a mesh with edges shorter than `gap`.
+    Bisects all slices at once, comparing table entries with the values
+    and nothing else.  Each slice must be sorted and end in +inf at
+    ``hi``, and the values must be finite.
     """
-    uniq, cum_at = geometry
-    blocked = [
-        _blocked_interval(
-            float(geodesic_distance(center, s.center)),
-            max(0.0, s.inner - gap),
-            min(np.pi, s.outer + gap),
-        )
-        for s in shells
-    ]
-    best = None
-    for g_lo, g_hi in _free_gaps(blocked):
-        inner = 0.0 if g_lo == 0.0 else 2.0 * g_lo
-        upper = min(g_hi / 2.0, r_max)
-        if upper <= inner:
-            continue
-        base_idx = np.searchsorted(uniq, inner, side="left")
-        base = cum_at[base_idx - 1] if base_idx > 0 else 0.0
-        j = np.searchsorted(cum_at, base + tau, side="left")
-        if j >= uniq.shape[0]:
-            continue  # not enough mass around this center at any radius
-        lo_excl = uniq[j]
-        nxt = uniq[j + 1] if j + 1 < uniq.shape[0] else np.pi
-        outer = min(0.5 * (lo_excl + nxt), upper)
-        if outer <= lo_excl:
-            continue  # the required mass radius exceeds the free gap
-        if best is None or outer < best[0]:
-            best = (float(outer), Annulus(center, inner, float(outer)))
-    return best
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        below = table[mid] < values
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
+    """Cheapest admissible annulus over all candidate centers, or None.
+
+    `D` holds the distance from every candidate to every accepted shell
+    center (one column per shell), whose distance ranges [shell_lo, shell_hi]
+    are already inflated by the gap.  A point at distance d1 from the
+    candidate and d2 from a shell center exists iff (d1, d2) lies in the
+    feasibility polygon, so sweeping d2 over the shell blocks one closed
+    nonempty interval of d1; the doubled new annulus must fit in a gap of
+    [0, pi] between blocked intervals.  Returns (candidate index, inner,
+    outer) with the smallest outer radius; ties go to the first candidate
+    and, within it, to the first gap.
+    """
+    radii, cum, start = geometry
+    lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
+    upper = np.minimum(np.minimum(np.pi, D + shell_hi), 2.0 * np.pi - D - shell_lo)
+    # a sentinel [pi, pi] closes the last gap at pi and blocks nothing else
+    sentinel = np.full((D.shape[0], 1), np.pi)
+    lower = np.hstack([lower, sentinel])
+    upper = np.hstack([upper, sentinel])
+    order = np.argsort(lower, axis=1)
+    g_hi = np.take_along_axis(lower, order, axis=1)
+    upper = np.take_along_axis(upper, order, axis=1)
+    # the gap before each interval starts where all earlier ones end
+    g_lo = np.maximum.accumulate(
+        np.hstack([np.zeros_like(sentinel), upper[:, :-1]]), axis=1
+    )
+    inner = np.where(g_lo == 0.0, 0.0, 2.0 * g_lo)
+    top = np.minimum(g_hi / 2.0, r_max)
+    rows, cols = np.nonzero((g_hi > g_lo) & (top > inner))
+    inner, top = inner[rows, cols], top[rows, cols]
+
+    # mass inside the inner radius, then the first radius holding tau more
+    first, last = start[rows], start[rows + 1] - 1
+    base_idx = _searchsorted(radii, first, last, inner)
+    base = np.where(base_idx > first, cum[base_idx - 1], 0.0)
+    j = _searchsorted(cum, first, last, base + tau)
+    lo_excl = radii[j]  # +inf: no radius holds that much mass
+    nxt = np.minimum(radii[np.minimum(j + 1, last)], np.pi)  # pi past the last
+    outer = np.minimum(0.5 * (lo_excl + nxt), top)
+    fits = outer > lo_excl
+    if not fits.any():
+        return None
+    best = np.argmin(np.where(fits, outer, np.inf))
+    return int(rows[best]), float(inner[best]), float(outer[best])
 
 
 def gny_decompose(
@@ -310,31 +335,39 @@ def gny_decompose(
         raise ValueError("measure has no mass")
 
     centers = _candidate_centers(mu, seed)
-    geometries = [_center_geometry(c, mu) for c in centers]
+    geometry = _center_geometry(centers, mu)
     floor = 1.0 / (8.0 * 9.0 ** (12 * mu.dim))
     betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor]
     betas.append(floor)
 
+    distance_to = {}  # candidate index -> distances from every candidate to it
     attempts = []
     for beta in betas:
         tau = beta * total / k
         # overshoot by a hair so recomputing the mass in any summation
         # order still clears tau itself
         tau_greedy = tau + 1e-9 * total
-        shells: list[Annulus] = []
         annuli: list[Annulus] = []
+        to_shell = np.empty((centers.shape[0], 0))
+        shell_lo, shell_hi = [], []
         for _ in range(k):
-            best = None
-            for ci in range(centers.shape[0]):
-                cand = _best_annulus_at(
-                    centers[ci], geometries[ci], shells, tau_greedy, r_max, gap
-                )
-                if cand is not None and (best is None or cand[0] < best[0]):
-                    best = cand
+            best = _best_annulus(
+                geometry, to_shell, np.array(shell_lo), np.array(shell_hi),
+                tau_greedy, r_max,
+            )
             if best is None:
                 break
-            annuli.append(best[1])
-            shells.append(best[1].doubled())
+            ci, inner, outer = best
+            annuli.append(Annulus(centers[ci], inner, outer))
+            shell = annuli[-1].doubled()
+            if ci not in distance_to:
+                distance_to[ci] = geodesic_distance(centers, shell.center)
+            to_shell = np.column_stack([to_shell, distance_to[ci]])
+            # inflating each shell by `gap` leaves geodesic distance >= gap
+            # between the doubled regions themselves, which later makes
+            # test-function supports disjoint on meshes with shorter edges
+            shell_lo.append(max(0.0, shell.inner - gap))
+            shell_hi.append(min(np.pi, shell.outer + gap))
         if len(annuli) == k:
             masses = np.array([mu.mass(a) for a in annuli])
             return AnnulusFamily(

@@ -264,7 +264,10 @@ def negative_count(
         sigma = -max(0.0, float(V.max())) - 1.0  # strictly below the whole spectrum
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
-        k = 32
+        # Weyl's law puts about int V_+ dA / (4 pi) eigenvalues below zero;
+        # starting a quarter above that settles most counts in one solve
+        weyl = float(np.sum(areas * np.maximum(V, 0.0))) / (4.0 * np.pi)
+        k = max(32, int(np.ceil(1.25 * weyl)) + 8)
         low = None
         while k < n - 1:
             try:

@@ -12,6 +12,7 @@ from eigenvol.mesh import (
     save_off,
     willmore_energy,
 )
+from eigenvol.spectral import assemble_laplacian
 
 
 def _tetrahedron():
@@ -151,6 +152,14 @@ def test_mean_curvature_scaling():
     big = TriangleMesh(mesh.vertices * 2.0, mesh.faces)
     H = mean_curvature(big)
     assert np.linalg.norm(H, axis=1) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_stiffness_is_assembled_once_per_mesh():
+    fresh, shared = icosphere(2), icosphere(2)
+    H_fresh = mean_curvature(fresh)
+    K = assemble_laplacian(shared).stiffness
+    assert cotangent_stiffness(shared) is K
+    assert np.array_equal(mean_curvature(shared), H_fresh)
 
 
 def test_willmore_energy_torus_oracle():

@@ -67,6 +67,18 @@ def test_xi_identity_and_fixed_points():
         assert np.max(np.abs(xi_map(p, t, -p) + p)) < 1e-14
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_geodesic_distance_sums_like_numpy(dim):
+    # packings compare these distances bit for bit with the ones
+    # Annulus.contains recomputes, so every layout must sum the same way
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((40, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    expected = np.arccos(np.clip(np.sum(x[:, None, :] * x, axis=-1), -1.0, 1.0))
+    assert np.array_equal(geodesic_distance(x[:, None, :], x), expected)
+    assert all(np.array_equal(geodesic_distance(p, x), row) for p, row in zip(x, expected))
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=unit_vec3, q=unit_vec3, t=st.floats(0.05, 20.0), s=st.floats(0.05, 20.0))
 def test_xi_group_law(p, q, t, s):

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenvol import packing
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
     DiscreteMeasure,
     PackingError,
+    _candidate_centers,
+    _center_geometry,
     gny_decompose,
     pushforward_measure,
     select_light,
@@ -219,3 +226,165 @@ def test_verified_masses_match_construction():
     fam = gny_decompose(mu, 4, seed=1)
     report = verify_family(mu, fam)
     assert np.array_equal(report.masses, fam.masses)
+
+
+# ---------------------------------------------------------------------- #
+# the vectorised greedy against a scalar reference
+
+
+def _reference_geometry(center, mu):
+    d = geodesic_distance(center, mu.points)
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
+    uniq, start = np.unique(ds, return_index=True)
+    cum = np.cumsum(mu.weights[order])
+    return uniq, cum[np.append(start[1:] - 1, len(ds) - 1)]
+
+
+def _reference_gaps(center, shells, gap):
+    """Free distances from `center`: the complement in [0, pi] of the
+    intervals each inflated shell blocks, one candidate at a time."""
+    blocked = []
+    for s in shells:
+        D = float(geodesic_distance(center, s.center))
+        lo, hi = max(0.0, s.inner - gap), min(np.pi, s.outer + gap)
+        blocked.append((max(0.0, D - hi, lo - D), min(np.pi, D + hi, 2.0 * np.pi - D - lo)))
+    gaps, cursor = [], 0.0
+    for lo, hi in sorted(b for b in blocked if b[0] <= b[1]):
+        if lo > cursor:
+            gaps.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < np.pi:
+        gaps.append((cursor, np.pi))
+    return gaps
+
+
+def _reference_gny(mu, k, seed=0, r_max=np.pi, gap=0.0):
+    """The greedy of `gny_decompose` written one candidate and one gap at
+    a time with scalar searches; returns (annuli, beta, tau) or raises."""
+    centers = _candidate_centers(mu, seed)
+    geometries = [_reference_geometry(c, mu) for c in centers]
+    total = mu.total
+    floor = 1.0 / (8.0 * 9.0 ** (12 * mu.dim))
+    betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor] + [floor]
+    attempts = []
+    for beta in betas:
+        tau = beta * total / k
+        tau_greedy = tau + 1e-9 * total
+        shells, annuli = [], []
+        for _ in range(k):
+            best = None
+            for center, (uniq, cum_at) in zip(centers, geometries):
+                for g_lo, g_hi in _reference_gaps(center, shells, gap):
+                    inner = 0.0 if g_lo == 0.0 else 2.0 * g_lo
+                    upper = min(g_hi / 2.0, r_max)
+                    if upper <= inner:
+                        continue
+                    base_idx = np.searchsorted(uniq, inner, side="left")
+                    base = cum_at[base_idx - 1] if base_idx > 0 else 0.0
+                    j = np.searchsorted(cum_at, base + tau_greedy, side="left")
+                    if j >= uniq.shape[0]:
+                        continue
+                    nxt = uniq[j + 1] if j + 1 < uniq.shape[0] else np.pi
+                    outer = min(0.5 * (uniq[j] + nxt), upper)
+                    if outer > uniq[j] and (best is None or outer < best[0]):
+                        best = (outer, Annulus(center, inner, float(outer)))
+            if best is None:
+                break
+            annuli.append(best[1])
+            shells.append(best[1].doubled())
+        if len(annuli) == k:
+            return annuli, beta, tau
+        attempts.append((beta, len(annuli)))
+    raise PackingError("reference packing failed", attempts=attempts)
+
+
+@pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
+def test_center_geometry_matches_per_center_tables(sphere3, chunk, monkeypatch):
+    # icosphere atoms tie in distance; unequal weights make the running
+    # sums depend on the order of tied atoms
+    w = np.random.default_rng(4).uniform(0.1, 1.0, sphere3.nv)
+    mu = DiscreteMeasure(sphere3.vertices, w)
+    centers = _candidate_centers(mu, 0)
+    monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
+    radii, cum, start = _center_geometry(centers, mu)
+    for i, c in enumerate(centers):
+        uniq, cum_at = _reference_geometry(c, mu)
+        row = slice(start[i], start[i + 1])
+        assert np.array_equal(radii[row], np.append(uniq, np.inf))
+        assert np.array_equal(cum[row], np.append(cum_at, np.inf))
+
+
+def _symmetric_points(m):
+    """Cross-polytope and cube vertices: many exactly equal distances."""
+    axes = np.vstack([np.eye(m + 1), -np.eye(m + 1)])
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
+    return np.vstack([axes, cube / np.sqrt(m + 1)])
+
+
+@st.composite
+def _measures(draw):
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sym = _symmetric_points(m)
+    pick = draw(st.lists(st.integers(0, len(sym) - 1), max_size=12, unique=True))
+    random = rng.standard_normal((draw(st.integers(0, 24)), m + 1))
+    pts = np.vstack([sym[pick], random / np.linalg.norm(random, axis=1, keepdims=True)])
+    if pts.shape[0] == 0:
+        pts = sym[:1]
+    # weights from a short list, so equal masses (and equal cumulative
+    # masses) are common
+    w = rng.choice([0.25, 1.0, 1.0, 3.0], size=pts.shape[0])
+    return DiscreteMeasure(pts, w)
+
+
+def _assert_same_packing(mu, k, **kw):
+    try:
+        ref = _reference_gny(mu, k, **kw)
+    except PackingError as exc:
+        with pytest.raises(PackingError) as got:
+            gny_decompose(mu, k, **kw)
+        assert got.value.attempts == exc.attempts
+        return
+    fam = gny_decompose(mu, k, **kw)
+    annuli, beta, tau = ref
+    assert (fam.beta, fam.target) == (beta, tau)
+    assert len(fam.annuli) == len(annuli)
+    for a, b in zip(fam.annuli, annuli):
+        assert np.array_equal(a.center, b.center)
+        assert (a.inner, a.outer) == (b.inner, b.outer)
+    assert np.array_equal(fam.masses, [mu.mass(a) for a in annuli])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mu=_measures(),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 3),
+    gap=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    r_max=st.one_of(st.just(np.pi), st.floats(0.2, 3.0)),
+)
+def test_gny_matches_scalar_reference(mu, k, seed, gap, r_max):
+    _assert_same_packing(mu, k, seed=seed, gap=gap, r_max=r_max)
+
+
+def test_gny_failure_matches_scalar_reference():
+    pts = _symmetric_points(2)[:3]
+    mu = DiscreteMeasure(pts, np.ones(3))
+    with pytest.raises(PackingError):
+        gny_decompose(mu, 9, seed=0)
+    _assert_same_packing(mu, 9, seed=0)
+
+
+@pytest.mark.parametrize("r_max, gap", [(np.pi, 0.0), (0.49 * np.pi, 0.05)])
+def test_gny_matches_scalar_reference_on_a_mesh(sphere3, r_max, gap):
+    # icosphere atoms: thousands of exactly tied distances
+    _assert_same_packing(pushforward_measure(sphere3), 8, r_max=r_max, gap=gap)
+
+
+def test_gny_matches_scalar_reference_with_holes():
+    # two of these four annuli have a hole: their centers lie in an
+    # earlier doubled shell, so the mass inside the inner radius counts
+    mu = _clustered_measure(600)
+    assert sum(a.inner > 0.0 for a in gny_decompose(mu, 4).annuli) == 2
+    _assert_same_packing(mu, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenvol import spectral
-from eigenvol.fixtures import flat_torus, flat_torus_spectrum, icosphere
+from eigenvol.fixtures import clifford_torus, flat_torus, flat_torus_spectrum, icosphere
 from eigenvol.spectral import (
     DENSE_CUTOFF,
     assemble_laplacian,
@@ -95,6 +95,23 @@ def test_negative_count_iterative_path():
     # discrete torus spectrum below 1.5: 0 and the four modes at ~0.9986
     assert res.count == 5
     assert res.method == "arpack"
+
+
+def test_negative_count_starts_at_the_weyl_estimate(monkeypatch):
+    # 97 eigenvalues lie below 61 on the 48-grid Clifford torus; the start
+    # k = ceil(1.25 * 61 * 2 pi^2 / (4 pi)) + 8 = 128 covers them at once
+    solves = []
+    eigsh = spectral.eigsh
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counting)
+    res = negative_count(clifford_torus(48), 61.0)
+    assert res.method == "arpack"
+    assert res.count == 97
+    assert solves == [128]
 
 
 def test_stability_index_round_sphere(sphere3):
