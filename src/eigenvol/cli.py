@@ -85,7 +85,11 @@ def _immersion(mesh, kind: str):
 
 
 def _emit(payload: dict, fmt: str, out: str | None, rows=None) -> None:
-    """Write JSON (always available) or CSV (when `rows` makes sense)."""
+    """Write JSON (always available) or CSV (when `rows` makes sense).
+
+    A file written to `out` gets a ``run_meta.json`` sidecar naming the
+    running subcommand.
+    """
     if fmt == "csv":
         if rows is None:
             raise click.UsageError("this subcommand has no CSV form")
@@ -97,18 +101,13 @@ def _emit(payload: dict, fmt: str, out: str | None, rows=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _write_meta(out: str | None, command: str) -> None:
     if not out:
+        click.echo(text, nl=False)
         return
+    with open(out, "w") as fh:
+        fh.write(text)
     meta = {
-        "command": command,
+        "command": click.get_current_context().info_name,
         "argv": sys.argv[1:],
         "written_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
@@ -161,7 +160,6 @@ def constants(n: int, m: int, out: str | None) -> None:
     """Exact proof constants for maps of n-manifolds into S^m."""
     cs = proof_constants(n, m)
     _emit(cs.as_dict(), "json", out)
-    _write_meta(out, "constants")
 
 
 @main.command()
@@ -190,7 +188,6 @@ def spectrum(fixture, mesh, count, seed, fmt, out) -> None:
          enumerate(zip(spec.eigenvalues, spec.residuals))],
     )
     _emit(payload, fmt, out, rows)
-    _write_meta(out, "spectrum")
 
 
 @main.command()
@@ -219,7 +216,6 @@ def confvol(fixture, mesh, map_kind, starts, seed, out) -> None:
         "surface_volume": surface.area,
     }
     _emit(payload, "json", out)
-    _write_meta(out, "confvol")
 
 
 @main.command()
@@ -250,7 +246,6 @@ def gny(fixture, mesh, k, density, seed, out) -> None:
         "annuli": family.as_dict()["annuli"],
     }
     _emit(payload, "json", out)
-    _write_meta(out, "gny")
     if not report.ok:
         sys.exit(1)
 
@@ -270,8 +265,8 @@ def index(fixture, mesh, shape_squared, reference, seed, out) -> None:
     result = check_index(surface, shape_squared,
                          reference_index=reference, seed=seed)
     click.echo(result.line())
-    _emit(result.as_dict(), "json", out) if out else None
-    _write_meta(out, "index")
+    if out:
+        _emit(result.as_dict(), "json", out)
     if result.status == "fail":
         sys.exit(1)
 
@@ -288,10 +283,7 @@ def verify(which, seed, kmax, out) -> None:
     for line in report.lines():
         click.echo(line)
     if out:
-        with open(out, "w") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        _write_meta(out, "verify")
+        _emit(report.as_dict(), "json", out)
     if not report.all_ok:
         sys.exit(1)
 
@@ -332,7 +324,6 @@ def plot_data(fixture, mesh, count, k_range, seed, out) -> None:
         f"({100 * fit.relative_error:.1f}% off), window {k_range}",
         err=True,
     )
-    _write_meta(out, "plot-data")
 
 
 if __name__ == "__main__":

@@ -608,7 +608,7 @@ def check_eigenvalue_counts(
         raise ValueError("potential must be nonnegative")
     vol = mesh.area
     intV = float(ops.areas @ V)
-    counted = negative_count(ops, V, seed=seed)
+    counted = negative_count(ops, V)
     N = counted.count
     consts = proof_constants(2, m)
     results = []
@@ -726,7 +726,7 @@ def check_index(
     avg = float(ops.areas @ S2) / vol
     C = float(index_constant(2))
     lhs = C * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
-    idx = stability_index(ops, S2, n=2, seed=seed)
+    idx = stability_index(ops, S2, n=2)
     detail = {
         "index": idx.count,
         "boundary_modes": idx.boundary_count,

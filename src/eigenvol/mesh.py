@@ -86,6 +86,9 @@ class TriangleMesh:
             vertices = np.ascontiguousarray(vertices, dtype=np.float64)
             if vertices.ndim != 2:
                 raise ValueError("vertices must have shape (nv, d)")
+            finite = np.isfinite(vertices).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
             if ambient is not None and ambient not in _AMBIENTS:
                 raise ValueError(f"unknown ambient {ambient!r}")
             self.vertices = vertices
@@ -104,8 +107,8 @@ class TriangleMesh:
                     f"edge_lengths must have shape ({self._edges.shape[0]},), "
                     f"one per edge, got {edge_lengths.shape}"
                 )
-            if np.any(edge_lengths <= 0.0):
-                raise ValueError("edge lengths must be positive")
+            if not np.all(np.isfinite(edge_lengths) & (edge_lengths > 0.0)):
+                raise ValueError("edge lengths must be positive and finite")
             self.edge_lengths = edge_lengths
         else:
             diffs = vertices[self._edges[:, 0]] - vertices[self._edges[:, 1]]
@@ -269,39 +272,25 @@ class TriangleMesh:
         return self._cache["orientable"]
 
     def _check_orientable(self) -> bool:
-        # Faces adjacent through an edge must traverse it in opposite
-        # directions once consistently oriented.  Propagate by BFS and
-        # look for a contradiction.
-        nf = self.nf
-        edge_faces = [[] for _ in range(self._edges.shape[0])]
-        directed = {}  # (face, edge_idx) -> True if face traverses edge as (lo, hi)
-        f = self.faces
-        for corner in range(3):
-            u = f[:, (corner + 1) % 3]
-            v = f[:, (corner + 2) % 3]
-            eidx = self._face_edge_idx[:, corner]
-            forward = u < v
-            for face in range(nf):
-                edge_faces[eidx[face]].append(face)
-                directed[(face, eidx[face])] = bool(forward[face])
-        flip = -np.ones(nf, dtype=np.int8)  # -1 unvisited, 0 keep, 1 reversed
-        flip[0] = 0
-        queue = [0]
-        face_edges = self._face_edge_idx
-        while queue:
-            face = queue.pop()
-            for eidx in face_edges[face]:
-                fa, fb = edge_faces[eidx]
-                other = fb if fa == face else fa
-                same_dir = directed[(face, eidx)] == directed[(other, eidx)]
-                # consistent orientation: opposite traversal after flips
-                want = flip[face] ^ (1 if same_dir else 0)
-                if flip[other] == -1:
-                    flip[other] = want
-                    queue.append(other)
-                elif flip[other] != want:
-                    return False
-        return True
+        # The orientation double cover has two sheets per face.  Two faces
+        # traversing their shared edge in the same direction need opposite
+        # orientations, so they join opposite sheets; otherwise the same
+        # sheet.  The surface is orientable iff the cover splits: the two
+        # sheets of face 0 lie in different components.
+        f, nf = self.faces, self.nf
+        forward = np.column_stack(
+            [f[:, (c + 1) % 3] < f[:, (c + 2) % 3] for c in range(3)]
+        ).ravel()
+        corners = np.argsort(self._face_edge_idx.ravel(), kind="stable")
+        a, b = corners[0::2], corners[1::2]  # the two corners facing each edge
+        flip = (forward[a] == forward[b]) * nf
+        rows = np.concatenate([a // 3, a // 3 + nf])
+        cols = np.concatenate([b // 3 + flip, b // 3 + nf - flip])
+        cover = sparse.coo_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(2 * nf, 2 * nf)
+        )
+        _, sheet = connected_components(cover, directed=False)
+        return bool(sheet[0] != sheet[nf])
 
     @property
     def genus(self) -> int:

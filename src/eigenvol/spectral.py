@@ -8,7 +8,9 @@ characterization used everywhere in the bounds.
 
 Small problems (below ``DENSE_CUTOFF`` vertices) go through dense LAPACK,
 which is deterministic; larger problems use shift-invert Lanczos with a
-seeded start vector.  Every solve reports relative residuals.
+seeded start vector.  Every solve reports relative residuals.  Counts of
+negative eigenvalues need no eigensolve: they are read off the pivot
+signs of one sparse symmetric factorization (Sylvester's law of inertia).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 from scipy.special import gamma
 
 from .mesh import TriangleMesh, cotangent_stiffness
@@ -198,13 +200,10 @@ def eigensolve(
     )
 
 
-def _dense_pencil(K, areas, shift_diag=None):
-    """Full spectrum of M^{-1/2} (K + diag(shift)) M^{-1/2}, M-orthonormal vectors."""
+def _dense_pencil(K, areas):
+    """Full spectrum of M^{-1/2} K M^{-1/2}, M-orthonormal vectors."""
     w = 1.0 / np.sqrt(areas)
-    A = K.toarray()
-    if shift_diag is not None:
-        A = A + np.diag(shift_diag)
-    A = w[:, None] * A * w[None, :]
+    A = w[:, None] * K.toarray() * w[None, :]
     A = 0.5 * (A + A.T)
     lam, vecs = eigh(A)
     return lam, w[:, None] * vecs
@@ -215,20 +214,37 @@ class NegativeCountResult:
     """Count of negative pencil eigenvalues with a boundary-mode report.
 
     ``count`` is the number of eigenvalues below ``-tol``; eigenvalues
-    within ``[-tol, tol]`` are near-kernel modes reported separately in
+    in ``[-tol, tol)`` are near-kernel modes reported separately in
     ``boundary_count`` (with ``boundary_flag`` set), never silently added
-    to the count.
+    to the count.  Both come from Sylvester inertia, not from a spectrum.
     """
 
     count: int
     boundary_count: int
-    eigenvalues: np.ndarray
     tol: float
     method: str
 
     @property
     def boundary_flag(self) -> bool:
         return self.boundary_count > 0
+
+
+def _negative_pivots(A) -> int:
+    """Number of negative eigenvalues of the sparse symmetric matrix A.
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    a symmetric elimination P A P^T = L D L^T.  SuperLU keeps the
+    elimination symmetric in SymmetricMode with diagonal pivots, and then
+    its U factor is D L^T, so the pivots are the diagonal of U.
+    """
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # a zero pivot: A is singular
+        raise SolverError(f"inertia factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("inertia factorization pivoted off the diagonal")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def negative_count(
@@ -241,63 +257,38 @@ def negative_count(
     (K - diag(m_i V_i)) v = lambda M v.
 
     `potential` is a scalar or a per-vertex array V; the operator is the
-    positive Laplacian minus V.  All eigenvalues are >= -max(V), which
-    bounds the shift used for the iterative path.
+    positive Laplacian minus V.  No eigenvalue is computed: the pencil
+    has as many eigenvalues below s as K - M(V + s) has negative pivots
+    (Sylvester inertia), so one sparse factorization at s = -tol gives
+    the count and one at s = tol the boundary band.  `seed` is unused
+    and kept for callers that pass one.
+
+    Raises
+    ------
+    ValueError
+        If `tol` is negative or not finite, or V is not finite.
+    SolverError
+        If a factorization is singular (an eigenvalue sits exactly at
+        -tol or tol) or its elimination was not symmetric.
     """
     ops = (
         mesh_or_ops
         if isinstance(mesh_or_ops, OperatorPair)
         else assemble_laplacian(mesh_or_ops)
     )
-    K, M, areas = ops.stiffness, ops.mass, ops.areas
-    n = ops.n
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (n,))
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    V = np.broadcast_to(np.asarray(potential, dtype=float), (ops.n,))
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("potential must be finite")
 
-    if n <= DENSE_CUTOFF:
-        lam, _ = _dense_pencil(K, areas, shift_diag=-areas * V)
-        low = lam
-        method = "dense"
-    else:
-        A = (K - sparse.diags(areas * V)).tocsc()
-        sigma = -max(0.0, float(V.max())) - 1.0  # strictly below the whole spectrum
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        # Weyl's law puts about int V_+ dA / (4 pi) eigenvalues below zero;
-        # starting a quarter above that settles most counts in one solve
-        weyl = float(np.sum(areas * np.maximum(V, 0.0))) / (4.0 * np.pi)
-        k = max(32, int(np.ceil(1.25 * weyl)) + 8)
-        low = None
-        while k < n - 1:
-            try:
-                lam = eigsh(
-                    A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                    return_eigenvectors=False,
-                )
-            except ArpackNoConvergence as exc:
-                raise SolverError(
-                    f"ARPACK failed at k={k} while counting negative eigenvalues",
-                    eigenvalues=exc.eigenvalues,
-                ) from exc
-            lam = np.sort(lam)
-            if lam[-1] > tol:
-                low = lam
-                break
-            k *= 2
-        if low is None:
-            lam_full, _ = _dense_pencil(K, areas, shift_diag=-areas * V)
-            low = lam_full
-        method = "arpack"
+    def below(shift):  # eigenvalues of the pencil below `shift`
+        A = ops.stiffness - sparse.diags(ops.areas * (V + shift))
+        return _negative_pivots(A.tocsc())
 
-    count = int(np.sum(low < -tol))
-    boundary = int(np.sum(np.abs(low) <= tol))
+    count = below(-tol)
     return NegativeCountResult(
-        count=count,
-        boundary_count=boundary,
-        eigenvalues=low[low <= tol],
-        tol=tol,
-        method=method,
+        count=count, boundary_count=below(tol) - count, tol=tol, method="inertia"
     )
 
 
@@ -305,7 +296,6 @@ def stability_index(
     mesh_or_ops: TriangleMesh | OperatorPair,
     shape_squared,
     n: int = 2,
-    seed: int = 0,
 ) -> NegativeCountResult:
     """Morse index of a minimal surface in the round sphere.
 
@@ -320,7 +310,7 @@ def stability_index(
     """
     V = n + np.asarray(shape_squared, dtype=float)
     tol = 0.02 * (1.0 + float(np.max(V)))
-    return negative_count(mesh_or_ops, V, tol=tol, seed=seed)
+    return negative_count(mesh_or_ops, V, tol=tol)
 
 
 @dataclass

@@ -7,9 +7,12 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from eigenvol import spectral
 from eigenvol.cli import main
 from eigenvol.fixtures import icosphere
+from eigenvol.harness import run_verification
 from eigenvol.mesh import save_off
 
 
@@ -122,10 +125,13 @@ def test_verify_section_and_report(runner, tmp_path):
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
     assert report["all_ok"] is True
+    expected = run_verification("constants").as_dict()
+    assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     # timestamps live in the side file, never in the report itself
     assert "written_at" not in json.dumps(report)
     meta = json.loads((tmp_path / "report.run_meta.json").read_text())
     assert "written_at" in meta
+    assert meta["command"] == "verify"
 
 
 def test_verify_unknown_battery(runner):
@@ -154,3 +160,40 @@ def test_library_error_is_one_line(runner):
     assert result.output.splitlines() == ["Error: lift needs vertex coordinates"]
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["constants"],
+    ["spectrum", "--fixture", "icosphere:1", "--count", "4"],
+    ["spectrum", "--fixture", "icosphere:1", "--count", "4", "--format", "csv"],
+    ["gny", "--fixture", "icosphere:1", "-k", "2"],
+])
+def test_out_file_matches_stdout_and_names_its_command(runner, tmp_path, args):
+    out = tmp_path / "result.txt"
+    printed = runner.invoke(main, args)
+    written = runner.invoke(main, args + ["--out", str(out)])
+    assert printed.exit_code == written.exit_code == 0
+    assert out.read_text() == printed.output
+    meta = json.loads((tmp_path / "result.run_meta.json").read_text())
+    assert meta["command"] == args[0]
+
+
+def test_non_finite_off_coordinate_is_one_line(runner, tmp_path):
+    path = tmp_path / "nan.off"
+    path.write_text(
+        "OFF\n4 4 0\n1 1 1\n1 -1 -1\nnan 1 -1\n-1 -1 1\n"
+        "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: vertex 2 has a non-finite coordinate"]
+
+
+def test_solver_error_is_one_line(runner, monkeypatch):
+    def stalls(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((2562, 1)))
+
+    monkeypatch.setattr(spectral, "eigsh", stalls)
+    result = runner.invoke(main, ["spectrum", "--fixture", "icosphere:4", "--count", "4"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: ARPACK converged only 1/4 pairs"]

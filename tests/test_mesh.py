@@ -243,3 +243,42 @@ def test_obtuse_mixed_area_is_exact():
     assert areas[0] == pytest.approx(tri_area / 2)
     assert areas[1] == pytest.approx(tri_area / 2)
     assert np.sum(areas) == pytest.approx(mesh.area)
+
+
+@pytest.mark.parametrize("ambient", [None, "unit_sphere"])
+def test_non_finite_coordinates_rejected(ambient):
+    verts, faces = _tetrahedron()
+    verts = verts / np.sqrt(3.0)
+    verts[1, 2] = np.nan
+    with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
+        TriangleMesh(verts, faces, ambient=ambient)
+    verts[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        TriangleMesh(verts, faces, ambient=ambient)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_abstract_edge_lengths_must_be_positive_and_finite(bad):
+    faces = _tetrahedron()[1]
+    lengths = np.ones(6)
+    lengths[5] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        TriangleMesh(None, faces, edge_lengths=lengths)
+
+
+def test_off_with_nan_coordinate_rejected(tmp_path):
+    path = tmp_path / "nan.off"
+    path.write_text(
+        "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 nan 1\n"
+        "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    with pytest.raises(ValueError, match="vertex 3 has a non-finite coordinate"):
+        load_off(path)
+
+
+def test_orientability_survives_reversed_faces():
+    # the double cover splits however the faces are oriented
+    mesh = icosphere(2)
+    faces = mesh.faces.copy()
+    faces[::3] = faces[::3, ::-1]
+    assert TriangleMesh(mesh.vertices, faces).orientable

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from eigenvol import spectral
-from eigenvol.fixtures import clifford_torus, flat_torus, flat_torus_spectrum, icosphere
+from eigenvol.fixtures import (
+    clifford_torus,
+    flat_torus,
+    flat_torus_spectrum,
+    icosphere,
+    veronese,
+)
 from eigenvol.spectral import (
     DENSE_CUTOFF,
+    SolverError,
     assemble_laplacian,
     eigensolve,
     negative_count,
@@ -89,29 +102,104 @@ def test_negative_count_monotone_in_potential(sphere3):
     assert negative_count(ops, V).count <= negative_count(ops, bigger).count
 
 
-def test_negative_count_iterative_path():
+def test_negative_count_past_the_dense_cutoff():
     mesh = flat_torus(2 * np.pi, 2 * np.pi, 40)
-    res = negative_count(mesh, 1.5, tol=1e-6, seed=4)
+    assert mesh.nv > DENSE_CUTOFF
+    res = negative_count(mesh, 1.5, tol=1e-6)
     # discrete torus spectrum below 1.5: 0 and the four modes at ~0.9986
     assert res.count == 5
-    assert res.method == "arpack"
+    assert res.method == "inertia"
 
 
-def test_negative_count_starts_at_the_weyl_estimate(monkeypatch):
-    # 97 eigenvalues lie below 61 on the 48-grid Clifford torus; the start
-    # k = ceil(1.25 * 61 * 2 pi^2 / (4 pi)) + 8 = 128 covers them at once
-    solves = []
-    eigsh = spectral.eigsh
+def test_negative_count_calls_no_eigensolver(monkeypatch):
+    # 97 eigenvalues lie below 61 on the 48-grid Clifford torus
+    def refuse(*args, **kwargs):
+        raise AssertionError("negative_count must not solve for eigenvalues")
 
-    def counting(*args, **kwargs):
-        solves.append(kwargs["k"])
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "eigsh", counting)
+    monkeypatch.setattr(spectral, "eigh", refuse)
+    monkeypatch.setattr(spectral, "eigsh", refuse)
     res = negative_count(clifford_torus(48), 61.0)
-    assert res.method == "arpack"
     assert res.count == 97
-    assert solves == [128]
+    assert res.boundary_count == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"potential": 1.0, "tol": float("nan")},
+    {"potential": 1.0, "tol": float("inf")},
+    {"potential": 1.0, "tol": -1e-9},
+    {"potential": float("nan")},
+    {"potential": float("inf")},
+])
+def test_negative_count_rejects_non_finite_input(sphere3, kwargs):
+    with pytest.raises(ValueError):
+        negative_count(sphere3, **kwargs)
+
+
+def test_negative_count_rejects_a_nonsymmetric_elimination(sphere3, monkeypatch):
+    class Swapped:
+        perm_c = np.arange(sphere3.nv)
+        perm_r = np.roll(perm_c, 1)
+
+    monkeypatch.setattr(spectral, "splu", lambda *args, **kwargs: Swapped())
+    with pytest.raises(SolverError, match="pivoted off the diagonal"):
+        negative_count(sphere3, 1.0)
+
+
+def test_negative_count_singular_factor_is_a_solver_error(sphere3, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spectral, "splu", singular)
+    with pytest.raises(SolverError, match="exactly singular"):
+        negative_count(sphere3, 1.0)
+
+
+_REFERENCE_MESHES = {
+    "icosphere2": lambda: icosphere(2),
+    "icosphere3": lambda: icosphere(3),
+    "clifford16": lambda: clifford_torus(16),
+    "veronese2": lambda: veronese(2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_pencil(name):
+    """A mesh's operators and the symmetrised M^{-1/2} K M^{-1/2}, dense."""
+    ops = assemble_laplacian(_REFERENCE_MESHES[name]())
+    w = 1.0 / np.sqrt(ops.areas)
+    A = w[:, None] * ops.stiffness.toarray() * w[None, :]
+    return ops, 0.5 * (A + A.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_REFERENCE_MESHES)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 80.0),
+    band=st.sampled_from(["1e-9", "1e-3", "stability"]),
+)
+def test_negative_count_matches_a_dense_spectrum(name, seed, scale, band):
+    ops, A = _reference_pencil(name)
+    V = scale * np.random.default_rng(seed).random(ops.n)
+    tol = 0.02 * (1.0 + V.max()) if band == "stability" else float(band)
+    # M^{-1/2} (K - M V) M^{-1/2} = M^{-1/2} K M^{-1/2} - diag(V)
+    lam = eigvalsh(A - np.diag(V))
+    res = negative_count(ops, V, tol=tol)
+    assert res.count == int(np.sum(lam < -tol))
+    assert res.boundary_count == int(np.sum((lam >= -tol) & (lam < tol)))
+
+
+def test_eigensolve_maps_arpack_failure_to_solver_error(sphere4, monkeypatch):
+    lam, vecs = np.array([0.0, 2.0]), np.ones((sphere4.nv, 2))
+
+    def stalls(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", lam, vecs)
+
+    monkeypatch.setattr(spectral, "eigsh", stalls)
+    with pytest.raises(SolverError, match="ARPACK converged only 2/5 pairs") as info:
+        eigensolve(sphere4, count=5)
+    assert info.value.eigenvalues is lam
+    assert info.value.eigenvectors is vecs
 
 
 def test_stability_index_round_sphere(sphere3):
