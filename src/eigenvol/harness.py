@@ -763,6 +763,11 @@ def check_index(
 # pointwise conformal curvature balance
 
 
+# vertices per batch of the quadratic fit: keeps the (batch, ring, 6)
+# design arrays at a few MB
+_FIT_BLOCK = 2048
+
+
 def _pointwise_laplacian(mesh: TriangleMesh, ops, values, refine: int = 2):
     """Second-order pointwise estimate of -div grad at every vertex.
 
@@ -773,6 +778,12 @@ def _pointwise_laplacian(mesh: TriangleMesh, ops, values, refine: int = 2):
     principal-component split of the ring, then tilted to the fitted
     graph normal); the trace of the fitted Hessian is the Laplacian.
     The estimate does not depend on face orientation.
+
+    The fits run as array code over vertices of equal 2-ring size, at
+    most ``_FIT_BLOCK`` at a time: the frame is the eigenbasis of each
+    ring's 3x3 scatter matrix, and every least-squares fit solves its
+    6x6 normal equations in coordinates divided by the ring radius, which
+    keeps them well conditioned.
     """
     x = mesh.vertices
     K = ops.stiffness
@@ -781,30 +792,50 @@ def _pointwise_laplacian(mesh: TriangleMesh, ops, values, refine: int = 2):
     )
     pattern.setdiag(1.0)
     ring2 = ((pattern @ pattern) > 0).tocsr()
+    sizes = np.diff(ring2.indptr)
+    if sizes.min() < 6:
+        raise ValueError("a quadratic fit needs at least 6 vertices in every 2-ring")
     out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        nb = ring2.indices[ring2.indptr[i] : ring2.indptr[i + 1]]
-        d = x[nb] - x[i]
-        _, _, Vt = np.linalg.svd(d - d.mean(axis=0), full_matrices=False)
-        t1, t2, nu = Vt
-        for _ in range(refine):
-            u, v, w = d @ t1, d @ t2, d @ nu
-            G = np.stack(
-                [np.ones_like(u), u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=1
-            )
-            bw = np.linalg.lstsq(G, w, rcond=None)[0]
-            nu = nu - bw[1] * t1 - bw[2] * t2
-            nu /= np.linalg.norm(nu)
-            t1 = t1 - (t1 @ nu) * nu
-            t1 /= np.linalg.norm(t1)
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        for start in range(0, same.size, _FIT_BLOCK):
+            ids = same[start : start + _FIT_BLOCK]
+            nb = ring2.indices[ring2.indptr[ids, None] + np.arange(size)]
+            d = x[nb] - x[ids, None]
+            rho = np.linalg.norm(d, axis=2).max(axis=1)
+            dc = d - d.mean(axis=1, keepdims=True)
+            frames = np.linalg.eigh(dc.transpose(0, 2, 1) @ dc)[1]
+            nu, t1 = frames[..., 0], frames[..., 2]
             t2 = np.cross(nu, t1)
-        u, v = d @ t1, d @ t2
-        G = np.stack(
-            [np.ones_like(u), u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=1
-        )
-        b = np.linalg.lstsq(G, values[nb], rcond=None)[0]
-        out[i] = -(b[3] + b[5])
+            for _ in range(refine):
+                uvw = d @ np.stack([t1, t2, nu], axis=2)
+                b = _quadratic_fit(uvw[..., :2], rho, uvw[..., 2])
+                nu = nu - b[:, 1, None] * t1 - b[:, 2, None] * t2
+                nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+                t1 = t1 - np.sum(t1 * nu, axis=1, keepdims=True) * nu
+                t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+                t2 = np.cross(nu, t1)
+            # a constant offset moves only c; taking it out keeps the
+            # normal equations' right-hand side small
+            df = values[nb] - values[ids, None]
+            b = _quadratic_fit(d @ np.stack([t1, t2], axis=2), rho, df)
+            out[ids] = -(b[:, 3] + b[:, 5])
     return out
+
+
+def _quadratic_fit(uv, rho, f):
+    """Least-squares c + g.(u, v) + (1/2)(u, v) H (u, v)^T through the
+    values f at ring coordinates uv, per vertex of the batch; returns
+    (c, g_u, g_v, H_uu, H_uv, H_vv) in the units of uv."""
+    u = uv[..., 0] / rho[:, None]
+    v = uv[..., 1] / rho[:, None]
+    G = np.stack([np.ones_like(u), u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=2)
+    Gt = G.transpose(0, 2, 1)
+    try:
+        b = np.linalg.solve(Gt @ G, Gt @ f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValueError("a 2-ring is too degenerate for a quadratic fit") from None
+    return b / rho[:, None] ** np.array([0, 1, 1, 2, 2, 2])
 
 
 @dataclass

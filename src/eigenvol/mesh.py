@@ -135,6 +135,15 @@ class TriangleMesh:
         same = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
         if same.any():
             raise ValueError(f"degenerate face {int(np.argmax(same))} repeats a vertex")
+        keys = np.sort(f, axis=1)
+        order = np.lexsort(keys.T[::-1])  # stable: equal rows keep face order
+        keys = keys[order]
+        twin = np.all(keys[1:] == keys[:-1], axis=1)
+        if twin.any():
+            k = int(np.argmax(twin))
+            raise ValueError(
+                f"face {order[k + 1]} repeats the vertices of face {order[k]}"
+            )
         if self.vertices is not None and self._nv != self.vertices.shape[0]:
             raise ValueError("vertex count does not match coordinate array")
 

@@ -7,10 +7,12 @@ discrete eigenvalues are upper-bound-consistent with the min-max
 characterization used everywhere in the bounds.
 
 Small problems (below ``DENSE_CUTOFF`` vertices) go through dense LAPACK,
-which is deterministic; larger problems use shift-invert Lanczos with a
-seeded start vector.  Every solve reports relative residuals.  Counts of
-negative eigenvalues need no eigensolve: they are read off the pivot
-signs of one sparse symmetric factorization (Sylvester's law of inertia).
+which is deterministic and computes only the requested lowest pairs (the
+MRRR driver over an index range); larger problems use shift-invert
+Lanczos with a seeded start vector.  Every solve reports relative
+residuals.  Counts of negative eigenvalues need no eigensolve: they are
+read off the pivot signs of one sparse symmetric factorization
+(Sylvester's law of inertia).
 """
 
 from __future__ import annotations
@@ -130,13 +132,9 @@ class SpectrumResult:
         )
 
 
-def _residuals(K, M, lam, vecs):
-    out = np.empty(lam.shape[0])
-    for i in range(lam.shape[0]):
-        v = vecs[:, i]
-        mv = M @ v
-        out[i] = np.linalg.norm(K @ v - lam[i] * mv) / np.linalg.norm(mv)
-    return out
+def _residuals(K, areas, lam, vecs):
+    mv = areas[:, None] * vecs
+    return np.linalg.norm(K @ vecs - mv * lam, axis=0) / np.linalg.norm(mv, axis=0)
 
 
 def _zero_tol(K, areas) -> float:
@@ -170,8 +168,7 @@ def eigensolve(
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
     if n <= DENSE_CUTOFF or count >= n:  # eigsh serves only count < n
-        lam, vecs = _dense_pencil(K, areas)
-        lam, vecs = lam[:count], vecs[:, :count]
+        lam, vecs = _dense_pencil(K, areas, count)
         method = "dense"
     else:
         # K - sigma M is positive definite for any sigma < 0, so the
@@ -194,18 +191,22 @@ def eigensolve(
     return SpectrumResult(
         eigenvalues=lam,
         eigenvectors=vecs,
-        residuals=_residuals(K, M, lam, vecs),
+        residuals=_residuals(K, areas, lam, vecs),
         zero_tol=_zero_tol(K, areas),
         method=method,
     )
 
 
-def _dense_pencil(K, areas):
-    """Full spectrum of M^{-1/2} K M^{-1/2}, M-orthonormal vectors."""
+def _dense_pencil(K, areas, count):
+    """Lowest `count` pairs of M^{-1/2} K M^{-1/2}, M-orthonormal vectors.
+
+    LAPACK computes only the requested index range, so the cost beyond
+    the tridiagonal reduction scales with `count`, not with n.
+    """
     w = 1.0 / np.sqrt(areas)
     A = w[:, None] * K.toarray() * w[None, :]
     A = 0.5 * (A + A.T)
-    lam, vecs = eigh(A)
+    lam, vecs = eigh(A, subset_by_index=[0, count - 1])
     return lam, w[:, None] * vecs
 
 

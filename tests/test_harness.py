@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenvol import harness
 from eigenvol.confvol import SphereImmersion
-from eigenvol.fixtures import flat_torus, icosphere, revolution_torus
+from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus
 from eigenvol.harness import (
     CheckResult,
     Surface,
@@ -32,6 +33,7 @@ from eigenvol.harness import (
     proof_constants,
     run_verification,
 )
+from eigenvol.mesh import TriangleMesh
 from eigenvol.spectral import assemble_laplacian
 
 SPHERE_AREA = 4.0 * np.pi
@@ -339,6 +341,90 @@ def test_balance_holds_off_the_sphere(fat_torus):
     bal = conformal_balance(fat_torus)
     assert bal.integrated_ok
     assert bal.willmore > 0.5 * bal.lifted_energy
+
+
+def _reference_pointwise_laplacian(mesh, ops, values, refine=2):
+    """The quadratic fit of `_pointwise_laplacian` one vertex at a time,
+    with the frame from `svd` and every fit from `lstsq`."""
+    x = mesh.vertices
+    K = ops.stiffness
+    pattern = sp.csr_matrix((np.ones_like(K.data), K.indices, K.indptr), shape=K.shape)
+    pattern.setdiag(1.0)
+    ring2 = ((pattern @ pattern) > 0).tocsr()
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        nb = ring2.indices[ring2.indptr[i] : ring2.indptr[i + 1]]
+        d = x[nb] - x[i]
+        _, _, Vt = np.linalg.svd(d - d.mean(axis=0), full_matrices=False)
+        t1, t2, nu = Vt
+        for _ in range(refine):
+            u, v, w = d @ t1, d @ t2, d @ nu
+            G = np.stack([np.ones_like(u), u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=1)
+            bw = np.linalg.lstsq(G, w, rcond=None)[0]
+            nu = nu - bw[1] * t1 - bw[2] * t2
+            nu /= np.linalg.norm(nu)
+            t1 = t1 - (t1 @ nu) * nu
+            t1 /= np.linalg.norm(t1)
+            t2 = np.cross(nu, t1)
+        u, v = d @ t1, d @ t2
+        G = np.stack([np.ones_like(u), u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=1)
+        b = np.linalg.lstsq(G, values[nb], rcond=None)[0]
+        out[i] = -(b[3] + b[5])
+    return out
+
+
+@pytest.fixture(scope="module")
+def fit_cases():
+    """(name, mesh, ops, values, reference Laplacian) on meshes whose
+    2-rings differ in size and shape."""
+    s3 = icosphere(3)
+    jitter = np.random.default_rng(5).normal(scale=3e-3, size=s3.vertices.shape)
+    clifford = clifford_torus(16)
+    x4 = clifford.vertices
+    meshes = {
+        # 2-rings of 16, 18 and 19 vertices
+        "off-centre sphere": TriangleMesh(s3.vertices + [0.5, 0.0, 0.0], s3.faces),
+        "jittered sphere": TriangleMesh(s3.vertices + jitter, s3.faces),
+        "revolution torus": revolution_torus(3.0, 1.0, 24),
+        # stereographic image of the Clifford torus, an embedded grid
+        "projected Clifford": TriangleMesh(x4[:, :3] / (1.0 - x4[:, 3:]), clifford.faces),
+    }
+    cases = []
+    for name, mesh in meshes.items():
+        ops = assemble_laplacian(mesh)
+        x = mesh.vertices
+        for values in (
+            np.log(4.0 / (1.0 + np.sum(x * x, axis=1)) ** 2),
+            np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2,
+        ):
+            want = _reference_pointwise_laplacian(mesh, ops, values)
+            cases.append((name, mesh, ops, values, want))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, harness._FIT_BLOCK])
+def test_pointwise_laplacian_matches_scalar_reference(fit_cases, block, monkeypatch):
+    monkeypatch.setattr(harness, "_FIT_BLOCK", block)
+    for name, mesh, ops, values, want in fit_cases:
+        got = harness._pointwise_laplacian(mesh, ops, values)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+def test_pointwise_laplacian_rejects_underdetermined_rings():
+    tetra = TriangleMesh(
+        np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0),
+        np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]),
+    )
+    with pytest.raises(ValueError, match="at least 6 vertices"):
+        conformal_balance(tetra)
+    # the octahedron's 2-rings have 6 vertices, two of them over the centre
+    octa = TriangleMesh(
+        np.vstack([np.eye(3), -np.eye(3)]),
+        np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2],
+                  [1, 0, 5], [3, 1, 5], [4, 3, 5], [0, 4, 5]]),
+    )
+    with pytest.raises(ValueError, match="too degenerate"):
+        conformal_balance(octa)
 
 
 # ---------------------------------------------------------------------- #

@@ -232,17 +232,46 @@ def test_off_rejects_quads(tmp_path):
 
 
 def test_obtuse_mixed_area_is_exact():
-    # doubled obtuse triangle (a combinatorial sphere): the obtuse corner
-    # gets half of each face, the acute corners a quarter each
-    verts = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [2.0, 0.5, 0.0]])
-    faces = np.array([[0, 1, 2], [1, 0, 2]])
+    # a flat tetrahedron: the obtuse triangle ABC below, and above it the
+    # fan of three triangles around D inside ABC.  Every face is obtuse
+    # (ABC at C, the fan at D); an obtuse corner gets half of its face,
+    # each acute corner a quarter
+    verts = np.array(
+        [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [2.0, 0.5, 0.0], [2.0, 0.25, 0.0]]
+    )
+    faces = np.array([[0, 2, 1], [3, 0, 1], [3, 1, 2], [3, 2, 0]])
     mesh = TriangleMesh(verts, faces)
+    abc, dab, dbc, dca = mesh.face_areas
     areas = mesh.vertex_areas
-    tri_area = mesh.face_areas[0]
-    assert areas[2] == pytest.approx(tri_area)
-    assert areas[0] == pytest.approx(tri_area / 2)
-    assert areas[1] == pytest.approx(tri_area / 2)
+    assert areas[0] == pytest.approx((abc + dab + dca) / 4)
+    assert areas[1] == pytest.approx((abc + dab + dbc) / 4)
+    assert areas[2] == pytest.approx(abc / 2 + (dbc + dca) / 4)
+    assert areas[3] == pytest.approx((dab + dbc + dca) / 2)
     assert np.sum(areas) == pytest.approx(mesh.area)
+
+
+def test_repeated_face_rejected():
+    base = icosphere(1)
+    # a face repeated on its own vertices, in either orientation, closes
+    # up as a pillow, so only this check names the fault
+    for extra in ([[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [0, 2, 1]]):
+        with pytest.raises(ValueError, match="face 81 repeats the vertices of face 80"):
+            TriangleMesh(base.vertices, np.vstack([base.faces, extra]))
+    faces = np.vstack([base.faces, base.faces[5, [2, 0, 1]]])
+    with pytest.raises(ValueError, match="face 80 repeats the vertices of face 5"):
+        TriangleMesh(base.vertices, faces)
+    with pytest.raises(ValueError, match="face 1 repeats the vertices of face 0"):
+        TriangleMesh(np.eye(3), [[0, 1, 2], [0, 2, 1]])
+
+
+def test_off_with_repeated_face_rejected(tmp_path):
+    path = tmp_path / "repeat.off"
+    path.write_text(
+        "OFF\n4 5 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+        "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n3 2 1 0\n"
+    )
+    with pytest.raises(ValueError, match="face 4 repeats the vertices of face 0"):
+        load_off(path)
 
 
 @pytest.mark.parametrize("ambient", [None, "unit_sphere"])
