@@ -196,7 +196,8 @@ def spectrum(fixture, mesh, count, seed, fmt, out) -> None:
 @click.option("--map", "map_kind", default="auto", show_default=True,
               help="immersion to start from: auto, identity, lift, power:d")
 @click.option("--starts", default=4, show_default=True,
-              help="random Moebius starts for the sup search")
+              help="dilation poles, each starting one BFGS run of the sup "
+                   "search: the last axis, then seeded random poles")
 @seed_opt
 @out_opt
 def confvol(fixture, mesh, map_kind, starts, seed, out) -> None:

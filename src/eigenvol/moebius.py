@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "Annulus",
     "MoebiusMap",
+    "ball_dilation",
     "bar_phi",
     "cap_parameters",
     "covering_witness",
@@ -86,7 +87,7 @@ def stereographic_inverse(p, v) -> np.ndarray:
     return c[..., None] * p + (1.0 - c)[..., None] * v
 
 
-def xi_map(p, t: float, q) -> np.ndarray:
+def xi_map(p, t, q) -> np.ndarray:
     """The conformal dilation xi(p, t) applied to q (vectorized in q).
 
     Closed form, smooth through both fixed points p and -p:
@@ -95,12 +96,18 @@ def xi_map(p, t: float, q) -> np.ndarray:
         xi(p,t)(q) = c' p + (2 t / D) (q - c p),
         c' = (t^2 (1+c) - (1-c)) / D.
 
-    xi(p,1) = id and xi(p,t) o xi(p,s) = xi(p,ts).
+    xi(p,1) = id and xi(p,t) o xi(p,s) = xi(p,ts).  A batch of B
+    dilations, poles of shape (B, m+1) and strengths of shape (B,), gives
+    one leading axis: row b is bit for bit xi_map(p[b], t[b], q), since
+    every sum is elementwise over the last axis.
     """
-    if t <= 0.0:
-        raise ValueError("dilation parameter t must be positive")
     p = np.asarray(p, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise ValueError("dilation parameter t must be positive")
     q = np.asarray(q, dtype=float)
+    if p.ndim == 2:
+        p, t = p[:, None, :], t[:, None]
     c = np.sum(q * p, axis=-1)
     t2 = t * t
     dd = t2 * (1.0 + c) + (1.0 - c)
@@ -109,6 +116,20 @@ def xi_map(p, t: float, q) -> np.ndarray:
     # renormalize to kill accumulated round-off (stays within ~1e-15 anyway)
     out /= np.linalg.norm(out, axis=-1, keepdims=True)
     return out
+
+
+def ball_dilation(w) -> tuple[np.ndarray, float]:
+    """Pole w/|w| and strength e^|w| of the dilation with vector w.
+
+    Modulo rotations the Moebius group is the ball of these vectors; a
+    vector shorter than 1e-15 gives the last axis at strength 1, the
+    identity.
+    """
+    w = np.asarray(w, dtype=float)
+    nw = np.linalg.norm(w)
+    if nw < 1e-15:
+        return np.eye(w.size)[-1], 1.0
+    return w / nw, float(np.exp(nw))
 
 
 def _height_after_xi(t: float, c):

@@ -106,6 +106,14 @@ def test_confvol_identity_sphere(runner):
     assert data["diverged"] is False
 
 
+def test_confvol_rejects_zero_starts(runner):
+    result = runner.invoke(
+        main, ["confvol", "--fixture", "icosphere:1", "--starts", "0"]
+    )
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: need at least one start, got starts=0"]
+
+
 def test_index_clifford(runner):
     result = runner.invoke(
         main,

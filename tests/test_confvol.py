@@ -5,17 +5,17 @@ import pytest
 
 from eigenvol.confvol import (
     SphereImmersion,
+    _bfgs,
     conformal_distortion,
     conformal_volume,
-    degree_composition_check,
     hersch_center,
     inverse_stereographic,
     pullback_volume,
     spherical_face_areas,
 )
-from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus
+from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import TriangleMesh, willmore_energy
-from eigenvol.moebius import MoebiusMap
+from eigenvol.moebius import MoebiusMap, ball_dilation, xi_map
 
 
 # ---------------------------------------------------------------------- #
@@ -179,11 +179,85 @@ def test_fat_torus_conformal_volume_below_willmore():
     assert res.value < willmore_energy(mesh)
 
 
-def test_degree_composition_inequality(sphere3):
-    rep = degree_composition_check(sphere3, 2, seed=0)
-    assert rep["ok"]
-    # allowance for the PL covering error, mirroring the check's own gate
-    assert rep["value_power"] <= 2 * rep["value_identity"] * (1 + 1e-4)
+@pytest.mark.parametrize("R, floor", [
+    # the values the coordinate ascent over pole and strength reported on
+    # these tori; a supremum search may only raise its lower bound
+    (3.0, 16.328490551861975),
+    (2.0, 17.685290746721062),
+])
+def test_conformal_volume_reaches_floor_and_map_reproduces_it(R, floor):
+    imm = SphereImmersion.lifted(revolution_torus(R, 1.0, 16))
+    res = conformal_volume(imm, starts=2, seed=0)
+    assert res.value >= floor
+    assert not res.diverged and res.map.t > 1.0
+    moved = pullback_volume(imm.moved_by(res.map))
+    assert moved.value == pytest.approx(res.value, rel=1e-12)
+    assert moved.error_bar == pytest.approx(res.error_bar, rel=1e-12)
+
+
+def test_search_error_bar_is_the_singular_area_of_its_map():
+    # the search's maximum lies inside the ball here, so a singular area
+    # read at any other evaluated dilation would differ in its 8th digit
+    torus = revolution_torus(3.0, 1.0, 16)
+    lifted = SphereImmersion.lifted(torus)
+    imm = SphereImmersion(torus, lifted.images, singular_faces=np.arange(0, torus.nf, 7))
+    res = conformal_volume(imm, starts=2, seed=0)
+    assert not res.diverged and res.error_bar > 0.0
+    moved = pullback_volume(imm.moved_by(res.map))
+    assert moved.value == pytest.approx(res.value, rel=1e-12)
+    assert moved.error_bar == pytest.approx(res.error_bar, rel=1e-12)
+
+
+def test_fold_search_diverges(sphere3):
+    # two sheets over a hemisphere: the volume grows toward 8 pi as the
+    # dilation concentrates, so the search ends at the strength cap
+    imm = SphereImmersion.fold(sphere3, np.array([0.0, 0.6, 0.8]))
+    res = conformal_volume(imm, seed=0)
+    assert res.diverged
+    assert np.log(res.map.t) >= 0.999 * np.log(10.0)
+    assert pullback_volume(imm).value < res.value < 8 * np.pi
+    moved = pullback_volume(imm.moved_by(res.map))
+    assert moved.value == pytest.approx(res.value, rel=1e-12)
+    assert moved.error_bar == pytest.approx(res.error_bar, rel=1e-12)
+    assert res.error_bar > 0.0
+
+
+def test_bfgs_minimizes_rosenbrock():
+    seen = []
+
+    def rosenbrock(x):
+        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        seen.append((f, x))
+        return f, np.array([
+            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+            200.0 * (x[1] - x[0] ** 2),
+        ])
+
+    _bfgs(rosenbrock, np.array([-1.2, 1.0]))
+    f, x = min(seen, key=lambda e: e[0])
+    assert np.max(np.abs(x - 1.0)) < 1e-6
+    assert len(seen) < 100
+
+
+@pytest.mark.parametrize("starts", [0, -1])
+def test_conformal_volume_rejects_no_starts(sphere3, starts):
+    with pytest.raises(ValueError, match="at least one start"):
+        conformal_volume(SphereImmersion.identity(sphere3), starts=starts)
+
+
+def test_batched_dilations_equal_single_ones():
+    imm = SphereImmersion.lifted(revolution_torus(3.0, 1.0, 16))
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((5, 4))
+    poles, ts = zip(*map(ball_dilation, W))
+    batch = xi_map(np.array(poles), np.array(ts), imm.images)
+    areas = spherical_face_areas(batch, imm.mesh.faces)
+    assert batch.shape == (5, imm.mesh.nv, 4)
+    assert areas.shape == (5, imm.mesh.nf)
+    for b, (pole, t) in enumerate(zip(poles, ts)):
+        single = xi_map(pole, t, imm.images)
+        assert np.array_equal(batch[b], single)
+        assert np.array_equal(areas[b], spherical_face_areas(single, imm.mesh.faces))
 
 
 # ---------------------------------------------------------------------- #
@@ -217,3 +291,54 @@ def test_hersch_center_weighted(sphere3):
     assert res.converged
     moved = res.map(sphere3.vertices)
     np.testing.assert_allclose(w @ moved / w.sum(), 0.0, atol=1e-9)
+
+
+# (pole, t, iterations, moment norm) of the centring as exact hex floats,
+# so that a change to the dilation helper it shares with the search cannot
+# move the centring, or the battery's replay built on it, unnoticed
+_HERSCH_PINNED = {
+    "sphere": (
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        "0x1.0000000000000p+0", 0, "0x1.b36036875d859p-56",
+    ),
+    "clifford": (
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        "0x1.0000000000000p+0", 0, "0x1.2e22596ac94e2p-53",
+    ),
+    "veronese": (
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        "0x1.0000000000000p+0", 0, "0x1.8cf18aea098b2p-56",
+    ),
+    "revolution": (
+        ["0x1.c73fbc5ddb9e5p-56", "-0x1.c37c907eeef5dp-58", "0x1.d04d5dee45139p-55", "-0x1.0000000000000p+0"],
+        "0x1.9679b2758eb00p+1", 9, "0x1.0d4055d27456ap-36",
+    ),
+    "replay": (
+        ["-0x1.481e5cf2be54fp-3", "0x1.a2e1cb6fe1672p-1", "-0x1.1ac275dd8773cp-1"],
+        "0x1.7fffffff36ce9p+0", 20, "0x1.65ad316695b62p-34",
+    ),
+}
+
+
+def _replay_input(seed):
+    # the benchmark's Hersch replay input: icosphere(4) dilated by 1.5
+    # toward the second unit vector its seed draws
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(3)
+    pole = rng.standard_normal(3)
+    sphere = icosphere(4)
+    return SphereImmersion(sphere, xi_map(pole / np.linalg.norm(pole), 1.5, sphere.vertices))
+
+
+@pytest.mark.parametrize("name, immersion", [
+    ("sphere", lambda: SphereImmersion.identity(icosphere(3))),
+    ("clifford", lambda: SphereImmersion.identity(clifford_torus(32))),
+    ("veronese", lambda: SphereImmersion.identity(veronese(3))),
+    ("revolution", lambda: SphereImmersion.lifted(revolution_torus(3.0, 1.0, 32))),
+    ("replay", lambda: _replay_input(0)),
+])
+def test_hersch_center_is_pinned(name, immersion):
+    res = hersch_center(immersion())
+    got = ([float(x).hex() for x in res.map.pole], float(res.map.t).hex(),
+           res.iterations, float(res.moment_norm).hex())
+    assert got == _HERSCH_PINNED[name]
