@@ -258,13 +258,11 @@ def gny(fixture, mesh, k, density, seed, out) -> None:
               help="constant |S|^2 of the minimal surface in S^3")
 @click.option("--reference", default=None, type=int,
               help="known index to compare against")
-@seed_opt
 @out_opt
-def index(fixture, mesh, shape_squared, reference, seed, out) -> None:
+def index(fixture, mesh, shape_squared, reference, out) -> None:
     """Morse index bound for a minimal surface in the 3-sphere."""
     surface = _get_mesh(fixture, mesh)
-    result = check_index(surface, shape_squared,
-                         reference_index=reference, seed=seed)
+    result = check_index(surface, shape_squared, reference_index=reference)
     click.echo(result.line())
     if out:
         _emit(result.as_dict(), "json", out)

@@ -4,16 +4,20 @@ A :class:`SphereImmersion` is a mesh together with one unit vector per
 vertex; the induced discrete map carries each face to the geodesic
 triangle spanned by its corner images.  Its *pullback volume* is the sum
 of spherical triangle areas, which counts the image with multiplicity --
-for a map covering the sphere d times it approaches 4 pi d.
+for a map covering the sphere d times it approaches 4 pi d.  A surface
+in R^d enters through :func:`inverse_stereographic`, the stereographic
+chart of :mod:`eigenvol.moebius` taken from the north pole.
 
 The *conformal volume* of a map is the supremum of pullback volumes over
 the Moebius group of the target.  Rotations do not change areas, and
 modulo rotations the group is the hyperbolic ball B^(m+1) (Li and Yau,
 1982; El Soufi and Ilias, 1986): a dilation vector w has pole w/|w| and
 strength e^|w|.  The search runs BFGS over that ball from a fixed set of
-starting poles, with the strength capped at MAX_T.  The identity is
-always evaluated first and retained on ties, so a flat landscape (round
-sphere) reports the identity map rather than a random equivalent point.
+starting poles, with the strength capped at MAX_T, and returns its best
+dilation as a :class:`~eigenvol.moebius.MoebiusMap`, as does the Hersch
+centring.  The identity is always evaluated first and retained on ties,
+so a flat landscape (round sphere) reports the identity map rather than
+a random equivalent point.
 
 Faces whose image triangle degenerates, or that a constructor knows to
 sit on the singular set of the underlying map (the crease of a fold),
@@ -28,7 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import TriangleMesh
-from .moebius import MoebiusMap, ball_dilation, fold_map, stereographic_inverse, xi_map
+from .moebius import (
+    MoebiusMap,
+    ball_dilation,
+    fold_map,
+    stereographic,
+    stereographic_inverse,
+    xi_map,
+)
 
 __all__ = [
     "ConfVolResult",
@@ -47,18 +58,20 @@ __all__ = [
 def inverse_stereographic(points: np.ndarray) -> np.ndarray:
     """Lift R^d to the unit sphere S^d minus its north pole.
 
+    R^d is the hyperplane of the last axis in R^(d+1), and the lift is
+    :func:`~eigenvol.moebius.stereographic_inverse` from the north pole:
     x -> (2x, |x|^2 - 1) / (|x|^2 + 1); the origin goes to the south
     pole, infinity to the north.  Composing a surface in R^3 with this
     map preserves conformality, which is how flat-space immersions enter
     the conformal-volume machinery.
     """
     points = np.asarray(points, dtype=float)
-    r2 = np.sum(points * points, axis=-1, keepdims=True)
-    if np.any(r2 > 1e16):
+    if np.any(np.sum(points * points, axis=-1) > 1e16):
         raise ValueError(
             "vertex too far from the origin for a stable lift; recenter first"
         )
-    return np.concatenate([2.0 * points, r2 - 1.0], axis=-1) / (r2 + 1.0)
+    padded = np.concatenate([points, np.zeros_like(points[..., :1])], axis=-1)
+    return stereographic_inverse(np.eye(padded.shape[-1])[-1], padded)
 
 
 def spherical_face_areas(images: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -190,7 +203,6 @@ class SphereImmersion:
     mesh: TriangleMesh
     images: np.ndarray
     singular_faces: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    label: str = ""
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
@@ -219,9 +231,7 @@ class SphereImmersion:
         return self._distortion
 
     def moved_by(self, g: MoebiusMap) -> "SphereImmersion":
-        return SphereImmersion(
-            self.mesh, g(self.images), self.singular_faces, label=self.label
-        )
+        return SphereImmersion(self.mesh, g(self.images), self.singular_faces)
 
     # -------------------------------------------------------------- #
     # constructors
@@ -230,14 +240,14 @@ class SphereImmersion:
     def identity(cls, mesh: TriangleMesh) -> "SphereImmersion":
         if mesh.ambient != "unit_sphere":
             raise ValueError("identity immersion needs a unit_sphere mesh")
-        return cls(mesh, mesh.vertices, label="identity")
+        return cls(mesh, mesh.vertices)
 
     @classmethod
-    def lifted(cls, mesh: TriangleMesh, label: str = "lift") -> "SphereImmersion":
+    def lifted(cls, mesh: TriangleMesh) -> "SphereImmersion":
         """Compose a Euclidean surface with the inverse stereographic lift."""
         if mesh.vertices is None:
             raise ValueError("lift needs vertex coordinates")
-        return cls(mesh, inverse_stereographic(mesh.vertices), label=label)
+        return cls(mesh, inverse_stereographic(mesh.vertices))
 
     @classmethod
     def fold(cls, mesh: TriangleMesh, pole) -> "SphereImmersion":
@@ -252,7 +262,7 @@ class SphereImmersion:
         images = fold_map(pole, mesh.vertices)
         side = np.sign(mesh.vertices @ pole)[mesh.faces]
         crossing = (side.max(axis=1) > 0) & (side.min(axis=1) < 0)
-        return cls(mesh, images, np.flatnonzero(crossing), label="fold")
+        return cls(mesh, images, np.flatnonzero(crossing))
 
     @classmethod
     def power(cls, mesh: TriangleMesh, d: int, pole=None) -> "SphereImmersion":
@@ -268,8 +278,7 @@ class SphereImmersion:
         if d == 0:
             raise ValueError("degree must be nonzero")
         p = _GENERIC_POLE.copy() if pole is None else np.asarray(pole, dtype=float)
-        dots = mesh.vertices @ p
-        if np.max(np.abs(dots)) >= 1.0 - 1e-9:
+        if np.max(np.abs(mesh.vertices @ p)) >= 1.0 - 1e-9:
             raise ValueError(
                 "a vertex coincides with the projection axis; pass another pole"
             )
@@ -280,11 +289,11 @@ class SphereImmersion:
         e1 = axis - (axis @ p) * p
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(p, e1)
-        w = (mesh.vertices - dots[:, None] * p) / (1.0 - dots[:, None])
+        w = stereographic(p, mesh.vertices)
         z = w @ e1 + 1j * (w @ e2)
         zd = z**d
         w_img = np.real(zd)[:, None] * e1 + np.imag(zd)[:, None] * e2
-        return cls(mesh, stereographic_inverse(p, w_img), label=f"power{d}")
+        return cls(mesh, stereographic_inverse(p, w_img))
 
 
 @dataclass
@@ -422,9 +431,9 @@ def conformal_volume(
             run.update(value=float(vals[0]), error=float(areas[0, sing].sum()), w=W[0])
         return -vals[0], -(vals[1:] - vals[0]) / _FD_STEP
 
-    areas = spherical_face_areas(images, faces)
+    start = pullback_volume(immersion)
     best = {
-        "value": float(areas[~sing].sum()), "error": float(areas[sing].sum()),
+        "value": start.value, "error": start.error_bar,
         "w": np.zeros(dim), "start": -1, "diverged": False,
     }
     trace = [{"start": -1, "value": best["value"], "tau": 0.0}]
@@ -445,7 +454,7 @@ def conformal_volume(
     return ConfVolResult(
         value=best["value"],
         error_bar=best["error"],
-        map=MoebiusMap.dilation(*ball_dilation(best["w"])),
+        map=MoebiusMap(*ball_dilation(best["w"])),
         diverged=best["diverged"],
         start=best["start"],
         trace=trace,
@@ -455,6 +464,10 @@ def conformal_volume(
 
 # ---------------------------------------------------------------------- #
 # Hersch centering
+
+
+HERSCH_TOL = 1e-10
+HERSCH_MAX_ITER = 500
 
 
 @dataclass
@@ -467,25 +480,19 @@ class HerschResult:
     converged: bool
 
 
-def hersch_center(
-    immersion: SphereImmersion,
-    weights=None,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> HerschResult:
-    """Find a dilation making the weighted image barycenter vanish.
+def hersch_center(immersion: SphereImmersion) -> HerschResult:
+    """Find a dilation making the area-weighted image barycenter vanish.
 
     Damped fixed-point iteration on the dilation vector w in R^(m+1)
     (pole w/|w|, strength e^|w|, as in the search): step against the
     current moment, halve the damping whenever the moment norm fails to
-    decrease.  Symmetric meshes start with a numerically zero moment and
-    return the identity untouched, which downstream determinism tests
-    rely on.
+    decrease.  Stops once the moment norm is below HERSCH_TOL or after
+    HERSCH_MAX_ITER steps.  Symmetric meshes start with a numerically
+    zero moment and return the identity untouched, which downstream
+    determinism tests rely on.
     """
     images = immersion.images
-    if weights is None:
-        weights = immersion.mesh.vertex_areas
-    weights = np.asarray(weights, dtype=float)
+    weights = immersion.mesh.vertex_areas
     W = weights.sum()
 
     def moved(w):
@@ -499,7 +506,7 @@ def hersch_center(
     c = moment(images)
     beta = 1.0
     it = 0
-    while it < max_iter and np.linalg.norm(c) >= tol:
+    while it < HERSCH_MAX_ITER and np.linalg.norm(c) >= HERSCH_TOL:
         trial = w - beta * c
         c_trial = moment(moved(trial))
         if np.linalg.norm(c_trial) < np.linalg.norm(c):
@@ -512,8 +519,8 @@ def hersch_center(
         it += 1
 
     return HerschResult(
-        map=MoebiusMap.dilation(*ball_dilation(w)),
+        map=MoebiusMap(*ball_dilation(w)),
         moment_norm=float(np.linalg.norm(c)),
         iterations=it,
-        converged=bool(np.linalg.norm(c) < tol),
+        converged=bool(np.linalg.norm(c) < HERSCH_TOL),
     )

@@ -292,6 +292,9 @@ def _surface(mesh_or_surface, seed: int = 0) -> Surface:
 # eigenvalue's multiplicity on every reference surface, and some margin
 _FIRST_PAIRS = 8
 
+# discretization slack of the first-eigenvalue checks, relative to the bound
+_FIRST_REL_TOL = 0.03
+
 
 # ---------------------------------------------------------------------- #
 # first eigenvalue: conformal volume bound with a constructive replay
@@ -301,7 +304,6 @@ def check_first_eigenvalue(
     mesh: TriangleMesh | Surface,
     immersion: SphereImmersion | None = None,
     vc_reference: float | None = None,
-    rel_tol: float = 0.03,
     seed: int = 0,
 ) -> CheckResult:
     """lambda_1 Vol^{2/n} <= n Vc^{2/n}, plus a test-function replay.
@@ -376,7 +378,7 @@ def check_first_eigenvalue(
         f"lambda_1 Vol = {lhs:.6f} <= 2 Vc = {rhs:.6f}",
         lhs,
         rhs,
-        rel_tol=rel_tol,
+        rel_tol=_FIRST_REL_TOL,
         inconclusive_on_fail=soft,
         detail=detail,
         error_bars=error_bars,
@@ -390,7 +392,6 @@ def check_first_eigenvalue(
 def check_curvature_first_eigenvalue(
     mesh: TriangleMesh | Surface,
     kappa: float = 0.0,
-    rel_tol: float = 0.03,
     seed: int = 0,
 ) -> CheckResult:
     """lambda_1 <= (n / Vol) int (|H|^2 + kappa), sharp for round spheres.
@@ -410,7 +411,7 @@ def check_curvature_first_eigenvalue(
         f"lambda_1 = {lam1:.6f} <= (2/Vol) int(|H|^2 + {kappa:g}) = {rhs:.6f}",
         lam1,
         rhs,
-        rel_tol=rel_tol,
+        rel_tol=_FIRST_REL_TOL,
         detail={
             "lambda_1": lam1,
             "volume": vol,
@@ -424,6 +425,11 @@ def check_curvature_first_eigenvalue(
 
 # ---------------------------------------------------------------------- #
 # all eigenvalues
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 1:
+        raise ValueError(f"need kmax >= 1, got {kmax}")
 
 
 def check_higher_eigenvalues(
@@ -444,6 +450,7 @@ def check_higher_eigenvalues(
     The constants are astronomically generous; the point of evaluating
     them literally is that the margin, too, becomes a number.
     """
+    _check_kmax(kmax)
     surface = _surface(mesh, seed)
     immersion = surface.immersion if immersion is None else immersion
     vc_reference = surface.vc if vc_reference is None else vc_reference
@@ -766,9 +773,11 @@ def check_index(
 # vertices per batch of the quadratic fit: keeps the (batch, ring, 6)
 # design arrays at a few MB
 _FIT_BLOCK = 2048
+# tilts of each vertex's frame to its fitted graph normal before the final fit
+_FRAME_TILTS = 2
 
 
-def _pointwise_laplacian(mesh: TriangleMesh, ops, values, refine: int = 2):
+def _pointwise_laplacian(mesh: TriangleMesh, ops, values):
     """Second-order pointwise estimate of -div grad at every vertex.
 
     The cotangent Laplacian converges weakly but not pointwise at
@@ -807,7 +816,7 @@ def _pointwise_laplacian(mesh: TriangleMesh, ops, values, refine: int = 2):
             frames = np.linalg.eigh(dc.transpose(0, 2, 1) @ dc)[1]
             nu, t1 = frames[..., 0], frames[..., 2]
             t2 = np.cross(nu, t1)
-            for _ in range(refine):
+            for _ in range(_FRAME_TILTS):
                 uvw = d @ np.stack([t1, t2, nu], axis=2)
                 b = _quadratic_fit(uvw[..., :2], rho, uvw[..., 2])
                 nu = nu - b[:, 1, None] * t1 - b[:, 2, None] * t2
@@ -896,7 +905,7 @@ def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
 
     res = H2 - ef * (Ht2 + 1.0) + 0.5 * lap_f
     l2 = float(np.sqrt(np.sum(ops.areas * res * res)))
-    w2 = float(np.sum(ops.areas * H2))
+    w2 = surface.willmore(0.0)
     energy = float(sum(ops.energy(lift[:, i]) for i in range(4)))
     conf_area = float(np.sum(ops.areas * ef))
     return ConformalBalance(
@@ -998,7 +1007,7 @@ def build_witness_chain(
     beta, chosen, shell_masses, U, energies = _replay_family(
         ops, images, mu, 2 * (k + 1), seed, gap, light=(mu, k + 1)
     )
-    sq_masses = np.array([float(np.sum(ops.areas * u * u)) for u in U])
+    sq_masses = np.array([ops.inner(u, u) for u in U])
     floor = (81.0 / 625.0) * shell_masses
     if np.any(sq_masses < floor * (1.0 - 1e-9)):
         raise VerificationError("squared mass fell below 81/625 of the annulus")
@@ -1176,7 +1185,7 @@ def _genus_check(surface: Surface, seed: int = 0) -> CheckResult:
         f"2 Vc(genus {mesh.genus}) = {bound:.4f}",
         lam1 * mesh.area,
         bound,
-        rel_tol=0.03,
+        rel_tol=_FIRST_REL_TOL,
         detail={"genus": mesh.genus, "orientable": mesh.orientable},
     )
 
@@ -1290,6 +1299,7 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     balance, witness, weyl.  Each reference surface is assembled and
     solved once, for every check that reads it.
     """
+    _check_kmax(kmax)
     battery = _battery(kmax)
     valid = ["all"] + [section for section, _, _ in battery]
     if which not in valid:

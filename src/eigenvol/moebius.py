@@ -10,6 +10,10 @@ L_p = {x : x.p = 0}.  A point at geodesic angle theta from p projects to
 radius cot(theta/2), so the ball of radius 2R about p corresponds to the
 region *outside* radius cot(R) in L_p.  All closed forms below reproduce
 t(R) = tan(R) and rho(R) = 1 + 1/cos(R) exactly under this orientation.
+
+Rotations change no area or distance used here, and modulo rotations the
+Moebius group is the ball of :func:`ball_dilation`, so a
+:class:`MoebiusMap` is one dilation xi(pole, t).
 """
 
 from __future__ import annotations
@@ -78,13 +82,12 @@ def stereographic(p, q) -> np.ndarray:
 def stereographic_inverse(p, v) -> np.ndarray:
     """Inverse of :func:`stereographic`: v in L_p back to the sphere.
 
-    With c = (|v|^2 - 1)/(|v|^2 + 1) the point is c*p + (1 - c)*v.
+    The point is (2v + (|v|^2 - 1) p) / (|v|^2 + 1); v = 0 goes to -p.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    r2 = np.sum(v * v, axis=-1)
-    c = (r2 - 1.0) / (r2 + 1.0)
-    return c[..., None] * p + (1.0 - c)[..., None] * v
+    r2 = np.sum(v * v, axis=-1, keepdims=True)
+    return (2.0 * v + (r2 - 1.0) * p) / (r2 + 1.0)
 
 
 def xi_map(p, t, q) -> np.ndarray:
@@ -252,57 +255,22 @@ def fold_map(p, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """rotation o xi(pole, t): the conformal maps used throughout.
+    """The dilation xi(pole, t); any Moebius map is one of these followed
+    by a rotation, which changes no area."""
 
-    The rotation is an orthogonal (m+1)x(m+1) matrix; every evaluation
-    stays on the unit sphere.  Composition with rotations on the left and
-    the group law of the dilations make this family closed under inverse.
-    """
-
-    rotation: np.ndarray
     pole: np.ndarray
     t: float
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
-            raise ValueError("rotation must be a square matrix")
-        if np.max(np.abs(rot.T @ rot - np.eye(rot.shape[0]))) > _UNIT_TOL * 10:
-            raise ValueError("rotation matrix is not orthogonal")
-        object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "pole", sphere_point(self.pole))
         if self.t <= 0.0:
             raise ValueError("dilation parameter t must be positive")
 
-    @classmethod
-    def identity(cls, m: int) -> "MoebiusMap":
-        pole = np.zeros(m + 1)
-        pole[-1] = 1.0
-        return cls(np.eye(m + 1), pole, 1.0)
-
-    @classmethod
-    def dilation(cls, pole, t: float) -> "MoebiusMap":
-        pole = sphere_point(pole)
-        return cls(np.eye(pole.shape[-1]), pole, t)
-
     def __call__(self, q) -> np.ndarray:
-        moved = xi_map(self.pole, self.t, q)
-        return moved @ self.rotation.T
-
-    def inverse(self) -> "MoebiusMap":
-        # (R o xi_{p,t})^{-1} = R^T o xi_{Rp, 1/t}
-        return MoebiusMap(self.rotation.T, self.rotation @ self.pole, 1.0 / self.t)
+        return xi_map(self.pole, self.t, q)
 
     def as_dict(self) -> dict:
-        return {
-            "rotation": [[float(x) for x in row] for row in self.rotation],
-            "pole": [float(x) for x in self.pole],
-            "t": float(self.t),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MoebiusMap":
-        return cls(np.array(data["rotation"]), np.array(data["pole"]), data["t"])
+        return {"pole": [float(x) for x in self.pole], "t": float(self.t)}
 
 
 @dataclass

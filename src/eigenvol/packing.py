@@ -50,7 +50,8 @@ class DiscreteMeasure:
 
     Coincident atoms (equal to 12 decimals) are merged on construction,
     keeping the first occurrence as the representative point; zero-weight
-    atoms are dropped.  Negative weights are rejected.
+    atoms are dropped.  Non-finite points or weights and negative weights
+    are rejected.
     """
 
     def __init__(self, points, weights):
@@ -59,6 +60,8 @@ class DiscreteMeasure:
         if points.ndim != 2 or points.shape[0] != weights.shape[0]:
             raise ValueError("points and weights must align, shapes "
                              f"{points.shape} / {weights.shape}")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise ValueError("measure points and weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("measure weights must be nonnegative")
         norms = np.linalg.norm(points, axis=1)
@@ -102,7 +105,7 @@ def pushforward_measure(mesh, images=None, density=None) -> DiscreteMeasure:
     """Pushforward of the mesh area measure under a sphere-valued map.
 
     Each vertex becomes an atom at its image point carrying its lumped
-    area, optionally multiplied by a nonnegative per-vertex `density`.
+    area, optionally multiplied by a finite nonnegative per-vertex `density`.
     With ``images=None`` the identity is used, which requires the mesh to
     carry the ``unit_sphere`` ambient.
     """
@@ -116,6 +119,8 @@ def pushforward_measure(mesh, images=None, density=None) -> DiscreteMeasure:
     weights = mesh.vertex_areas
     if density is not None:
         density = np.broadcast_to(np.asarray(density, dtype=float), (mesh.nv,))
+        if not np.isfinite(density).all():
+            raise ValueError("density must be finite")
         if np.any(density < 0.0):
             raise ValueError("density must be nonnegative")
         weights = weights * density

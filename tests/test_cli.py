@@ -104,6 +104,7 @@ def test_confvol_identity_sphere(runner):
     data = json.loads(result.output)
     assert data["value"] == pytest.approx(4 * np.pi, rel=0.03)
     assert data["diverged"] is False
+    assert sorted(data["map"]) == ["pole", "t"]
 
 
 def test_confvol_rejects_zero_starts(runner):
@@ -122,6 +123,25 @@ def test_index_clifford(runner):
     )
     assert result.exit_code == 0
     assert "index = 5" in result.output
+
+
+def test_index_takes_no_seed(runner):
+    # the index count reads no spectrum, so there is nothing to seed
+    result = runner.invoke(main, ["index", "--fixture", "icosphere:1", "--seed", "0"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--seed" in result.output
+
+
+def test_gny_rejects_non_finite_density(runner):
+    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "--density", "inf"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: density must be finite"]
+
+
+def test_verify_rejects_kmax_below_one(runner):
+    result = runner.invoke(main, ["verify", "higher", "--kmax", "0"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: need kmax >= 1, got 0"]
 
 
 def test_verify_section_and_report(runner, tmp_path):

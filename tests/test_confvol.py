@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,21 @@ def test_inverse_stereographic_lands_on_sphere():
     y = inverse_stereographic(x)
     assert y.shape == (200, 4)
     np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_lifts_keep_their_bytes():
+    # the lift is the chart's inverse from the north pole, padded by a
+    # zero coordinate; every added zero must leave the bits alone
+    lifted = SphereImmersion.lifted(revolution_torus(3.0, 1.0, 32)).images
+    assert _sha256(lifted) == (
+        "a381d85ddd8f6f100d6c37743ab162bd7b5c8de64006dd1d22fd35803dbd8212")
+    shifted = icosphere(5).vertices + np.array([0.5, 0.0, 0.0])
+    assert _sha256(inverse_stereographic(shifted)) == (
+        "3068ae41f2125775f8a349d5d430f4f680f982154e0d020c1e75470d5c288dd9")
 
 
 def test_inverse_stereographic_origin_and_infinity():
@@ -82,7 +99,7 @@ def test_distortion_flags_collapsed_faces(sphere3):
 
 
 def test_distortion_of_moebius_dilation_is_positive_but_finite(sphere3):
-    g = MoebiusMap.dilation(np.array([0.0, 0.0, 1.0]), 2.0)
+    g = MoebiusMap(np.array([0.0, 0.0, 1.0]), 2.0)
     rep = conformal_distortion(sphere3, g(sphere3.vertices))
     assert rep.singular.size == 0
     # a genuine Moebius map is conformal in the limit; the PL transcription
@@ -103,7 +120,7 @@ def test_identity_pullback_is_total_sphere_area(sphere3, sphere4):
 
 def test_moebius_moved_identity_still_tiles(sphere3):
     imm = SphereImmersion.identity(sphere3)
-    g = MoebiusMap.dilation(np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81]), 3.0)
+    g = MoebiusMap(np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81]), 3.0)
     vol = pullback_volume(imm.moved_by(g))
     assert abs(vol.value - 4 * np.pi) < 1e-9
 
@@ -273,7 +290,7 @@ def test_hersch_center_fixes_symmetric_mesh(sphere3):
 
 def test_hersch_center_recenters_a_dilated_sphere(sphere4):
     p = np.array([0.0, 1.0, 0.0])
-    g = MoebiusMap.dilation(p, 3.0)
+    g = MoebiusMap(p, 3.0)
     imm = SphereImmersion.identity(sphere4).moved_by(g)
     areas = imm.mesh.vertex_areas
     before = np.linalg.norm(areas @ imm.images) / areas.sum()
@@ -282,15 +299,6 @@ def test_hersch_center_recenters_a_dilated_sphere(sphere4):
     assert before > 0.5  # the dilation really did pile mass up
     assert res.converged
     assert after < 1e-10
-
-
-def test_hersch_center_weighted(sphere3):
-    # weighting by a lopsided density shifts the fix; still converges
-    w = sphere3.vertex_areas * (1.5 + sphere3.vertices[:, 2])
-    res = hersch_center(SphereImmersion.identity(sphere3), weights=w)
-    assert res.converged
-    moved = res.map(sphere3.vertices)
-    np.testing.assert_allclose(w @ moved / w.sum(), 0.0, atol=1e-9)
 
 
 # (pole, t, iterations, moment norm) of the centring as exact hex floats,

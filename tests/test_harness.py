@@ -241,6 +241,15 @@ def test_higher_eigenvalues_need_some_hypothesis(sphere3):
         check_higher_eigenvalues(sphere3, kmax=4)
 
 
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_kmax_below_one_is_rejected(sphere3, kmax):
+    message = f"need kmax >= 1, got {kmax}"
+    with pytest.raises(ValueError, match=message):
+        check_higher_eigenvalues(sphere3, kmax=kmax, vc_reference=SPHERE_AREA)
+    with pytest.raises(ValueError, match=message):
+        run_verification("higher", kmax=kmax)
+
+
 # ---------------------------------------------------------------------- #
 # counting checks
 

@@ -74,6 +74,16 @@ def test_measure_rejects_bad_input():
         DiscreteMeasure(2 * pts, np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_measure_rejects_non_finite_input(bad):
+    pts = np.eye(3)
+    with pytest.raises(ValueError, match="must be finite"):
+        DiscreteMeasure(pts, np.array([1.0, bad, 1.0]))
+    pts[1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        DiscreteMeasure(pts, np.ones(3))
+
+
 def test_pushforward_identity(sphere3):
     mu = pushforward_measure(sphere3)
     assert mu.total == pytest.approx(sphere3.area, rel=1e-12)
@@ -88,6 +98,9 @@ def test_pushforward_density(sphere3):
     assert mu.total == pytest.approx(2.0 * sphere3.vertex_areas[:10].sum())
     with pytest.raises(ValueError, match="nonnegative"):
         pushforward_measure(sphere3, density=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="density must be finite"):
+            pushforward_measure(sphere3, density=bad)
 
 
 def test_pushforward_requires_sphere_or_images(fat_torus):
