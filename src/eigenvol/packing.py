@@ -18,6 +18,7 @@ closed-form inequalities.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "verify_family",
 ]
 
+log = logging.getLogger(__name__)
+
 
 class PackingError(RuntimeError):
     """Greedy decomposition failed; carries the relaxation trail."""
@@ -50,8 +53,8 @@ class DiscreteMeasure:
 
     Coincident atoms (equal to 12 decimals) are merged on construction,
     keeping the first occurrence as the representative point; zero-weight
-    atoms are dropped.  Non-finite points or weights and negative weights
-    are rejected.
+    atoms are dropped.  Non-finite points or weights, negative weights and
+    weights whose total overflows are rejected.
     """
 
     def __init__(self, points, weights):
@@ -64,6 +67,9 @@ class DiscreteMeasure:
             raise ValueError("measure points and weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("measure weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(weights.sum()):
+                raise ValueError("measure weights must have a finite total")
         norms = np.linalg.norm(points, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("measure atoms must lie on the unit sphere")
@@ -192,49 +198,112 @@ def _candidate_centers(mu: DiscreteMeasure, seed: int, extra: int = 32) -> np.nd
     return np.vstack([mu.points, poles])
 
 
-# distances sorted per batch of centers: keeps each batch's temporaries
-# near a megabyte, so the tables dominate peak memory
+# candidate rows are built about this many atom distances at a time, which
+# keeps each batch's temporaries near a megabyte, well below the table
 _GEOMETRY_CHUNK = 1 << 15
 
 
-def _center_geometry(centers, mu):
-    """Distinct distances from every center to the atoms, with running mass.
+def _start_length(n, k):
+    """Atoms each table row covers at first: the beta = 1/2 ball of a
+    uniform measure of n atoms holds about n / (2k) of them."""
+    return -(-n // k)
 
-    Returns flat tables ``radii`` and ``cum`` with row offsets ``start``:
-    center i owns positions ``start[i]`` to ``start[i + 1] - 1``, which
-    hold its distinct atom distances in increasing order and the mass at
-    distance <= each, then +inf in both.  Centers are sorted about
-    ``_GEOMETRY_CHUNK`` distances at a time, and tied atoms are summed in
-    atom order, as a stable sort of one center's distances has them, so
-    every running sum is the same to the bit whatever the chunk.
+
+def _center_geometry(centers, mu, length, reach):
+    """Nearest distinct distances from each center to the atoms, with running mass.
+
+    Row i covers the ``length[i]`` atoms nearest center i and every atom
+    tied with the farthest of them, but no atom beyond the first at
+    distance >= `reach`, as no query reads further.  Returns flat tables
+    ``radii`` and ``cum`` with row offsets ``start``: center i owns
+    positions ``start[i]`` to ``start[i + 1] - 1``, which hold its distinct
+    distances in increasing order and the mass at distance <= each, then
+    +inf in both.  Also returns the atoms each row covers and whether it is
+    complete: it covers every atom, or reaches `reach`.  Each batch of
+    centers keeps its nearest atoms by partition, then sorts them; tied
+    atoms are summed in atom order, as a stable sort of one center's
+    distances has them, so every row is a prefix of the full sorted row,
+    the same to the bit whatever the lengths and the chunk.
     """
-    n = mu.size
+    n, rows = mu.size, centers.shape[0]
     # room for n distances and the +inf per row; pages left unwritten
-    # (where distances repeat) never become resident
-    radii = np.empty(centers.shape[0] * (n + 1))
+    # (rows cut short, repeated distances) never become resident
+    radii = np.empty(rows * (n + 1))
     cum = np.empty_like(radii)
-    start = np.zeros(centers.shape[0] + 1, dtype=np.intp)
+    start = np.zeros(rows + 1, dtype=np.intp)
+    atoms = np.empty(rows, dtype=np.intp)
+    complete = np.empty(rows, dtype=bool)
     step = max(1, _GEOMETRY_CHUNK // n)
-    for a in range(0, centers.shape[0], step):
-        b = min(a + step, centers.shape[0])
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        r = np.arange(b - a)
         d = geodesic_distance(centers[a:b, None, :], mu.points)
-        ds = np.full((b - a, n + 1), np.inf)
-        mass = np.full_like(ds, np.inf)
-        order = np.argsort(d, axis=1)
-        ds[:, :n] = np.take_along_axis(d, order, axis=1)
+        # rows end at the first distance >= reach, with every atom tied there
+        far = np.where(d >= reach, d, np.inf).min(axis=1)
+        want = np.minimum(length[a:b], np.count_nonzero(d <= far[:, None], axis=1))
+        size = int(want.max())
+        while True:
+            head = np.argpartition(d, size - 1, axis=1)[:, :size]
+            ds = np.take_along_axis(d, head, axis=1)
+            order = np.argsort(ds, axis=1)
+            ds = np.take_along_axis(ds, order, axis=1)
+            cut = ds[r, want - 1]
+            # a row takes all atoms tied at its cut; past the head, only
+            # a larger head holds them
+            atoms[a:b] = np.count_nonzero(d <= cut[:, None], axis=1)
+            if atoms[a:b].max() <= size:
+                break
+            size = int(atoms[a:b].max())
+        complete[a:b] = (atoms[a:b] == n) | (cut >= reach)
+        last = atoms[a:b]  # column of each row's +inf
+        ds = np.hstack([ds, np.full((b - a, 1), np.inf)])
+        ds[r, last] = np.inf
         # runs of equal distances start where `new`; each ends just before
         # the next start, and the +inf column is a run of its own
         new = np.ones(ds.shape, dtype=bool)
-        new[:, 1:n] = ds[:, 1:n] != ds[:, : n - 1]
+        new[:, 1:size] = ds[:, 1:size] != ds[:, : size - 1]
+        new &= np.arange(size + 1) <= last[:, None]
         # put each run back in atom order: a stable sort's order, found
         # faster than by a stable sort
-        key = np.cumsum(new[:, :n], axis=1) * n + order
+        key = np.cumsum(new[:, :size], axis=1) * n + np.take_along_axis(head, order, axis=1)
         key.sort(axis=1)
-        np.cumsum(mu.weights[key % n], axis=1, out=mass[:, :n])
+        mass = np.empty_like(ds)
+        np.cumsum(mu.weights[key % n], axis=1, out=mass[:, :size])
+        mass[r, last] = np.inf
+        ends = np.zeros_like(new)
+        ends[:, :size] = new[:, 1:]
+        ends[r, last] = True
         start[a + 1 : b + 1] = start[a] + np.cumsum(new.sum(axis=1))
         radii[start[a] : start[b]] = ds[new]
-        cum[start[a] : start[b]] = mass[np.roll(new, -1, axis=1)]
-    return radii, cum, start
+        cum[start[a] : start[b]] = mass[ends]
+    return radii[: start[-1]], cum[: start[-1]], start, atoms, complete
+
+
+def _grow_rows(geometry, rows, centers, mu, reach):
+    """`geometry` with the sorted `rows` rebuilt to twice the atoms they cover.
+
+    The rebuilt rows are spliced into new flat tables; the per-row arrays
+    of `geometry` are updated in place.
+    """
+    radii, cum, start, atoms, complete = geometry
+    f_radii, f_cum, f_start, f_atoms, f_complete = _center_geometry(
+        centers[rows], mu, 2 * atoms[rows], reach
+    )
+    atoms[rows], complete[rows] = f_atoms, f_complete
+    sizes = np.diff(start)
+    kept = np.ones(sizes.shape[0], dtype=bool)
+    kept[rows] = False
+    old = np.repeat(kept, sizes)
+    sizes[rows] = np.diff(f_start)
+    new = np.repeat(kept, sizes)
+    spliced = []
+    for table, fresh in ((radii, f_radii), (cum, f_cum)):
+        out = np.empty(new.shape[0])
+        out[new] = table[old]
+        out[~new] = fresh
+        spliced.append(out)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    return spliced[0], spliced[1], start, atoms, complete
 
 
 def _searchsorted(table, lo, hi, values):
@@ -253,7 +322,7 @@ def _searchsorted(table, lo, hi, values):
 
 
 def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
-    """Cheapest admissible annulus over all candidate centers, or None.
+    """Cheapest admissible annulus over all candidate centers.
 
     `D` holds the distance from every candidate to every accepted shell
     center (one column per shell), whose distance ranges [shell_lo, shell_hi]
@@ -261,11 +330,13 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     candidate and d2 from a shell center exists iff (d1, d2) lies in the
     feasibility polygon, so sweeping d2 over the shell blocks one closed
     nonempty interval of d1; the doubled new annulus must fit in a gap of
-    [0, pi] between blocked intervals.  Returns (candidate index, inner,
-    outer) with the smallest outer radius; ties go to the first candidate
-    and, within it, to the first gap.
+    [0, pi] between blocked intervals.  Returns ``(best, short)``: best is
+    (candidate index, inner, outer) with the smallest outer radius, or None
+    if nothing fits; ties go to the first candidate and, within it, to the
+    first gap.  `short` lists the rows of `geometry` too short to decide
+    the answer, which is then None; rebuild them longer and ask again.
     """
-    radii, cum, start = geometry
+    radii, cum, start, _, complete = geometry
     lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
     upper = np.minimum(np.minimum(np.pi, D + shell_hi), 2.0 * np.pi - D - shell_lo)
     # a sentinel [pi, pi] closes the last gap at pi and blocks nothing else
@@ -293,10 +364,20 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     nxt = np.minimum(radii[np.minimum(j + 1, last)], np.pi)  # pi past the last
     outer = np.minimum(0.5 * (lo_excl + nxt), top)
     fits = outer > lo_excl
-    if not fits.any():
-        return None
-    best = np.argmin(np.where(fits, outer, np.inf))
-    return int(rows[best]), float(inner[best]), float(outer[best])
+    # A cut row answers as the full row would when it holds radius j + 1,
+    # or when its last radius reaches top, so that nothing beyond fits.
+    # Otherwise the query fits, if at all, with outer > lo_excl, beyond
+    # both the row's last radius and the inner one: it can win only when
+    # that bound lies below the best decided outer radius.
+    reached = radii[last - 1]
+    decided = complete[rows] | (j + 1 < last) | (reached >= top)
+    outer = np.where(fits & decided, outer, np.inf)
+    bound = outer.min(initial=np.inf)
+    short = np.unique(rows[~decided & (np.maximum(reached, inner) < bound)])
+    if short.size or bound == np.inf:
+        return None, short
+    best = np.argmin(outer)
+    return (int(rows[best]), float(inner[best]), float(outer[best])), short
 
 
 def gny_decompose(
@@ -340,13 +421,17 @@ def gny_decompose(
         raise ValueError("measure has no mass")
 
     centers = _candidate_centers(mu, seed)
-    geometry = _center_geometry(centers, mu)
+    # every admissible outer radius is at most min(g_hi / 2, r_max) <= pi / 2
+    reach = min(r_max, np.pi / 2)
+    length = np.full(centers.shape[0], _start_length(mu.size, k))
+    geometry = _center_geometry(centers, mu, length, reach)
     floor = 1.0 / (8.0 * 9.0 ** (12 * mu.dim))
     betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor]
     betas.append(floor)
 
     distance_to = {}  # candidate index -> distances from every candidate to it
     attempts = []
+    extended = 0
     for beta in betas:
         tau = beta * total / k
         # overshoot by a hair so recomputing the mass in any summation
@@ -356,10 +441,15 @@ def gny_decompose(
         to_shell = np.empty((centers.shape[0], 0))
         shell_lo, shell_hi = [], []
         for _ in range(k):
-            best = _best_annulus(
-                geometry, to_shell, np.array(shell_lo), np.array(shell_hi),
-                tau_greedy, r_max,
-            )
+            while True:
+                best, short = _best_annulus(
+                    geometry, to_shell, np.array(shell_lo), np.array(shell_hi),
+                    tau_greedy, r_max,
+                )
+                if not short.size:
+                    break
+                geometry = _grow_rows(geometry, short, centers, mu, reach)
+                extended += short.size
             if best is None:
                 break
             ci, inner, outer = best
@@ -374,13 +464,28 @@ def gny_decompose(
             shell_lo.append(max(0.0, shell.inner - gap))
             shell_hi.append(min(np.pi, shell.outer + gap))
         if len(annuli) == k:
-            masses = np.array([mu.mass(a) for a in annuli])
-            return AnnulusFamily(
-                annuli=annuli, masses=masses, beta=beta, target=tau,
-                k=k, gap=gap, seed=seed,
-            )
+            break
         attempts.append((beta, len(annuli)))
+    packed = len(annuli) == k
 
+    log.debug(
+        "%(atoms)d atoms, %(candidates)d candidates: table of %(entries)d of "
+        "%(full)d entries, %(extended)d rows extended, beta trail %(trail)s",
+        {
+            "atoms": mu.size,
+            "candidates": centers.shape[0],
+            "entries": geometry[0].shape[0],
+            "full": centers.shape[0] * (mu.size + 1),
+            "extended": extended,
+            "trail": attempts + ([(beta, k)] if packed else []),
+        },
+    )
+    if packed:
+        masses = np.array([mu.mass(a) for a in annuli])
+        return AnnulusFamily(
+            annuli=annuli, masses=masses, beta=beta, target=tau,
+            k=k, gap=gap, seed=seed,
+        )
     raise PackingError(
         f"could not pack {k} annuli even at the guaranteed mass fraction "
         f"{floor:.3e}; progress per beta: {attempts[-3:]}",

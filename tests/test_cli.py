@@ -138,6 +138,13 @@ def test_gny_rejects_non_finite_density(runner):
     assert result.output.splitlines() == ["Error: density must be finite"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gny_rejects_overflowing_density(runner):
+    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "--density", "1e308"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: measure weights must have a finite total"]
+
+
 def test_verify_rejects_kmax_below_one(runner):
     result = runner.invoke(main, ["verify", "higher", "--kmax", "0"])
     assert result.exit_code == 1

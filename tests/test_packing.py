@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenvol import packing
+from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
     DiscreteMeasure,
@@ -82,6 +84,14 @@ def test_measure_rejects_non_finite_input(bad):
     pts[1] = bad
     with pytest.raises(ValueError, match="must be finite"):
         DiscreteMeasure(pts, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measure_rejects_overflowing_total(sphere3):
+    with pytest.raises(ValueError, match="finite total"):
+        DiscreteMeasure(np.eye(3), np.full(3, 1e308))
+    with pytest.raises(ValueError, match="finite total"):
+        pushforward_measure(sphere3, density=1e308)
 
 
 def test_pushforward_identity(sphere3):
@@ -313,19 +323,81 @@ def _reference_gny(mu, k, seed=0, r_max=np.pi, gap=0.0):
 
 
 @pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
-def test_center_geometry_matches_per_center_tables(sphere3, chunk, monkeypatch):
-    # icosphere atoms tie in distance; unequal weights make the running
-    # sums depend on the order of tied atoms
-    w = np.random.default_rng(4).uniform(0.1, 1.0, sphere3.nv)
-    mu = DiscreteMeasure(sphere3.vertices, w)
+def test_center_geometry_rows_are_prefixes(sphere3, chunk, monkeypatch):
+    # icosphere atoms tie in distance, also at exactly pi/2; unequal
+    # weights make the running sums depend on the order of tied atoms
+    rng = np.random.default_rng(4)
+    mu = DiscreteMeasure(sphere3.vertices, rng.uniform(0.1, 1.0, sphere3.nv))
     centers = _candidate_centers(mu, 0)
+    length = rng.integers(1, mu.size + 1, centers.shape[0])
+    reach = np.pi / 2
     monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
-    radii, cum, start = _center_geometry(centers, mu)
+    radii, cum, start, atoms, complete = _center_geometry(centers, mu, length, reach)
+    assert complete.any() and not complete.all()
     for i, c in enumerate(centers):
         uniq, cum_at = _reference_geometry(c, mu)
+        d = np.sort(geodesic_distance(c, mu.points))
+        # the length-th nearest atom or the first at distance >= reach,
+        # whichever is nearer, ends the row together with its ties
+        cut = min(d[length[i] - 1], d[min(np.searchsorted(d, reach), mu.size - 1)])
+        size = np.searchsorted(uniq, cut, side="right")
         row = slice(start[i], start[i + 1])
-        assert np.array_equal(radii[row], np.append(uniq, np.inf))
-        assert np.array_equal(cum[row], np.append(cum_at, np.inf))
+        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
+        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
+        assert atoms[i] == np.count_nonzero(d <= cut)
+        # relevant: every distance up to the first >= reach
+        relevant = min(np.searchsorted(uniq, reach) + 1, uniq.shape[0])
+        assert complete[i] == (size >= relevant)
+
+
+def test_best_annulus_decides_only_what_the_full_row_decides():
+    # Two copies of one candidate: its row cut after every number of
+    # atoms, then its full row.  Random shells, masses and radius caps.
+    # The copies tie, so the cut row must win whenever the full row wins:
+    # short, or decided exactly as the full row, and never given up while
+    # it could still beat the copy.
+    rng = np.random.default_rng(7)
+    pts = np.vstack([_symmetric_points(2), rng.standard_normal((200, 3))])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    mu = DiscreteMeasure(pts, rng.choice([0.25, 1.0, 3.0], pts.shape[0]))
+    centers = _candidate_centers(mu, 0)
+    lengths = np.arange(1, mu.size + 1)
+    decided = short_rows = 0
+    for trial in range(80):
+        c = centers[rng.integers(0, centers.shape[0], 1)]
+        f_radii, f_cum, f_start, _, _ = _center_geometry(c, mu, lengths[-1:], np.pi)
+        r_max = rng.choice([np.pi, rng.uniform(0.2, np.pi)])
+        shells = centers[rng.integers(0, centers.shape[0], rng.integers(0, 4))]
+        tau = rng.uniform(0.01, 0.6) * mu.total
+        if trial % 4 == 0:
+            # no shells, tau first held at radius m, and r_max just short of
+            # radius m + 1: the answer is the midpoint of the two, not r_max.
+            # The closest such pair is the hardest to tell from r_max.
+            m = np.argmin(np.diff(f_radii[: rng.integers(2, np.searchsorted(f_radii, 1.5))]))
+            r_max = f_radii[m] + 0.75 * (f_radii[m + 1] - f_radii[m])
+            shells, tau = shells[:0], f_cum[m]
+        D = np.repeat(geodesic_distance(c[:, None, :], shells), 2, axis=0)
+        lo = rng.uniform(0.0, 1.0, shells.shape[0])
+        hi = np.minimum(lo + rng.uniform(0.05, 1.5, shells.shape[0]), np.pi)
+        full = (np.tile(f_radii, 2), np.tile(f_cum, 2), np.arange(3) * f_start[1],
+                np.full(2, mu.size), np.ones(2, dtype=bool))
+        want, _ = packing._best_annulus(full, D, lo, hi, tau, r_max)
+        radii, cum, start, atoms, complete = _center_geometry(
+            np.repeat(c, mu.size, axis=0), mu, lengths, min(r_max, np.pi / 2)
+        )
+        for i in range(mu.size):
+            row = slice(start[i], start[i + 1])
+            geometry = (np.append(radii[row], f_radii), np.append(cum[row], f_cum),
+                        np.array([0, row.stop - row.start, row.stop - row.start + f_start[1]]),
+                        np.array([atoms[i], mu.size]), np.array([complete[i], True]))
+            got, short = packing._best_annulus(geometry, D, lo, hi, tau, r_max)
+            short_rows += short.size
+            if not short.size:
+                decided += 1
+                assert got == want
+            else:
+                assert short.tolist() == [0]
+    assert decided > 1000 and short_rows > 300
 
 
 def _symmetric_points(m):
@@ -381,6 +453,21 @@ def test_gny_matches_scalar_reference(mu, k, seed, gap, r_max):
     _assert_same_packing(mu, k, seed=seed, gap=gap, r_max=r_max)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    mu=_measures(),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 3),
+    gap=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    r_max=st.one_of(st.just(np.pi), st.floats(0.2, 3.0)),
+)
+def test_gny_matches_scalar_reference_from_one_atom_rows(mu, k, seed, gap, r_max):
+    # every row starts at its nearest atoms and must be grown to decide
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_start_length", lambda n, k: 1)
+        _assert_same_packing(mu, k, seed=seed, gap=gap, r_max=r_max)
+
+
 def test_gny_failure_matches_scalar_reference():
     pts = _symmetric_points(2)[:3]
     mu = DiscreteMeasure(pts, np.ones(3))
@@ -389,7 +476,9 @@ def test_gny_failure_matches_scalar_reference():
     _assert_same_packing(mu, 9, seed=0)
 
 
-@pytest.mark.parametrize("r_max, gap", [(np.pi, 0.0), (0.49 * np.pi, 0.05)])
+@pytest.mark.parametrize(
+    "r_max, gap", [(np.pi, 0.0), (0.49 * np.pi, 0.05), (R_MAX_TEST, 0.1)]
+)
 def test_gny_matches_scalar_reference_on_a_mesh(sphere3, r_max, gap):
     # icosphere atoms: thousands of exactly tied distances
     _assert_same_packing(pushforward_measure(sphere3), 8, r_max=r_max, gap=gap)
@@ -401,3 +490,17 @@ def test_gny_matches_scalar_reference_with_holes():
     mu = _clustered_measure(600)
     assert sum(a.inner > 0.0 for a in gny_decompose(mu, 4).annuli) == 2
     _assert_same_packing(mu, 4)
+
+
+def test_gny_table_stays_short(sphere4, caplog):
+    # the table the greedy ends with, read from the one DEBUG record of
+    # the decomposition; the full table holds (n + 32)(n + 1) entries
+    mu = pushforward_measure(sphere4)
+    with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+        fam = gny_decompose(mu, 8, r_max=R_MAX_TEST)
+    (record,) = caplog.records
+    stats = record.args
+    assert (stats["atoms"], stats["candidates"]) == (mu.size, mu.size + 32)
+    assert stats["full"] == (mu.size + 32) * (mu.size + 1)
+    assert stats["entries"] <= 0.25 * stats["full"]
+    assert stats["trail"][-1] == (fam.beta, 8)
