@@ -13,11 +13,13 @@ the Moebius group of the target.  Rotations do not change areas, and
 modulo rotations the group is the hyperbolic ball B^(m+1) (Li and Yau,
 1982; El Soufi and Ilias, 1986): a dilation vector w has pole w/|w| and
 strength e^|w|.  The search runs BFGS over that ball from a fixed set of
-starting poles, with the strength capped at MAX_T, and returns its best
-dilation as a :class:`~eigenvol.moebius.MoebiusMap`, as does the Hersch
-centring.  The identity is always evaluated first and retained on ties,
-so a flat landscape (round sphere) reports the identity map rather than
-a random equivalent point.
+starting poles, with the strength capped at MAX_T, on the closed-form
+gradient of the pullback volume, and lengthens its steps while the slope
+stays steep, so that maxima at the cap are reached in few steps.  It
+returns its best dilation as a :class:`~eigenvol.moebius.MoebiusMap`, as
+does the Hersch centring.  The identity is always evaluated first and
+retained on ties, so a flat landscape (round sphere) reports the
+identity map rather than a random equivalent point.
 
 Faces whose image triangle degenerates, or that a constructor knows to
 sit on the singular set of the underlying map (the crease of a fold),
@@ -34,7 +36,9 @@ import numpy as np
 from .mesh import TriangleMesh
 from .moebius import (
     MoebiusMap,
+    _dot,
     ball_dilation,
+    dilation_gradient,
     fold_map,
     stereographic,
     stereographic_inverse,
@@ -74,21 +78,31 @@ def inverse_stereographic(points: np.ndarray) -> np.ndarray:
     return stereographic_inverse(np.eye(padded.shape[-1])[-1], padded)
 
 
+def _corners(images, faces):
+    """Each face's corner images A, B, C and its side cosines B.C, A.C, A.B.
+
+    The corners come one coordinate per row, shape (m+1, nf), which keeps
+    every coordinate contiguous for the sums below.
+    """
+    A, B, C = (np.take(images.T, faces[:, i], axis=1) for i in range(3))
+    return (A, B, C), (_dot(B.T, C.T), _dot(A.T, C.T), _dot(A.T, B.T))
+
+
 def spherical_face_areas(images: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Area of the geodesic triangle spanned by each face's images.
 
     Uses the half-side (l'Huilier) form of the spherical excess, which is
     stable for the nearly degenerate triangles produced by strong
     dilations.  Corner triples spanning a great circle return area zero.
-    Images of shape (B, nv, m+1) give areas of shape (B, nf), row b bit
-    for bit the areas of images[b].
     """
-    A = images[..., faces[:, 0], :]
-    B = images[..., faces[:, 1], :]
-    C = images[..., faces[:, 2], :]
-    a = np.arccos(np.clip(np.sum(B * C, axis=-1), -1.0, 1.0))
-    b = np.arccos(np.clip(np.sum(A * C, axis=-1), -1.0, 1.0))
-    c = np.arccos(np.clip(np.sum(A * B, axis=-1), -1.0, 1.0))
+    return _lhuilier(*_corners(images, faces)[1])
+
+
+def _lhuilier(bc, ca, ab) -> np.ndarray:
+    """Spherical triangle areas from the cosines of the three sides."""
+    a = np.arccos(np.clip(bc, -1.0, 1.0))
+    b = np.arccos(np.clip(ca, -1.0, 1.0))
+    c = np.arccos(np.clip(ab, -1.0, 1.0))
     s = 0.5 * (a + b + c)
     with np.errstate(invalid="ignore"):
         t = (
@@ -98,6 +112,33 @@ def spherical_face_areas(images: np.ndarray, faces: np.ndarray) -> np.ndarray:
             * np.tan(0.5 * (s - c))
         )
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
+
+
+def _face_area_gradient(corners, faces, active, nv) -> np.ndarray:
+    """Gradient in the nv image points of the summed areas of the `active` faces.
+
+    Differentiates the Gram form of each face's area, valid on every S^m:
+    E = 2 atan2(sqrt(Delta), Dn) with ab = A.B, bc = B.C, ca = C.A,
+    Dn = 1 + ab + bc + ca and Delta = 1 + 2 ab bc ca - ab^2 - bc^2 - ca^2,
+    so dE/dab = 2 (Dn (bc ca - ab) / sqrt(Delta) - sqrt(Delta)) / (Delta + Dn^2)
+    and cyclically.  Faces with Delta <= 0 (degenerate) add nothing.
+    `corners` is what :func:`_corners` returns; the result has shape
+    (nv, m+1).
+    """
+    (A, B, C), (bc, ca, ab) = corners
+    dn = 1.0 + ab + bc + ca
+    delta = 1.0 + 2.0 * ab * bc * ca - ab * ab - bc * bc - ca * ca
+    keep = active & (delta > 0.0)
+    delta = np.where(keep, delta, 1.0)
+    root = np.sqrt(delta)
+    scale = np.where(keep, 2.0 / (delta + dn * dn), 0.0)
+    d_ab = scale * (dn * (bc * ca - ab) / root - root)
+    d_bc = scale * (dn * (ca * ab - bc) / root - root)
+    d_ca = scale * (dn * (ab * bc - ca) / root - root)
+    # corner A enters through ab and ca, B through ab and bc, C through bc and ca
+    terms = np.hstack([d_ab * B + d_ca * C, d_ab * A + d_bc * C, d_bc * B + d_ca * A])
+    index = faces.T.ravel()
+    return np.column_stack([np.bincount(index, weights=row, minlength=nv) for row in terms])
 
 
 @dataclass
@@ -330,8 +371,6 @@ def pullback_volume(immersion: SphereImmersion) -> PullbackVolume:
 MAX_T = 10.0
 # relative margin by which a dilation must beat the incumbent volume
 TIE_TOL = 1e-9
-# forward-difference step of the gradient in the search coordinates
-_FD_STEP = 1e-7
 # |y| of each start: strength e^(log(MAX_T) tanh 0.5) = 2.9 along its pole
 _START_RADIUS = 0.5
 
@@ -343,8 +382,12 @@ class ConfVolResult:
     ``map`` is the best dilation found and ``value`` its pullback volume.
     ``diverged`` means that dilation's log-strength is within 0.1% of
     log(MAX_T), the signature of a map that wants to concentrate at a
-    point (conformal volume attained only in the limit).  ``evaluations`` counts the
-    dilations whose pullback volume was computed, the identity included.
+    point (conformal volume attained only in the limit).  ``evaluations``
+    counts the dilations whose pullback volume was computed, the identity
+    included; each objective call scores one.  ``trace`` holds one entry
+    for the identity, then one per start: its best value, |w| there, the
+    divergence flag, its evaluations and the largest gradient coordinate
+    where its BFGS run stopped.
     """
 
     value: float
@@ -356,31 +399,45 @@ class ConfVolResult:
     evaluations: int
 
 
-def _bfgs(fun, x) -> None:
+def _bfgs(fun, x) -> np.ndarray:
     """Minimize fun(x) -> (value, gradient) by BFGS from x.
 
     The textbook method (Nocedal and Wright, ch. 6) with scipy's defaults:
     gradient tolerance 1e-5 in every coordinate, at most 200 iterations
-    per coordinate.  Steps start at length at most 1 and shrink by
-    safeguarded quadratic interpolation until they make an Armijo
-    decrease; a step that cannot stops the search.  scipy.optimize is
-    not used because importing it costs 0.2 s and 15 MB per process.
+    per coordinate.  Returns the gradient at the last iterate.  Steps
+    start at length at most 1.  One that makes an Armijo decrease while
+    the slope along it stays below 0.9 times the initial slope (the weak
+    Wolfe conditions, ch. 3) is lengthened 4x, and the last such step is
+    kept once a longer one loses the Armijo decrease.  One that makes no
+    Armijo decrease shrinks by safeguarded quadratic interpolation until
+    it does; a step that cannot stops the search.  scipy.optimize is not
+    used because importing it costs 0.2 s and 15 MB per process.
     """
     n = x.size
     f, g = fun(x)
     H = np.eye(n)
     for k in range(200 * n):
         if np.max(np.abs(g)) < 1e-5:
-            return
+            break
         d = -H @ g
         if g @ d >= 0.0:  # not a descent direction: restart from the gradient
             H, d = np.eye(n), -g
         slope = g @ d
-        a = min(1.0, 1.0 / np.linalg.norm(d))
-        while (trial := fun(x + a * d))[0] >= f + 1e-4 * a * slope:
-            if a < 1e-10:
-                return
-            a = min(max(-slope * a * a / (2.0 * (trial[0] - f - slope * a)), 0.1 * a), 0.5 * a)
+        a, longest, shrunk = min(1.0, 1.0 / np.linalg.norm(d)), None, False
+        while True:
+            trial = fun(x + a * d)
+            if trial[0] >= f + 1e-4 * a * slope:
+                if longest is not None:
+                    a, trial = longest
+                    break
+                if a < 1e-10:
+                    return g
+                a = min(max(-slope * a * a / (2.0 * (trial[0] - f - slope * a)), 0.1 * a), 0.5 * a)
+                shrunk = True
+            elif not shrunk and trial[1] @ d < 0.9 * slope:
+                longest, a = (a, trial), 4.0 * a
+            else:
+                break
         s, y = a * d, trial[1] - g
         x, (f, g) = x + s, trial
         sy = s @ y
@@ -389,6 +446,7 @@ def _bfgs(fun, x) -> None:
                 H = (sy / (y @ y)) * H
             V = np.eye(n) - np.outer(s, y) / sy
             H = V @ H @ V.T + np.outer(s, s) / sy
+    return g
 
 
 def conformal_volume(
@@ -400,11 +458,13 @@ def conformal_volume(
     ball of dilation vectors w (pole w/|w|, strength e^|w|), capped here
     at |w| <= log(MAX_T) through w = log(MAX_T) tanh|y| y/|y| with y free.
     Each of `starts` poles (the last axis, then poles drawn from `seed`)
-    starts one BFGS run in y.  Every objective call evaluates y and its
-    m+1 forward-difference neighbours as one batch, giving the value and
-    its gradient together.  The identity is scored first and kept unless
-    a dilation beats it by TIE_TOL relative, so the flat landscape of a
-    round sphere reports the identity map.  Deterministic for fixed seed.
+    starts one BFGS run in y.  Every objective call scores one dilation,
+    its value by l'Huilier's formula as :func:`pullback_volume` does, and
+    its exact gradient by the chain rule through the Gram form of each
+    face's area, :func:`~eigenvol.moebius.dilation_gradient` and the cap.
+    The identity is scored first and kept unless a dilation beats it by
+    TIE_TOL relative, so the flat landscape of a round sphere reports the
+    identity map.  Deterministic for fixed seed.
     """
     if starts < 1:
         raise ValueError(f"need at least one start, got starts={starts}")
@@ -412,24 +472,30 @@ def conformal_volume(
     faces = mesh.faces
     sing = np.zeros(mesh.nf, dtype=bool)
     sing[immersion.singular_faces] = True
+    active = ~sing
     dim = immersion.target_dim + 1
     cap = float(np.log(MAX_T))
-    steps = np.vstack([np.zeros(dim), _FD_STEP * np.eye(dim)])
     evals = 1
 
     def objective(y, run):
-        # y and its forward-difference neighbours, mapped into the ball
         nonlocal evals
-        Y = y + steps
-        r = np.linalg.norm(Y, axis=1, keepdims=True)
-        W = cap * np.tanh(r) * Y / np.where(r > 0.0, r, 1.0)
-        poles, ts = zip(*map(ball_dilation, W))
-        areas = spherical_face_areas(xi_map(np.array(poles), np.array(ts), images), faces)
-        vals = areas[:, ~sing].sum(axis=1)
-        evals += len(W)
-        if vals[0] > run["value"]:
-            run.update(value=float(vals[0]), error=float(areas[0, sing].sum()), w=W[0])
-        return -vals[0], -(vals[1:] - vals[0]) / _FD_STEP
+        evals += 1
+        r = np.sqrt(np.sum(y * y))
+        th, safe_r = np.tanh(r), (r if r > 0.0 else 1.0)
+        w = cap * th * y / safe_r
+        corners = _corners(xi_map(*ball_dilation(w), images), faces)
+        areas = _lhuilier(*corners[1])
+        value = areas[active].sum()
+        if value > run["value"]:
+            run.update(value=float(value), error=float(areas[sing].sum()), w=w)
+        grad = dilation_gradient(w, images, _face_area_gradient(corners, faces, active, mesh.nv))
+        # back through w = cap tanh|y| y/|y|: along u = y/|y| the derivative
+        # is cap sech^2|y|, across it |w|/|y|, which is cap at y = 0
+        u, e = y / safe_r, np.exp(-2.0 * r)
+        along = u @ grad
+        across = th / r if r > 0.0 else 1.0
+        grad = cap * (across * (grad - along * u) + 4.0 * e / (1.0 + e) ** 2 * along * u)
+        return -value, -grad
 
     start = pullback_volume(immersion)
     best = {
@@ -444,10 +510,14 @@ def conformal_volume(
         poles.append(q / np.linalg.norm(q))
     for si, pole in enumerate(poles):
         run = {"value": -np.inf, "start": si}
-        _bfgs(lambda y: objective(y, run), _START_RADIUS * pole)
+        before = evals
+        g = _bfgs(lambda y: objective(y, run), _START_RADIUS * pole)
         tau = float(np.linalg.norm(run["w"]))
         run["diverged"] = tau >= 0.999 * cap
-        trace.append({"start": si, "value": run["value"], "tau": tau, "diverged": run["diverged"]})
+        trace.append({
+            "start": si, "value": run["value"], "tau": tau, "diverged": run["diverged"],
+            "evaluations": evals - before, "max_gradient": float(np.max(np.abs(g))),
+        })
         if run["value"] > best["value"] * (1.0 + TIE_TOL):
             best = run
 

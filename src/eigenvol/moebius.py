@@ -29,6 +29,7 @@ __all__ = [
     "bar_phi",
     "cap_parameters",
     "covering_witness",
+    "dilation_gradient",
     "fold_map",
     "geodesic_distance",
     "phi_cap",
@@ -52,16 +53,24 @@ def sphere_point(coords) -> np.ndarray:
     return q
 
 
+def _dot(x, y) -> np.ndarray:
+    """Inner products over the last axis, broadcast over the others.
+
+    Summed one coordinate at a time, left to right: the sum np.sum makes
+    over fewer than eight coordinates, bit for bit, without its slow
+    short-axis loop.
+    """
+    dots = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        dots = dots + x[..., i] * y[..., i]
+    return dots
+
+
 def geodesic_distance(x, y) -> np.ndarray | float:
     """Intrinsic distance on S^m: arccos of the clamped inner product."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # summed one coordinate at a time, left to right: the sum np.sum makes
-    # over fewer than eight coordinates, without its slow short-axis loop
-    dots = x[..., 0] * y[..., 0]
-    for i in range(1, x.shape[-1]):
-        dots = dots + x[..., i] * y[..., i]
-    return np.arccos(np.clip(dots, -1.0, 1.0))
+    return np.arccos(np.clip(_dot(x, y), -1.0, 1.0))
 
 
 def stereographic(p, q) -> np.ndarray:
@@ -99,25 +108,20 @@ def xi_map(p, t, q) -> np.ndarray:
         xi(p,t)(q) = c' p + (2 t / D) (q - c p),
         c' = (t^2 (1+c) - (1-c)) / D.
 
-    xi(p,1) = id and xi(p,t) o xi(p,s) = xi(p,ts).  A batch of B
-    dilations, poles of shape (B, m+1) and strengths of shape (B,), gives
-    one leading axis: row b is bit for bit xi_map(p[b], t[b], q), since
-    every sum is elementwise over the last axis.
+    xi(p,1) = id and xi(p,t) o xi(p,s) = xi(p,ts).
     """
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("dilation parameter t must be positive")
     q = np.asarray(q, dtype=float)
-    if p.ndim == 2:
-        p, t = p[:, None, :], t[:, None]
-    c = np.sum(q * p, axis=-1)
+    c = _dot(q, p)
     t2 = t * t
     dd = t2 * (1.0 + c) + (1.0 - c)
     cp = (t2 * (1.0 + c) - (1.0 - c)) / dd
     out = cp[..., None] * p + (2.0 * t / dd)[..., None] * (q - c[..., None] * p)
     # renormalize to kill accumulated round-off (stays within ~1e-15 anyway)
-    out /= np.linalg.norm(out, axis=-1, keepdims=True)
+    out /= np.sqrt(_dot(out, out))[..., None]
     return out
 
 
@@ -133,6 +137,33 @@ def ball_dilation(w) -> tuple[np.ndarray, float]:
     if nw < 1e-15:
         return np.eye(w.size)[-1], 1.0
     return w / nw, float(np.exp(nw))
+
+
+def dilation_gradient(w, q, G) -> np.ndarray:
+    """Gradient in w of sum_i G[i] . xi(p, t)(q[i]), with (p, t) = ball_dilation(w).
+
+    Differentiates the closed form of :func:`xi_map` in t and in p, then
+    goes through p = w/|w| and t = e^|w|.  Every derivative in p carries
+    the factor t - 1, taken as expm1|w| so that dividing by |w| loses no
+    digits near the identity; at w = 0 the result is the identity's
+    derivative v -> v - (v.q) q, whatever the pole.
+    """
+    w = np.asarray(w, dtype=float)
+    r = np.linalg.norm(w)
+    p, t = ball_dilation(w)
+    c, gp, gq = _dot(q, p), _dot(G, p), _dot(G, q)
+    gu = gq - c * gp  # G . (q - c p)
+    D = t * t * (1.0 + c) + (1.0 - c)
+    tm1 = np.expm1(r)
+    # d/dt of c' and of 2t/D, the coefficients of p and of q - c p
+    dt = np.sum((4.0 * t * (1.0 - c) * (1.0 + c) * gp
+                 + 2.0 * (1.0 - c - t * t * (1.0 + c)) * gu) / D**2)
+    # the derivative in p over t - 1: a combination of the q[i] and G[i]
+    on_q = -2.0 * t * (((1.0 + c) * tm1 + 2.0 * c) * gp + (t + 1.0) * gu) / D**2
+    on_g = (t * (1.0 + c) + (1.0 - c)) / D
+    dp = on_q @ q + on_g @ G
+    scale = tm1 / r if r > 0.0 else 1.0
+    return scale * (dp - (dp @ p) * p) + t * dt * p
 
 
 def _height_after_xi(t: float, c):

@@ -54,7 +54,9 @@ class DiscreteMeasure:
     Coincident atoms (equal to 12 decimals) are merged on construction,
     keeping the first occurrence as the representative point; zero-weight
     atoms are dropped.  Non-finite points or weights, negative weights and
-    weights whose total overflows are rejected.
+    weights whose total overflows are rejected.  A measure is not changed
+    after construction: :func:`gny_decompose` keeps its distance tables on
+    it, for the next decomposition with the same seed and reach.
     """
 
     def __init__(self, points, weights):
@@ -85,6 +87,7 @@ class DiscreteMeasure:
         self.points = merged_p[keep]
         self.weights = merged_w[keep]
         self.merged_atoms = int(points.shape[0] - first.shape[0])
+        self._tables = {}  # (seed, reach) -> gny_decompose's geometry table
 
     @property
     def total(self) -> float:
@@ -223,7 +226,9 @@ def _center_geometry(centers, mu, length, reach):
     centers keeps its nearest atoms by partition, then sorts them; tied
     atoms are summed in atom order, as a stable sort of one center's
     distances has them, so every row is a prefix of the full sorted row,
-    the same to the bit whatever the lengths and the chunk.
+    the same to the bit whatever the lengths and the chunk.  ``radii`` and
+    ``cum`` are views of buffers with room for every row in full, which
+    :func:`_grow_rows` grows into.
     """
     n, rows = mu.size, centers.shape[0]
     # room for n distances and the +inf per row; pages left unwritten
@@ -282,8 +287,11 @@ def _center_geometry(centers, mu, length, reach):
 def _grow_rows(geometry, rows, centers, mu, reach):
     """`geometry` with the sorted `rows` rebuilt to twice the atoms they cover.
 
-    The rebuilt rows are spliced into new flat tables; the per-row arrays
-    of `geometry` are updated in place.
+    The flat tables of :func:`_center_geometry` are views of buffers with
+    room for every row in full, so they grow in place: last row first,
+    the rows after each rebuilt one move up, a chunk at a time from the
+    top, and the rebuilt row is written below them.  No second table is
+    made; the per-row arrays of `geometry` are updated in place too.
     """
     radii, cum, start, atoms, complete = geometry
     f_radii, f_cum, f_start, f_atoms, f_complete = _center_geometry(
@@ -291,19 +299,22 @@ def _grow_rows(geometry, rows, centers, mu, reach):
     )
     atoms[rows], complete[rows] = f_atoms, f_complete
     sizes = np.diff(start)
-    kept = np.ones(sizes.shape[0], dtype=bool)
-    kept[rows] = False
-    old = np.repeat(kept, sizes)
     sizes[rows] = np.diff(f_start)
-    new = np.repeat(kept, sizes)
-    spliced = []
-    for table, fresh in ((radii, f_radii), (cum, f_cum)):
-        out = np.empty(new.shape[0])
-        out[new] = table[old]
-        out[~new] = fresh
-        spliced.append(out)
-    start = np.concatenate([[0], np.cumsum(sizes)])
-    return spliced[0], spliced[1], start, atoms, complete
+    new_start = np.concatenate([[0], np.cumsum(sizes)])
+    nexts = np.append(rows[1:], sizes.shape[0])
+    grown = []
+    for table, fresh in ((radii.base, f_radii), (cum.base, f_cum)):
+        for j in reversed(range(rows.shape[0])):
+            # the unchanged rows between this rebuilt row and the next
+            lo, hi = start[rows[j] + 1], start[nexts[j]]
+            shift = new_start[rows[j] + 1] - lo
+            for top in range(hi, lo, -_GEOMETRY_CHUNK):
+                bottom = max(lo, top - _GEOMETRY_CHUNK)
+                table[bottom + shift : top + shift] = table[bottom:top]
+            table[new_start[rows[j]] : new_start[rows[j] + 1]] = fresh[f_start[j] : f_start[j + 1]]
+        grown.append(table[: new_start[-1]])
+    start[:] = new_start
+    return grown[0], grown[1], start, atoms, complete
 
 
 def _searchsorted(table, lo, hi, values):
@@ -395,6 +406,9 @@ def gny_decompose(
     (the support atoms plus a few seeded random poles), the admissible
     annulus with the smallest outer radius; ties break by candidate
     order, so the whole construction is deterministic for a fixed seed.
+    The table of candidate distances it grows is kept on `mu` and reused
+    by the next call with the same seed and reach; as its rows are exact
+    prefixes of the full rows, the result does not depend on it.
 
     Parameters
     ----------
@@ -423,8 +437,11 @@ def gny_decompose(
     centers = _candidate_centers(mu, seed)
     # every admissible outer radius is at most min(g_hi / 2, r_max) <= pi / 2
     reach = min(r_max, np.pi / 2)
-    length = np.full(centers.shape[0], _start_length(mu.size, k))
-    geometry = _center_geometry(centers, mu, length, reach)
+    geometry = mu._tables.get((seed, reach))
+    built = geometry is None
+    if built:
+        length = np.full(centers.shape[0], _start_length(mu.size, k))
+        geometry = _center_geometry(centers, mu, length, reach)
     floor = 1.0 / (8.0 * 9.0 ** (12 * mu.dim))
     betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor]
     betas.append(floor)
@@ -467,13 +484,15 @@ def gny_decompose(
             break
         attempts.append((beta, len(annuli)))
     packed = len(annuli) == k
+    mu._tables[(seed, reach)] = geometry
 
     log.debug(
-        "%(atoms)d atoms, %(candidates)d candidates: table of %(entries)d of "
-        "%(full)d entries, %(extended)d rows extended, beta trail %(trail)s",
+        "%(atoms)d atoms, %(candidates)d candidates: table %(table)s, %(entries)d "
+        "of %(full)d entries, %(extended)d rows extended, beta trail %(trail)s",
         {
             "atoms": mu.size,
             "candidates": centers.shape[0],
+            "table": "built" if built else "reused",
             "entries": geometry[0].shape[0],
             "full": centers.shape[0] * (mu.size + 1),
             "extended": extended,

@@ -5,9 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from eigenvol import confvol
 from eigenvol.confvol import (
     SphereImmersion,
     _bfgs,
+    _corners,
+    _face_area_gradient,
     conformal_distortion,
     conformal_volume,
     hersch_center,
@@ -17,7 +20,7 @@ from eigenvol.confvol import (
 )
 from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import TriangleMesh, willmore_energy
-from eigenvol.moebius import MoebiusMap, ball_dilation, xi_map
+from eigenvol.moebius import MoebiusMap, ball_dilation, dilation_gradient, xi_map
 
 
 # ---------------------------------------------------------------------- #
@@ -256,25 +259,122 @@ def test_bfgs_minimizes_rosenbrock():
     assert len(seen) < 100
 
 
+@pytest.mark.parametrize("distance", [1e2, 1e4, 1e6])
+def test_bfgs_reaches_a_far_minimum_in_logarithmically_many_calls(distance):
+    # sum of log cosh: the gradient saturates at 1 away from the minimum,
+    # as the search's radial gradient does towards the strength cap, so
+    # only steps that lengthen get there in O(log distance) calls
+    target = distance * np.array([0.6, 0.8])
+    seen = []
+
+    def log_cosh(x):
+        seen.append(x)
+        d = x - target
+        return np.sum(np.logaddexp(d, -d)), np.tanh(d)
+
+    g = _bfgs(log_cosh, np.zeros(2))
+    assert np.max(np.abs(g)) < 1e-5
+    assert np.max(np.abs(seen[-1] - target)) < 1e-4
+    assert len(seen) <= 8 * np.log2(distance)
+
+
 @pytest.mark.parametrize("starts", [0, -1])
 def test_conformal_volume_rejects_no_starts(sphere3, starts):
     with pytest.raises(ValueError, match="at least one start"):
         conformal_volume(SphereImmersion.identity(sphere3), starts=starts)
 
 
-def test_batched_dilations_equal_single_ones():
-    imm = SphereImmersion.lifted(revolution_torus(3.0, 1.0, 16))
-    rng = np.random.default_rng(5)
-    W = rng.standard_normal((5, 4))
-    poles, ts = zip(*map(ball_dilation, W))
-    batch = xi_map(np.array(poles), np.array(ts), imm.images)
-    areas = spherical_face_areas(batch, imm.mesh.faces)
-    assert batch.shape == (5, imm.mesh.nv, 4)
-    assert areas.shape == (5, imm.mesh.nf)
-    for b, (pole, t) in enumerate(zip(poles, ts)):
-        single = xi_map(pole, t, imm.images)
-        assert np.array_equal(batch[b], single)
-        assert np.array_equal(areas[b], spherical_face_areas(single, imm.mesh.faces))
+def test_search_value_is_the_pullback_volume_of_its_map():
+    # each objective call scores one dilation the way pullback_volume
+    # scores the moved immersion, so the reported value is that volume
+    # to the bit, and so is its error bar
+    torus = revolution_torus(3.0, 1.0, 16)
+    imm = SphereImmersion(
+        torus, SphereImmersion.lifted(torus).images, singular_faces=np.arange(0, torus.nf, 7)
+    )
+    res = conformal_volume(imm, starts=2, seed=0)
+    moved = pullback_volume(imm.moved_by(res.map))
+    assert res.map.t > 1.0
+    assert (moved.value, moved.error_bar) == (res.value, res.error_bar)
+
+
+def _volume_and_gradient(imm, w):
+    """Pullback volume of xi(w) and its closed-form gradient in w."""
+    moved = imm.moved_by(MoebiusMap(*ball_dilation(w)))
+    active = np.ones(imm.mesh.nf, dtype=bool)
+    active[imm.singular_faces] = False
+    corners = _corners(moved.images, imm.mesh.faces)
+    G = _face_area_gradient(corners, imm.mesh.faces, active, imm.mesh.nv)
+    return pullback_volume(moved).value, dilation_gradient(w, imm.images, G)
+
+
+def _central_differences(fun, x, h=1e-6):
+    return np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+@pytest.mark.parametrize("case, scale", [
+    ("lifted", 0.8),  # a torus in R^3 lifted to S^3
+    ("fold", 0.8),  # singular crease faces left out of value and gradient
+    ("lifted", 1e-12),  # the identity limit, v -> v - (v.q) q
+    ("fold", 0.0),
+])
+def test_volume_gradient_matches_central_differences(sphere3, case, scale):
+    if case == "lifted":
+        imm = SphereImmersion.lifted(revolution_torus(3.0, 1.0, 16))
+    else:
+        imm = SphereImmersion.fold(sphere3, np.array([0.0, 0.6, 0.8]))
+        assert imm.singular_faces.size
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        w = scale * rng.standard_normal(imm.images.shape[1])
+        _, grad = _volume_and_gradient(imm, w)
+        fd = _central_differences(lambda v: _volume_and_gradient(imm, v)[0], w)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("case", ["lifted", "fold"])
+def test_search_objective_gradient_matches_central_differences(sphere3, monkeypatch, case):
+    # the objective in the search coordinates y, through the strength cap
+    # w = log(MAX_T) tanh|y| y/|y|, captured from the search itself
+    if case == "lifted":
+        imm = SphereImmersion.lifted(revolution_torus(3.0, 1.0, 16))
+    else:
+        imm = SphereImmersion.fold(sphere3, np.array([0.0, 0.6, 0.8]))
+    objectives = []
+
+    def capture(fun, x):
+        objectives.append(fun)
+        return fun(x)[1]
+
+    monkeypatch.setattr(confvol, "_bfgs", capture)
+    conformal_volume(imm, starts=1)
+    (fun,) = objectives
+    rng = np.random.default_rng(2)
+    dim = imm.images.shape[1]
+    for scale in (1e-13, 0.4, 2.5):
+        y = scale * rng.standard_normal(dim)
+        fd = _central_differences(lambda v: fun(v)[0], y)
+        assert np.max(np.abs(fun(y)[1] - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-3)
+
+
+# the values the forward-difference search reported on the lifted
+# revolution_torus(4, 1, 20) at seeds 0-4, after creeping to the strength
+# cap in 1411-4086 evaluations
+_CAP_CREEP_VALUES = [
+    15.83661158384407, 15.836611589032794, 15.836611589951898,
+    15.836611587864068, 15.836611583423124,
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_search_reaches_the_strength_cap_without_creeping(seed):
+    imm = SphereImmersion.lifted(revolution_torus(4.0, 1.0, 20))
+    res = conformal_volume(imm, seed=seed)
+    assert res.diverged
+    assert res.evaluations < 1411
+    assert res.value == pytest.approx(_CAP_CREEP_VALUES[seed], rel=1e-8)
+    assert res.evaluations == 1 + sum(e["evaluations"] for e in res.trace[1:])
+    assert all(e["max_gradient"] >= 0.0 for e in res.trace[1:])
 
 
 # ---------------------------------------------------------------------- #

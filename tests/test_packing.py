@@ -504,3 +504,17 @@ def test_gny_table_stays_short(sphere4, caplog):
     assert stats["full"] == (mu.size + 32) * (mu.size + 1)
     assert stats["entries"] <= 0.25 * stats["full"]
     assert stats["trail"][-1] == (fam.beta, 8)
+
+
+def test_gny_reuses_its_table_for_the_same_seed_and_reach(sphere3, caplog):
+    # a second decomposition of the same measure grows the first one's
+    # table instead of building its own, and packs what a fresh one packs
+    mu = pushforward_measure(sphere3)
+    with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+        gny_decompose(mu, 6, r_max=R_MAX_TEST)
+        again = gny_decompose(mu, 3, r_max=R_MAX_TEST)
+        gny_decompose(mu, 3, seed=1, r_max=R_MAX_TEST)
+        gny_decompose(mu, 3)
+    assert [r.args["table"] for r in caplog.records] == ["built", "reused", "built", "built"]
+    fresh = gny_decompose(pushforward_measure(sphere3), 3, r_max=R_MAX_TEST)
+    assert again.as_dict() == fresh.as_dict()
