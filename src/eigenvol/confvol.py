@@ -149,12 +149,11 @@ class DistortionReport:
     the intrinsic layout of face f to the (chordal) layout of its image;
     zero means conformal.  Faces whose image triangle is numerically
     degenerate are listed in ``singular`` and excluded from the maximum,
-    as are explicitly ``excluded`` faces.
+    as are the faces listed in `exclude`.
     """
 
     values: np.ndarray
     singular: np.ndarray
-    excluded: np.ndarray
     max_log_distortion: float
     singular_area: float
 
@@ -211,10 +210,8 @@ def conformal_distortion(
         smin[finite] = sig[:, 1]
 
     singular_mask = smin <= 1e-12 + 1e-8 * smax
-    excluded = np.asarray(sorted(set(int(i) for i in exclude)), dtype=np.int64)
     active = ~singular_mask
-    if excluded.size:
-        active[excluded] = False
+    active[np.asarray(exclude, dtype=np.intp)] = False
 
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(singular_mask, np.inf, np.log(smax / smin))
@@ -223,7 +220,6 @@ def conformal_distortion(
     return DistortionReport(
         values=values,
         singular=np.flatnonzero(singular_mask),
-        excluded=excluded,
         max_log_distortion=max_log,
         singular_area=float(areas[singular_mask].sum()),
     )

@@ -18,7 +18,7 @@ Moebius group is the ball of :func:`ball_dilation`, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "ball_dilation",
     "bar_phi",
     "cap_parameters",
-    "covering_witness",
     "dilation_gradient",
     "fold_map",
     "geodesic_distance",
@@ -302,68 +301,3 @@ class MoebiusMap:
 
     def as_dict(self) -> dict:
         return {"pole": [float(x) for x in self.pole], "t": float(self.t)}
-
-
-@dataclass
-class CoveringReport:
-    """Sampled witnesses for the half-radius ball covering property."""
-
-    m: int
-    bound: int
-    max_count: int
-    counts: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def all_within_bound(self) -> bool:
-        return not self.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "bound": self.bound,
-            "max_count": self.max_count,
-            "counts": self.counts,
-            "failures": self.failures,
-        }
-
-
-def _uniform_sphere(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
-    pts = rng.standard_normal((size, m + 1))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def covering_witness(
-    m: int, trials: int = 20, seed: int = 0, samples: int = 4000
-) -> CoveringReport:
-    """Greedily cover sampled balls by half-radius balls; report counts vs 9^m.
-
-    For each trial a random ball B_r(a) is densely sampled and covered by
-    balls of radius r/2 centred at uncovered sample points.  A count above
-    9^m at sample resolution is reported as a failure, never asserted:
-    the covering property itself is an exact statement.
-    """
-    if m not in (1, 2, 3):
-        raise ValueError("covering witness implemented for m in {1, 2, 3}")
-    rng = np.random.default_rng(seed)
-    bound = 9**m
-    report = CoveringReport(m=m, bound=bound, max_count=0)
-    for trial in range(trials):
-        a = _uniform_sphere(rng, m, 1)[0]
-        r = float(rng.uniform(0.05, np.pi))
-        cloud = _uniform_sphere(rng, m, samples)
-        cloud = cloud[geodesic_distance(a, cloud) < r]
-        if cloud.shape[0] == 0:
-            report.counts.append(0)
-            continue
-        covered = np.zeros(cloud.shape[0], dtype=bool)
-        count = 0
-        while not covered.all():
-            centre = cloud[np.argmin(covered)]  # first uncovered point
-            covered |= geodesic_distance(centre, cloud) < r / 2.0
-            count += 1
-        report.counts.append(count)
-        report.max_count = max(report.max_count, count)
-        if count > bound:
-            report.failures.append({"trial": trial, "r": r, "count": count})
-    return report

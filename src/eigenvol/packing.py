@@ -178,10 +178,6 @@ class AnnulusFamily:
     gap: float
     seed: int
 
-    @property
-    def min_mass(self) -> float:
-        return float(self.masses.min())
-
     def as_dict(self) -> dict:
         return {
             "annuli": [a.as_dict() for a in self.annuli],
@@ -218,26 +214,31 @@ def _center_geometry(centers, mu, length, reach):
     Row i covers the ``length[i]`` atoms nearest center i and every atom
     tied with the farthest of them, but no atom beyond the first at
     distance >= `reach`, as no query reads further.  Returns flat tables
-    ``radii`` and ``cum`` with row offsets ``start``: center i owns
-    positions ``start[i]`` to ``start[i + 1] - 1``, which hold its distinct
+    ``radii`` and ``cum`` with row bounds ``first`` and ``last``: center i
+    owns positions ``first[i]`` to ``last[i]``, which hold its distinct
     distances in increasing order and the mass at distance <= each, then
-    +inf in both.  Also returns the atoms each row covers and whether it is
+    +inf in both at ``last[i]``.  Also returns whether each row is
     complete: it covers every atom, or reaches `reach`.  Each batch of
     centers keeps its nearest atoms by partition, then sorts them; tied
     atoms are summed in atom order, as a stable sort of one center's
     distances has them, so every row is a prefix of the full sorted row,
     the same to the bit whatever the lengths and the chunk.  ``radii`` and
-    ``cum`` are views of buffers with room for every row in full, which
-    :func:`_grow_rows` grows into.
+    ``cum`` are views of buffers with room after the rows, for
+    :func:`_grow_rows`, to rebuild complete each row short of all atoms.
     """
     n, rows = mu.size, centers.shape[0]
-    # room for n distances and the +inf per row; pages left unwritten
-    # (rows cut short, repeated distances) never become resident
-    radii = np.empty(rows * (n + 1))
-    cum = np.empty_like(radii)
-    start = np.zeros(rows + 1, dtype=np.intp)
-    atoms = np.empty(rows, dtype=np.intp)
+    cover = np.minimum(length, n)
+    # a row holds one distinct distance at most per atom covered, and +inf;
+    # unwritten pages (repeated distances, rows never rebuilt) stay virtual
+    room = int(cover.sum()) + rows + (n + 1) * int(np.count_nonzero(cover < n))
+    try:
+        radii, cum = np.empty(room), np.empty(room)
+    except MemoryError:
+        raise PackingError(f"cannot reserve the distance table of {n} atoms and "
+                           f"{rows} candidates: {16 * room} bytes") from None
+    first, last = np.empty((2, rows), dtype=np.intp)
     complete = np.empty(rows, dtype=bool)
+    end = 0
     step = max(1, _GEOMETRY_CHUNK // n)
     for a in range(0, rows, step):
         b = min(a + step, rows)
@@ -255,66 +256,52 @@ def _center_geometry(centers, mu, length, reach):
             cut = ds[r, want - 1]
             # a row takes all atoms tied at its cut; past the head, only
             # a larger head holds them
-            atoms[a:b] = np.count_nonzero(d <= cut[:, None], axis=1)
-            if atoms[a:b].max() <= size:
+            atoms = np.count_nonzero(d <= cut[:, None], axis=1)
+            if atoms.max() <= size:
                 break
-            size = int(atoms[a:b].max())
-        complete[a:b] = (atoms[a:b] == n) | (cut >= reach)
-        last = atoms[a:b]  # column of each row's +inf
+            size = int(atoms.max())
+        complete[a:b] = (atoms == n) | (cut >= reach)
         ds = np.hstack([ds, np.full((b - a, 1), np.inf)])
-        ds[r, last] = np.inf
+        ds[r, atoms] = np.inf  # atoms: the column of each row's +inf
         # runs of equal distances start where `new`; each ends just before
         # the next start, and the +inf column is a run of its own
         new = np.ones(ds.shape, dtype=bool)
         new[:, 1:size] = ds[:, 1:size] != ds[:, : size - 1]
-        new &= np.arange(size + 1) <= last[:, None]
+        new &= np.arange(size + 1) <= atoms[:, None]
         # put each run back in atom order: a stable sort's order, found
         # faster than by a stable sort
         key = np.cumsum(new[:, :size], axis=1) * n + np.take_along_axis(head, order, axis=1)
         key.sort(axis=1)
         mass = np.empty_like(ds)
         np.cumsum(mu.weights[key % n], axis=1, out=mass[:, :size])
-        mass[r, last] = np.inf
+        mass[r, atoms] = np.inf
         ends = np.zeros_like(new)
         ends[:, :size] = new[:, 1:]
-        ends[r, last] = True
-        start[a + 1 : b + 1] = start[a] + np.cumsum(new.sum(axis=1))
-        radii[start[a] : start[b]] = ds[new]
-        cum[start[a] : start[b]] = mass[ends]
-    return radii[: start[-1]], cum[: start[-1]], start, atoms, complete
+        ends[r, atoms] = True
+        stop = end + np.cumsum(new.sum(axis=1))  # one past each row's +inf
+        first[a:b], last[a:b] = np.append(end, stop[:-1]), stop - 1
+        radii[end : stop[-1]], cum[end : stop[-1]] = ds[new], mass[ends]
+        end = stop[-1]
+    return radii[:end], cum[:end], first, last, complete
 
 
 def _grow_rows(geometry, rows, centers, mu, reach):
-    """`geometry` with the sorted `rows` rebuilt to twice the atoms they cover.
+    """`geometry` with `rows` rebuilt complete after its last entry.
 
-    The flat tables of :func:`_center_geometry` are views of buffers with
-    room for every row in full, so they grow in place: last row first,
-    the rows after each rebuilt one move up, a chunk at a time from the
-    top, and the rebuilt row is written below them.  No second table is
-    made; the per-row arrays of `geometry` are updated in place too.
+    A complete row decides every query, so no row is rebuilt twice, and
+    the room :func:`_center_geometry` leaves after the table holds every
+    rebuilt row.  The old entries stay, unread; `geometry`'s per-row arrays
+    are updated in place.
     """
-    radii, cum, start, atoms, complete = geometry
-    f_radii, f_cum, f_start, f_atoms, f_complete = _center_geometry(
-        centers[rows], mu, 2 * atoms[rows], reach
+    radii, cum, first, last, complete = geometry
+    g_radii, g_cum, g_first, g_last, complete[rows] = _center_geometry(
+        centers[rows], mu, np.full(rows.shape[0], mu.size), reach
     )
-    atoms[rows], complete[rows] = f_atoms, f_complete
-    sizes = np.diff(start)
-    sizes[rows] = np.diff(f_start)
-    new_start = np.concatenate([[0], np.cumsum(sizes)])
-    nexts = np.append(rows[1:], sizes.shape[0])
-    grown = []
-    for table, fresh in ((radii.base, f_radii), (cum.base, f_cum)):
-        for j in reversed(range(rows.shape[0])):
-            # the unchanged rows between this rebuilt row and the next
-            lo, hi = start[rows[j] + 1], start[nexts[j]]
-            shift = new_start[rows[j] + 1] - lo
-            for top in range(hi, lo, -_GEOMETRY_CHUNK):
-                bottom = max(lo, top - _GEOMETRY_CHUNK)
-                table[bottom + shift : top + shift] = table[bottom:top]
-            table[new_start[rows[j]] : new_start[rows[j] + 1]] = fresh[f_start[j] : f_start[j + 1]]
-        grown.append(table[: new_start[-1]])
-    start[:] = new_start
-    return grown[0], grown[1], start, atoms, complete
+    end, grown = radii.shape[0], radii.shape[0] + g_radii.shape[0]
+    first[rows], last[rows] = end + g_first, end + g_last
+    radii, cum = radii.base[:grown], cum.base[:grown]
+    radii[end:], cum[end:] = g_radii, g_cum
+    return radii, cum, first, last, complete
 
 
 def _searchsorted(table, lo, hi, values):
@@ -345,9 +332,9 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     (candidate index, inner, outer) with the smallest outer radius, or None
     if nothing fits; ties go to the first candidate and, within it, to the
     first gap.  `short` lists the rows of `geometry` too short to decide
-    the answer, which is then None; rebuild them longer and ask again.
+    the answer, which is then None; rebuild them complete and ask again.
     """
-    radii, cum, start, _, complete = geometry
+    radii, cum, first, last, complete = geometry
     lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
     upper = np.minimum(np.minimum(np.pi, D + shell_hi), 2.0 * np.pi - D - shell_lo)
     # a sentinel [pi, pi] closes the last gap at pi and blocks nothing else
@@ -367,7 +354,7 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     inner, top = inner[rows, cols], top[rows, cols]
 
     # mass inside the inner radius, then the first radius holding tau more
-    first, last = start[rows], start[rows + 1] - 1
+    first, last = first[rows], last[rows]
     base_idx = _searchsorted(radii, first, last, inner)
     base = np.where(base_idx > first, cum[base_idx - 1], 0.0)
     j = _searchsorted(cum, first, last, base + tau)
@@ -406,9 +393,11 @@ def gny_decompose(
     (the support atoms plus a few seeded random poles), the admissible
     annulus with the smallest outer radius; ties break by candidate
     order, so the whole construction is deterministic for a fixed seed.
-    The table of candidate distances it grows is kept on `mu` and reused
-    by the next call with the same seed and reach; as its rows are exact
-    prefixes of the full rows, the result does not depend on it.
+    Each candidate's row of sorted distances starts at its nearest atoms
+    and is rebuilt complete, once, when a round cannot be decided without
+    it.  The table is kept on `mu` and reused by the next call with the
+    same seed and reach; as its rows are exact prefixes of the full rows,
+    the result does not depend on it.
 
     Parameters
     ----------
@@ -422,7 +411,7 @@ def gny_decompose(
     ------
     PackingError
         If even the theoretical floor cannot be packed with these
-        candidate centers.
+        candidate centers, or the distance table cannot be reserved.
     """
     if k < 1:
         raise ValueError("need k >= 1 annuli")

@@ -83,9 +83,6 @@ class OperatorPair:
         """L^2 inner product u^T M v."""
         return float(np.sum(self.areas * u * v))
 
-    def rayleigh(self, u: np.ndarray) -> float:
-        return self.energy(u) / self.inner(u, u)
-
 
 def assemble_laplacian(mesh: TriangleMesh) -> OperatorPair:
     """Assemble the (K, M) pencil of a mesh."""
@@ -321,7 +318,6 @@ class WeylFit:
     slope: float
     intercept: float
     target: float
-    k_range: tuple
     relative_error: float = field(init=False)
 
     def __post_init__(self):
@@ -351,7 +347,4 @@ def weyl_fit(
     slope, intercept = np.polyfit(x, y, 1)
     omega_n = np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
     target = 4.0 * np.pi**2 / omega_n ** (2.0 / n)
-    return WeylFit(
-        slope=float(slope), intercept=float(intercept), target=float(target),
-        k_range=(lo, hi),
-    )
+    return WeylFit(slope=float(slope), intercept=float(intercept), target=float(target))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eigenvol import packing
 from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus
 from eigenvol.spectral import eigensolve
 
@@ -50,3 +51,18 @@ def torus48_spec(torus48):
 @pytest.fixture(scope="session")
 def clifford32_spec(clifford32):
     return eigensolve(clifford32, 12)
+
+
+@pytest.fixture
+def packing_without_room(monkeypatch):
+    """`packing` sees a numpy whose `empty` refuses every allocation, as
+    numpy refuses a distance table larger than memory."""
+
+    class NoRoom:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+
+    monkeypatch.setattr(packing, "np", NoRoom())

@@ -243,3 +243,11 @@ def test_solver_error_is_one_line(runner, monkeypatch):
     result = runner.invoke(main, ["spectrum", "--fixture", "icosphere:4", "--count", "4"])
     assert result.exit_code == 1
     assert result.output.splitlines() == ["Error: ARPACK converged only 1/4 pairs"]
+
+
+def test_unreservable_packing_table_is_one_line(runner, packing_without_room):
+    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "-k", "3"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: cannot reserve the distance table of 162 atoms and 194 candidates: 676672 bytes"
+    ]

@@ -10,7 +10,6 @@ from eigenvol.moebius import (
     MoebiusMap,
     bar_phi,
     cap_parameters,
-    covering_witness,
     fold_map,
     geodesic_distance,
     phi_cap,
@@ -205,10 +204,31 @@ def test_moebius_map_rejects_off_sphere_pole():
         MoebiusMap(np.array([0.0, 0.0, 1.1]), 2.0)
 
 
+def _half_radius_cover_counts(m, trials, seed, samples):
+    """Greedy covers of sampled random balls of S^m by half-radius balls.
+
+    Each trial samples a random ball B_r(a) and covers the samples by
+    balls of radius r/2, each centred at the first sample still uncovered;
+    returns the number of balls each trial took.
+    """
+    rng = np.random.default_rng(seed)
+    counts = []
+    for _ in range(trials):
+        a = _rand_sphere(rng, m, 1)[0]
+        r = float(rng.uniform(0.05, np.pi))
+        cloud = _rand_sphere(rng, m, samples)
+        cloud = cloud[geodesic_distance(a, cloud) < r]
+        covered = np.zeros(cloud.shape[0], dtype=bool)
+        count = 0
+        while not covered.all():
+            covered |= geodesic_distance(cloud[np.argmin(covered)], cloud) < r / 2.0
+            count += 1
+        counts.append(count)
+    return counts
+
+
 def test_covering_witness_stays_under_bound():
-    report = covering_witness(1, trials=10, seed=2, samples=800)
-    assert report.bound == 9
-    assert report.all_within_bound
-    report2 = covering_witness(2, trials=4, seed=3, samples=1500)
-    assert report2.bound == 81
-    assert report2.max_count <= 81
+    # every ball is covered by 9^m balls of half its radius, the covering
+    # number behind the packing floor 1/(8 9^(12 m))
+    assert max(_half_radius_cover_counts(1, trials=10, seed=2, samples=800)) <= 9
+    assert max(_half_radius_cover_counts(2, trials=4, seed=3, samples=1500)) <= 81

@@ -332,19 +332,22 @@ def test_center_geometry_rows_are_prefixes(sphere3, chunk, monkeypatch):
     length = rng.integers(1, mu.size + 1, centers.shape[0])
     reach = np.pi / 2
     monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
-    radii, cum, start, atoms, complete = _center_geometry(centers, mu, length, reach)
+    radii, cum, first, last, complete = _center_geometry(centers, mu, length, reach)
     assert complete.any() and not complete.all()
+    # the rows lie one after another and fill the table
+    assert first[0] == 0 and last[-1] == radii.shape[0] - 1
+    assert np.array_equal(first[1:], last[:-1] + 1)
     for i, c in enumerate(centers):
         uniq, cum_at = _reference_geometry(c, mu)
         d = np.sort(geodesic_distance(c, mu.points))
         # the length-th nearest atom or the first at distance >= reach,
-        # whichever is nearer, ends the row together with its ties
+        # whichever is nearer, ends the row together with its ties: the
+        # running mass at the cut counts every atom tied there
         cut = min(d[length[i] - 1], d[min(np.searchsorted(d, reach), mu.size - 1)])
         size = np.searchsorted(uniq, cut, side="right")
-        row = slice(start[i], start[i + 1])
+        row = slice(first[i], last[i] + 1)
         assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
         assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
-        assert atoms[i] == np.count_nonzero(d <= cut)
         # relevant: every distance up to the first >= reach
         relevant = min(np.searchsorted(uniq, reach) + 1, uniq.shape[0])
         assert complete[i] == (size >= relevant)
@@ -365,7 +368,8 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
     decided = short_rows = 0
     for trial in range(80):
         c = centers[rng.integers(0, centers.shape[0], 1)]
-        f_radii, f_cum, f_start, _, _ = _center_geometry(c, mu, lengths[-1:], np.pi)
+        f_radii, f_cum, _, _, _ = _center_geometry(c, mu, lengths[-1:], np.pi)
+        f_size = f_radii.shape[0]
         r_max = rng.choice([np.pi, rng.uniform(0.2, np.pi)])
         shells = centers[rng.integers(0, centers.shape[0], rng.integers(0, 4))]
         tau = rng.uniform(0.01, 0.6) * mu.total
@@ -379,17 +383,18 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
         D = np.repeat(geodesic_distance(c[:, None, :], shells), 2, axis=0)
         lo = rng.uniform(0.0, 1.0, shells.shape[0])
         hi = np.minimum(lo + rng.uniform(0.05, 1.5, shells.shape[0]), np.pi)
-        full = (np.tile(f_radii, 2), np.tile(f_cum, 2), np.arange(3) * f_start[1],
-                np.full(2, mu.size), np.ones(2, dtype=bool))
+        full = (np.tile(f_radii, 2), np.tile(f_cum, 2), np.array([0, f_size]),
+                np.array([f_size - 1, 2 * f_size - 1]), np.ones(2, dtype=bool))
         want, _ = packing._best_annulus(full, D, lo, hi, tau, r_max)
-        radii, cum, start, atoms, complete = _center_geometry(
+        radii, cum, first, last, complete = _center_geometry(
             np.repeat(c, mu.size, axis=0), mu, lengths, min(r_max, np.pi / 2)
         )
         for i in range(mu.size):
-            row = slice(start[i], start[i + 1])
+            row = slice(first[i], last[i] + 1)
+            size = row.stop - row.start
             geometry = (np.append(radii[row], f_radii), np.append(cum[row], f_cum),
-                        np.array([0, row.stop - row.start, row.stop - row.start + f_start[1]]),
-                        np.array([atoms[i], mu.size]), np.array([complete[i], True]))
+                        np.array([0, size]), np.array([size - 1, size + f_size - 1]),
+                        np.array([complete[i], True]))
             got, short = packing._best_annulus(geometry, D, lo, hi, tau, r_max)
             short_rows += short.size
             if not short.size:
@@ -518,3 +523,43 @@ def test_gny_reuses_its_table_for_the_same_seed_and_reach(sphere3, caplog):
     assert [r.args["table"] for r in caplog.records] == ["built", "reused", "built", "built"]
     fresh = gny_decompose(pushforward_measure(sphere3), 3, r_max=R_MAX_TEST)
     assert again.as_dict() == fresh.as_dict()
+
+
+def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, caplog):
+    # every row starts at its nearest atom; two decompositions share one
+    # table, and each short row is rebuilt complete after the table's last
+    # entry, into room reserved with the table, at most once
+    mu = pushforward_measure(sphere3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_start_length", lambda n, k: 1)
+        with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+            gny_decompose(mu, 6, r_max=R_MAX_TEST)
+            gny_decompose(mu, 3, r_max=R_MAX_TEST)
+    ((key, (radii, cum, first, last, complete)),) = mu._tables.items()
+    centers = _candidate_centers(mu, key[0])
+    rows, n = centers.shape[0], mu.size
+    extended = [r.args["extended"] for r in caplog.records]
+    assert extended[0] > 0 and max(extended) <= rows
+    # the rows as built take two entries each; rebuilt rows follow them
+    grown = first >= 2 * rows
+    assert grown.sum() == sum(extended)
+    assert complete[grown].all()
+    assert radii.shape[0] <= radii.base.shape[0] == 2 * rows + rows * (n + 1)
+    assert cum.shape == radii.shape and cum.base.shape == radii.base.shape
+    for i, c in enumerate(centers):
+        uniq, cum_at = _reference_geometry(c, mu)
+        size = last[i] - first[i]
+        row = slice(first[i], last[i] + 1)
+        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
+        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
+        if grown[i]:
+            # complete: every distance up to the first >= reach
+            assert size == min(np.searchsorted(uniq, key[1]) + 1, uniq.shape[0])
+
+
+def test_unreservable_table_is_a_packing_error(sphere3, packing_without_room):
+    mu = pushforward_measure(sphere3)
+    with pytest.raises(PackingError, match=(
+        r"^cannot reserve the distance table of 642 atoms and 674 candidates: 7818400 bytes$"
+    )):
+        gny_decompose(mu, 8)
