@@ -14,6 +14,9 @@ boundary raise at construction time.
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -26,6 +29,8 @@ __all__ = [
     "save_off",
     "willmore_energy",
 ]
+
+log = logging.getLogger(__name__)
 
 _AMBIENTS = ("euclidean", "unit_sphere")
 
@@ -394,46 +399,94 @@ def willmore_energy(mesh: TriangleMesh, component: str = "ambient") -> float:
 # OFF file I/O
 
 
+def _log_io(action, path, mesh, start):
+    log.debug(
+        "%(action)s %(path)s: %(vertices)d vertices, %(faces)d faces in %(seconds).4f s",
+        {"action": action, "path": str(path), "vertices": mesh.nv, "faces": mesh.nf,
+         "seconds": time.perf_counter() - start},
+    )
+
+
 def save_off(mesh: TriangleMesh, path) -> None:
     """Write an embedded mesh as ASCII OFF.
 
     The ambient tag is preserved in a leading comment so that
-    :func:`load_off` round-trips it.  Coordinates are written with 17
-    significant digits and reload bit-for-bit.
+    :func:`load_off` round-trips it.  Each coordinate is written as
+    ``f"{x:.17g}"`` writes it, so that ``float()`` reads every coordinate
+    back bit for bit; face indices are written as integers.
     """
     if mesh.vertices is None:
         raise ValueError("abstract meshes have no coordinates to export")
-    lines = ["OFF"]
+    start = time.perf_counter()
+    nv, dim = mesh.vertices.shape
+    head = "OFF\n"
     if mesh.ambient is not None:
-        lines.append(f"# ambient {mesh.ambient} {mesh.dim}")
-    lines.append(f"{mesh.nv} {mesh.nf} 0")
-    for v in mesh.vertices:
-        lines.append(" ".join(f"{x:.17g}" for x in v))
-    for face in mesh.faces:
-        lines.append("3 " + " ".join(str(int(i)) for i in face))
+        head += f"# ambient {mesh.ambient} {dim}\n"
+    head += f"{nv} {mesh.nf} 0\n"
+    row = " ".join(["%.17g"] * dim) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        fh.write((row * nv) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(("3 %d %d %d\n" * mesh.nf) % tuple(mesh.faces.ravel().tolist()))
+    _log_io("wrote", path, mesh, start)
+
+
+def _read_block(path, lines, numbers, width, problem, dtype, what):
+    """The fields of `lines` as an array of shape (len(lines), width).
+
+    Each value is read as ``float()`` or ``int()`` reads it (``dtype``
+    float or int64).  `problem(fields)` names what is wrong with a line's
+    fields, or is empty.  On the first line that `problem` names, or whose
+    value does not parse, raise ValueError naming its physical line number
+    from `numbers`.
+    """
+    tokens = []
+    for line in lines:
+        fields = line.split()
+        if problem(fields):
+            break
+        tokens += fields
+    else:
+        try:
+            return np.array(tokens, dtype=dtype).reshape(len(lines), width)
+        except (ValueError, OverflowError):
+            pass
+    # some line is malformed: report the first, checking lines in order
+    for line, lineno in zip(lines, numbers):
+        fields = line.split()
+        if message := problem(fields):
+            raise ValueError(f"{path}:{lineno}: {message}")
+        try:
+            np.array(fields, dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {what}") from exc
+    raise AssertionError("a malformed block has a malformed line")
 
 
 def load_off(path, ambient: str | None = None) -> TriangleMesh:
     """Read an ASCII OFF file with triangle faces.
 
     Vertex dimension is inferred from the first vertex line, so spheres
-    in R^4 or R^5 load without extra flags.  An ``# ambient`` comment
-    written by :func:`save_off` restores the ambient tag; the `ambient`
-    argument overrides it.
+    in R^4 or R^5 load without extra flags.  Coordinates are read as
+    ``float()`` reads them and face indices as ``int()`` does (so ``1_0``
+    and ``inf`` parse, and ``3.0`` is not an index).  An ``# ambient``
+    comment written by :func:`save_off` restores the ambient tag; the
+    `ambient` argument overrides it.
 
     Raises
     ------
     ValueError
         On malformed content, with the offending line number.
     """
+    start = time.perf_counter()
     with open(path) as fh:
-        raw = fh.readlines()
+        # split on newlines only: str.splitlines would also break lines at
+        # form feeds and other separators and shift the line numbers
+        raw = fh.read().split("\n")
 
     file_ambient = None
     file_dim = None
-    tokens: list[tuple[int, list[str]]] = []
+    numbers, content = [], []  # physical line number and text of each data line
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
@@ -441,49 +494,45 @@ def load_off(path, ambient: str | None = None) -> TriangleMesh:
             if len(parts) >= 2 and parts[0] == "ambient":
                 file_ambient = parts[1]
                 if len(parts) >= 3:
-                    file_dim = int(parts[2])
+                    try:
+                        file_dim = int(parts[2])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: bad ambient comment") from exc
             continue
         if stripped:
-            tokens.append((lineno, stripped.split()))
+            numbers.append(lineno)
+            content.append(stripped)
 
-    if not tokens or tokens[0][1] != ["OFF"]:
+    if not content or content[0].split() != ["OFF"]:
         raise ValueError(f"{path}: missing OFF header")
-    if len(tokens) < 2:
+    if len(content) < 2:
         raise ValueError(f"{path}: missing counts line")
-    lineno, counts = tokens[1]
+    counts = content[1].split()
     if len(counts) != 3:
-        raise ValueError(f"{path}:{lineno}: counts line must have three fields")
+        raise ValueError(f"{path}:{numbers[1]}: counts line must have three fields")
     try:
         nv, nf, _ = (int(c) for c in counts)
     except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad counts line") from exc
-    body = tokens[2:]
-    if len(body) < nv + nf:
+        raise ValueError(f"{path}:{numbers[1]}: bad counts line") from exc
+    if nv < 0 or nf < 0:
+        raise ValueError(f"{path}:{numbers[1]}: bad counts line")
+    if len(content) - 2 < nv + nf:
         raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
 
-    dim = len(body[0][1]) if nv else (file_dim or 3)
-    verts = np.empty((nv, dim))
-    for i in range(nv):
-        lineno, fields = body[i]
-        if len(fields) != dim:
-            raise ValueError(
-                f"{path}:{lineno}: vertex has {len(fields)} coordinates, expected {dim}"
-            )
-        try:
-            verts[i] = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad vertex coordinate") from exc
-
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        lineno, fields = body[nv + i]
-        if fields[0] != "3" or len(fields) != 4:
-            raise ValueError(f"{path}:{lineno}: only triangle faces are supported")
-        try:
-            faces[i] = [int(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad face index") from exc
+    dim = len(content[2].split()) if nv else (file_dim or 3)
+    verts = _read_block(
+        path, content[2 : 2 + nv], numbers[2 : 2 + nv], dim,
+        lambda f: f"vertex has {len(f)} coordinates, expected {dim}" if len(f) != dim else "",
+        float, "vertex coordinate",
+    )
+    faces = _read_block(
+        path, content[2 + nv : 2 + nv + nf], numbers[2 + nv : 2 + nv + nf], 4,
+        lambda f: "only triangle faces are supported" if f[0] != "3" or len(f) != 4 else "",
+        np.int64, "face index",
+    )[:, 1:]
 
     if ambient is None:
         ambient = file_ambient
-    return TriangleMesh(verts, faces, ambient=ambient)
+    mesh = TriangleMesh(verts, faces, ambient=ambient)
+    _log_io("read", path, mesh, start)
+    return mesh

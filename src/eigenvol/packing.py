@@ -437,7 +437,7 @@ def gny_decompose(
 
     distance_to = {}  # candidate index -> distances from every candidate to it
     attempts = []
-    extended = 0
+    extended = rebuilds = 0
     for beta in betas:
         tau = beta * total / k
         # overshoot by a hair so recomputing the mass in any summation
@@ -456,6 +456,7 @@ def gny_decompose(
                     break
                 geometry = _grow_rows(geometry, short, centers, mu, reach)
                 extended += short.size
+                rebuilds += 1
             if best is None:
                 break
             ci, inner, outer = best
@@ -477,7 +478,8 @@ def gny_decompose(
 
     log.debug(
         "%(atoms)d atoms, %(candidates)d candidates: table %(table)s, %(entries)d "
-        "of %(full)d entries, %(extended)d rows extended, beta trail %(trail)s",
+        "of %(full)d entries, %(extended)d rows extended in %(rebuilds)d queries, "
+        "beta trail %(trail)s",
         {
             "atoms": mu.size,
             "candidates": centers.shape[0],
@@ -485,6 +487,7 @@ def gny_decompose(
             "entries": geometry[0].shape[0],
             "full": centers.shape[0] * (mu.size + 1),
             "extended": extended,
+            "rebuilds": rebuilds,
             "trail": attempts + ([(beta, k)] if packed else []),
         },
     )

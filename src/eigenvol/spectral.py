@@ -17,13 +17,13 @@ read off the pivot signs of one sparse symmetric factorization
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
-from scipy.special import gamma
 
 from .mesh import TriangleMesh, cotangent_stiffness
 
@@ -345,6 +345,6 @@ def weyl_fit(
     x = k ** (2.0 / n)
     y = lam[lo : hi + 1] * volume ** (2.0 / n)
     slope, intercept = np.polyfit(x, y, 1)
-    omega_n = np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+    omega_n = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     target = 4.0 * np.pi**2 / omega_n ** (2.0 / n)
     return WeylFit(slope=float(slope), intercept=float(intercept), target=float(target))

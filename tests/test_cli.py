@@ -235,6 +235,17 @@ def test_repeated_off_face_is_one_line(runner, tmp_path):
     assert result.output.splitlines() == ["Error: face 4 repeats the vertices of face 0"]
 
 
+def test_bad_off_face_index_is_one_line(runner, tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_text(
+        "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+        "3 0 1 2\n3 0 3 x\n3 0 2 3\n3 1 3 2\n"
+    )
+    result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {path}:8: bad face index"]
+
+
 def test_solver_error_is_one_line(runner, monkeypatch):
     def stalls(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((2562, 1)))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
-from eigenvol.fixtures import icosphere, revolution_torus, veronese
+from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import (
     TriangleMesh,
     cotangent_stiffness,
@@ -229,6 +231,148 @@ def test_off_rejects_quads(tmp_path):
     )
     with pytest.raises(ValueError, match="triangle"):
         load_off(path)
+
+
+def _reference_off(mesh):
+    # the writer formatting each value on its own, as save_off did first
+    lines = ["OFF"]
+    if mesh.ambient is not None:
+        lines.append(f"# ambient {mesh.ambient} {mesh.dim}")
+    lines.append(f"{mesh.nv} {mesh.nf} 0")
+    lines += [" ".join(f"{x:.17g}" for x in v) for v in mesh.vertices]
+    lines += ["3 " + " ".join(str(int(i)) for i in f) for f in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def _flat_mesh(dim, ambient):
+    # the flat tetrahedron of test_obtuse_mixed_area_is_exact with -0.0,
+    # subnormals and values that need all 17 digits; the constant extra
+    # coordinates (1e300 first) leave every edge length as it is
+    xy = np.array([[-0.0, 0.0], [4.0, 5e-324], [2.0, 0.5], [2.0000000000000004, 0.1 + 0.2]])
+    extra = np.array([1e300, 1.0 / 3.0, -2.2250738585072e-310])[: dim - 2]
+    verts = np.hstack([xy, np.tile(extra, (4, 1))])
+    return TriangleMesh(verts, [[0, 2, 1], [3, 0, 1], [3, 1, 2], [3, 2, 0]], ambient=ambient)
+
+
+_OFF_MESHES = {
+    "r3-sphere": lambda: icosphere(2),
+    "r4-clifford": lambda: clifford_torus(8),
+    "r5-veronese": lambda: veronese(2),
+    **{
+        f"r{dim}-flat-{ambient}": lambda dim=dim, ambient=ambient: _flat_mesh(dim, ambient)
+        for dim in (3, 4, 5)
+        for ambient in (None, "euclidean")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_MESHES))
+def test_off_writer_matches_per_value_reference(tmp_path, name):
+    mesh = _OFF_MESHES[name]()
+    path = tmp_path / "mesh.off"
+    save_off(mesh, path)
+    assert path.read_bytes() == _reference_off(mesh).encode()
+    back = load_off(path)
+    assert back.ambient == mesh.ambient
+    assert back.vertices.dtype == np.float64 and back.faces.dtype == np.int64
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()  # -0.0 keeps its sign
+    assert back.faces.tobytes() == mesh.faces.tobytes()
+
+
+_TETRA_OFF = [
+    "OFF", "4 4 0", "1 1 1", "1 -1 -1", "-1 1 -1", "-1 -1 1",
+    "3 0 1 2", "3 0 3 1", "3 0 2 3", "3 1 3 2",
+]
+
+
+def _off_error(tmp_path, lines, newline="\n"):
+    path = tmp_path / "bad.off"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    with pytest.raises(ValueError) as exc:
+        load_off(path)
+    message = str(exc.value)
+    assert "\n" not in message
+    return message.replace(str(path), "bad.off")
+
+
+def _edit(lines, replace):
+    # replace maps a line number, counted from 1, to the line's new text
+    return [replace.get(i, line) for i, line in enumerate(lines, start=1)]
+
+
+@pytest.mark.parametrize("replace, expected", [
+    ({5: "-1 1"}, "bad.off:5: vertex has 2 coordinates, expected 3"),
+    ({3: "1 1 1 0"}, "bad.off:4: vertex has 3 coordinates, expected 4"),
+    ({6: "-1 -1 0x1"}, "bad.off:6: bad vertex coordinate"),
+    ({8: "3 0 3 x"}, "bad.off:8: bad face index"),
+    ({8: "3 0 3.0 1"}, "bad.off:8: bad face index"),
+    ({8: "3 0 99999999999999999999 1"}, "bad.off:8: bad face index"),
+    ({9: "3 0 2"}, "bad.off:9: only triangle faces are supported"),
+    ({2: "4 4"}, "bad.off:2: counts line must have three fields"),
+    ({2: "4 four 0"}, "bad.off:2: bad counts line"),
+    ({2: "4.0 4 0"}, "bad.off:2: bad counts line"),
+    ({2: "-4 4 0"}, "bad.off:2: bad counts line"),
+    ({2: "4 5 0"}, "bad.off: expected 4 vertices and 5 faces"),
+    # the first malformed line is named, whatever is wrong with it
+    ({4: "1 nope -1", 5: "-1 1"}, "bad.off:4: bad vertex coordinate"),
+    ({4: "1 -1", 5: "-1 nope -1"}, "bad.off:4: vertex has 2 coordinates, expected 3"),
+    ({6: "-1 -1 x", 7: "3 0 1"}, "bad.off:6: bad vertex coordinate"),
+])
+def test_off_errors_name_the_line(tmp_path, replace, expected):
+    assert _off_error(tmp_path, _edit(_TETRA_OFF, replace)) == expected
+
+
+def test_off_error_lines_are_physical_lines(tmp_path):
+    # comments and blank lines between body lines still count
+    lines = _TETRA_OFF[:4] + ["# a comment", "", "   "] + _TETRA_OFF[4:]
+    assert _off_error(tmp_path, _edit(lines, {11: "3 0 x 1"})) == "bad.off:11: bad face index"
+    # a form feed separates fields, not lines
+    lines = _edit(_TETRA_OFF, {3: "1\x0c1 1", 8: "3 0 x 1"})
+    assert _off_error(tmp_path, lines) == "bad.off:8: bad face index"
+
+
+def test_off_bad_ambient_comment(tmp_path):
+    lines = _TETRA_OFF[:1] + ["# ambient unit_sphere three"] + _TETRA_OFF[1:]
+    assert _off_error(tmp_path, lines) == "bad.off:2: bad ambient comment"
+
+
+def test_off_crlf_file(tmp_path):
+    crlf = _edit(_TETRA_OFF, {5: "-1 nope -1"})
+    assert _off_error(tmp_path, crlf, newline="\r\n") == "bad.off:5: bad vertex coordinate"
+    path = tmp_path / "crlf.off"
+    path.write_bytes(("\r\n".join(_TETRA_OFF) + "\r\n").encode())
+    mesh = load_off(path)
+    verts, faces = _tetrahedron()
+    assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
+    assert np.array_equal(mesh.faces, faces)
+
+
+def test_off_values_parse_as_float_and_int(tmp_path):
+    path = tmp_path / "spelled.off"
+    path.write_text("OFF\n4 4 0\n1_0 1e1 +10\n10 -1E1 -10.0\n-10 10 -1_0\n-10 -10 10\n"
+                    "3 0 1 2\n3 0 3 1\n3 0 +2 0_3\n3 1 3 2\n")
+    mesh = load_off(path)
+    verts, faces = _tetrahedron()
+    assert np.array_equal(mesh.vertices, verts * 10 * np.sqrt(3.0))
+    assert np.array_equal(mesh.faces, faces)
+
+
+def test_off_io_logs_one_debug_record_each(tmp_path, caplog, sphere3):
+    path = tmp_path / "sphere.off"
+    save_off(sphere3, path)
+    load_off(path)
+    assert not [r for r in caplog.records if r.name == "eigenvol.mesh"]  # silent by default
+    with caplog.at_level(logging.DEBUG, logger="eigenvol.mesh"):
+        save_off(sphere3, path)
+        load_off(path)
+    records = [r for r in caplog.records if r.name == "eigenvol.mesh"]
+    assert [r.args["action"] for r in records] == ["wrote", "read"]
+    for r in records:
+        assert r.levelno == logging.DEBUG
+        assert (r.args["path"], r.args["vertices"], r.args["faces"]) == (
+            str(path), sphere3.nv, sphere3.nf
+        )
+        assert 0.0 <= r.args["seconds"] < 60.0
 
 
 def test_obtuse_mixed_area_is_exact():

@@ -473,6 +473,38 @@ def test_gny_matches_scalar_reference_from_one_atom_rows(mu, k, seed, gap, r_max
         _assert_same_packing(mu, k, seed=seed, gap=gap, r_max=r_max)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    mu=_measures(),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 3),
+    gap=st.one_of(st.just(0.0), st.floats(0.01, 0.4)),
+    r_max=st.one_of(st.just(np.pi), st.floats(0.2, 3.0)),
+)
+def test_gny_matches_scalar_reference_from_three_atom_rows(mu, k, seed, gap, r_max):
+    # rows of a few atoms decide some queries and are cut short for later
+    # ones, so cut rows are carried across rounds and rebuilt in later queries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_start_length", lambda n, k: 3)
+        _assert_same_packing(mu, k, seed=seed, gap=gap, r_max=r_max)
+
+
+def test_three_atom_rows_are_rebuilt_over_several_queries(caplog):
+    # heavy atoms let three-atom rows decide the first queries; the rows
+    # that later queries find short are rebuilt then
+    rng = np.random.default_rng(1)
+    pts = rng.standard_normal((40, 3))
+    mu = DiscreteMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                         rng.choice([0.25, 1.0, 1.0, 3.0], size=40))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_start_length", lambda n, k: 3)
+        with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+            _assert_same_packing(mu, 8)
+    (record,) = caplog.records
+    assert record.args["rebuilds"] > 1
+    assert 0 < record.args["extended"] < record.args["candidates"]
+
+
 def test_gny_failure_matches_scalar_reference():
     pts = _symmetric_points(2)[:3]
     mu = DiscreteMeasure(pts, np.ones(3))

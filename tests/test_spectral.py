@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh, subspace_angles
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import eigenvol
 from eigenvol import spectral
 from eigenvol.fixtures import (
     clifford_torus,
@@ -219,7 +223,26 @@ def test_stability_index_clifford(clifford32):
 def test_weyl_fit_flat_torus(torus48, torus48_spec):
     fit = weyl_fit(torus48_spec.eigenvalues, torus48.area, k_range=(20, 60))
     assert fit.target == pytest.approx(4 * np.pi)
+    # the target is 4 pi^2 / omega_2 with the unit disc's area omega_2 = pi
+    # to the bit
+    assert fit.target == 4.0 * np.pi**2 / np.pi
     assert fit.relative_error < 0.10
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs tens of milliseconds at start-up and nothing in
+    # the package needs it
+    code = (
+        "import sys, eigenvol, eigenvol.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    )
+    src = os.path.dirname(os.path.dirname(eigenvol.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_weyl_fit_sphere(sphere4, sphere4_spec):
