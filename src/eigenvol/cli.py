@@ -84,23 +84,21 @@ def _immersion(mesh, kind: str):
     raise click.BadParameter(f"unknown map {kind!r}")
 
 
-def _emit(payload: dict, fmt: str, out: str | None, rows=None) -> None:
-    """Write JSON (always available) or CSV (when `rows` makes sense).
+def _emit(content, out: str | None) -> None:
+    """Write `content`, a dict as JSON or a (header, rows) pair as CSV.
 
     A file written to `out` gets a ``run_meta.json`` sidecar naming the
     running subcommand.
     """
-    if fmt == "csv":
-        if rows is None:
-            raise click.UsageError("this subcommand has no CSV form")
-        header, data = rows
+    if isinstance(content, tuple):
+        header, data = content
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(data)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(content, sort_keys=True, indent=2) + "\n"
     if not out:
         click.echo(text, nl=False)
         return
@@ -159,7 +157,7 @@ def main() -> None:
 def constants(n: int, m: int, out: str | None) -> None:
     """Exact proof constants for maps of n-manifolds into S^m."""
     cs = proof_constants(n, m)
-    _emit(cs.as_dict(), "json", out)
+    _emit(cs.as_dict(), out)
 
 
 @main.command()
@@ -187,7 +185,7 @@ def spectrum(fixture, mesh, count, seed, fmt, out) -> None:
         [(k, lam, res) for k, (lam, res) in
          enumerate(zip(spec.eigenvalues, spec.residuals))],
     )
-    _emit(payload, fmt, out, rows)
+    _emit(rows if fmt == "csv" else payload, out)
 
 
 @main.command()
@@ -216,7 +214,7 @@ def confvol(fixture, mesh, map_kind, starts, seed, out) -> None:
         "map": result.map.as_dict(),
         "surface_volume": surface.area,
     }
-    _emit(payload, "json", out)
+    _emit(payload, out)
 
 
 @main.command()
@@ -246,7 +244,7 @@ def gny(fixture, mesh, k, density, seed, out) -> None:
         "ok": report.ok,
         "annuli": family.as_dict()["annuli"],
     }
-    _emit(payload, "json", out)
+    _emit(payload, out)
     if not report.ok:
         sys.exit(1)
 
@@ -265,7 +263,7 @@ def index(fixture, mesh, shape_squared, reference, out) -> None:
     result = check_index(surface, shape_squared, reference_index=reference)
     click.echo(result.line())
     if out:
-        _emit(result.as_dict(), "json", out)
+        _emit(result.as_dict(), out)
     if result.status == "fail":
         sys.exit(1)
 
@@ -282,7 +280,7 @@ def verify(which, seed, kmax, out) -> None:
     for line in report.lines():
         click.echo(line)
     if out:
-        _emit(report.as_dict(), "json", out)
+        _emit(report.as_dict(), out)
     if not report.all_ok:
         sys.exit(1)
 
@@ -299,25 +297,16 @@ def plot_data(fixture, mesh, count, k_range, seed, out) -> None:
     """Eigenvalue staircase and the volume-law line, as CSV."""
     surface = _get_mesh(fixture, mesh)
     spec = eigensolve(surface, count=count, seed=seed)
-    fit = weyl_fit(spec.eigenvalues, surface.area, n=2, k_range=tuple(k_range))
-    lams = spec.eigenvalues
+    fit = weyl_fit(spec.eigenvalues, surface.area, k_range=tuple(k_range))
     rows = (
         ["k", "eigenvalue", "weyl_line", "fit_line"],
         [
             (k, lam, fit.target * k / surface.area,
              (fit.slope * k + fit.intercept) / surface.area)
-            for k, lam in enumerate(lams)
+            for k, lam in enumerate(spec.eigenvalues)
         ],
     )
-    payload = {
-        "eigenvalues": lams.tolist(),
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "target": fit.target,
-        "relative_error": fit.relative_error,
-        "volume": surface.area,
-    }
-    _emit(payload, "csv", out, rows)
+    _emit(rows, out)
     click.echo(
         f"# slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "
         f"({100 * fit.relative_error:.1f}% off), window {k_range}",

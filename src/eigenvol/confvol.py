@@ -302,23 +302,22 @@ class SphereImmersion:
         return cls(mesh, images, np.flatnonzero(crossing))
 
     @classmethod
-    def power(cls, mesh: TriangleMesh, d: int, pole=None) -> "SphereImmersion":
+    def power(cls, mesh: TriangleMesh, d: int) -> "SphereImmersion":
         """Degree-d power map z -> z^d in stereographic coordinates.
 
-        The projection axis defaults to a fixed generic direction so that
-        no mesh vertex sits at either projection pole (symmetric meshes
-        do have vertices on every coordinate axis).  Vertices map through
-        polar coordinates, so the result covers the sphere |d| times.
+        The projection axis is a fixed generic direction, so that no
+        vertex of a symmetric mesh sits at either projection pole (such
+        meshes do have vertices on every coordinate axis); a mesh with a
+        vertex there is refused.  Vertices map through polar coordinates,
+        so the result covers the sphere |d| times.
         """
         if mesh.ambient != "unit_sphere":
             raise ValueError("power map needs a unit_sphere mesh")
         if d == 0:
             raise ValueError("degree must be nonzero")
-        p = _GENERIC_POLE.copy() if pole is None else np.asarray(pole, dtype=float)
+        p = _GENERIC_POLE
         if np.max(np.abs(mesh.vertices @ p)) >= 1.0 - 1e-9:
-            raise ValueError(
-                "a vertex coincides with the projection axis; pass another pole"
-            )
+            raise ValueError("a vertex coincides with the projection axis")
         # orthonormal tangent frame at p, deterministically from the axis
         # least aligned with p
         axis = np.zeros(3)

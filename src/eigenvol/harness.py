@@ -139,11 +139,6 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
     )
 
 
-def index_constant(n: int = 2) -> Fraction:
-    """Constant of the index bound for minimal hypersurfaces in S^{n+1}."""
-    return proof_constants(n, n + 1).count_conformal
-
-
 def genus_conformal_volume_bound(genus: int, orientable: bool) -> float:
     """Conformal volume bound from the degree of a branched cover of S^2.
 
@@ -437,22 +432,23 @@ def check_higher_eigenvalues(
     kmax: int = 8,
     m: int = 2,
     vc_reference: float | None = None,
-    immersion: SphereImmersion | None = None,
     kappa: float | None = None,
     seed: int = 0,
 ) -> list[CheckResult]:
     """lambda_k bounds for k = 1..kmax, in both available forms.
 
-    Conformal form:  lambda_k Vol <= C Vc k  (n = 2), with the exact
-    constant `higher_eigenvalue`.  Curvature form (when `kappa` is
-    given and the mesh is embedded):
-    lambda_k <= C avg(|H|^2 + kappa) k with `curvature_eigenvalue`.
-    The constants are astronomically generous; the point of evaluating
-    them literally is that the margin, too, becomes a number.
+    Conformal form (when `vc_reference`, a known conformal volume, is
+    given or the surface carries one):  lambda_k Vol <= C Vc k  (n = 2),
+    with the exact constant `higher_eigenvalue`.  A searched Vc would
+    only be a lower bound, which can never confirm this form, so none is
+    searched.  Curvature form (when `kappa` is given and the mesh is
+    embedded):  lambda_k <= C avg(|H|^2 + kappa) k  with
+    `curvature_eigenvalue`.  At least one of `vc_reference` and `kappa`
+    is needed.  The constants are astronomically generous; the point of
+    evaluating them literally is that the margin, too, becomes a number.
     """
     _check_kmax(kmax)
     surface = _surface(mesh, seed)
-    immersion = surface.immersion if immersion is None else immersion
     vc_reference = surface.vc if vc_reference is None else vc_reference
     spec = surface.spectrum(kmax + 4)
     lams = spec.nonzero()[:kmax]
@@ -464,7 +460,7 @@ def check_higher_eigenvalues(
     results = []
 
     # both forms bound lambda_k (times Vol in the conformal one) by C x k
-    def form(name, claim, values, bounds, constant, soft=False, **detail):
+    def form(name, claim, values, bounds, constant, **detail):
         margins = bounds / values
         worst = int(np.argmin(margins))
         results.append(
@@ -474,22 +470,16 @@ def check_higher_eigenvalues(
                 f"smallest margin {margins[worst]:.3e} at k = {worst + 1}",
                 float(values[worst]),
                 float(bounds[worst]),
-                inconclusive_on_fail=soft,
                 detail=dict(detail, eigenvalues=lams, bounds=bounds, constant=str(constant)),
                 error_bars={"spectral_residual": spec.max_residual},
             )
         )
 
-    if vc_reference is not None or immersion is not None:
-        if vc_reference is not None:
-            vc = float(vc_reference)
-            soft = False
-        else:
-            vc = conformal_volume(immersion, seed=seed).value
-            soft = True
+    if vc_reference is not None:
+        vc = float(vc_reference)
         C = consts.higher_eigenvalue
         bounds = float(C) * vc * ks
-        form("higher-eigenvalues", "lambda_k Vol <= C Vc k", lams * vol, bounds, C, soft, vc=vc)
+        form("higher-eigenvalues", "lambda_k Vol <= C Vc k", lams * vol, bounds, C, vc=vc)
     if kappa is not None:
         avg = (surface.willmore(kappa) + kappa * vol) / vol
         C = consts.curvature_eigenvalue
@@ -497,7 +487,7 @@ def check_higher_eigenvalues(
         bounds = float(C) * avg * ks
         form("higher-eigenvalues-curvature", claim, lams, bounds, C, average_curvature=avg)
     if not results:
-        raise ValueError("nothing to check: pass vc_reference, immersion or kappa")
+        raise ValueError("nothing to check: pass vc_reference or kappa")
     return results
 
 
@@ -731,14 +721,14 @@ def check_index(
     S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (ops.n,))
     vol = surface.mesh.area
     avg = float(ops.areas @ S2) / vol
-    C = float(index_constant(2))
-    lhs = C * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
-    idx = stability_index(ops, S2, n=2)
+    constant = proof_constants(2, 3).count_conformal
+    lhs = float(constant) * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
+    idx = stability_index(ops, S2)
     detail = {
         "index": idx.count,
         "boundary_modes": idx.boundary_count,
         "average_shape_squared": avg,
-        "constant": str(index_constant(2)),
+        "constant": str(constant),
         "note": "two-dimensional bounds affine in int |S|^2 are sharper",
     }
     if reference_index is not None:
@@ -919,15 +909,15 @@ def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
     )
 
 
-def balance_decay(levels=(3, 4, 5), center=(0.5, 0.0, 0.0)) -> dict:
-    """L^2 residual of the balance on refined off-center spheres.
+def balance_decay(levels=(3, 4, 5)) -> dict:
+    """L^2 residual of the balance on refined spheres centred at (1/2, 0, 0).
 
     Returns the residuals per subdivision level and consecutive decay
     factors; second-order convergence gives factors near 4.  The
     translated sphere also feeds the closed form
     int e^f dA = 16 pi / (|c|^4 + 4), recorded as `oracle_gap`.
     """
-    c = np.asarray(center, dtype=float)
+    c = np.array([0.5, 0.0, 0.0])
     exact = 16.0 * np.pi / (float(c @ c) ** 2 + 4.0)
     out = {"levels": list(levels), "l2": [], "conformal_area": [], "oracle": exact}
     for lv in levels:
@@ -954,11 +944,8 @@ class WitnessChain:
     k: int
     selected: np.ndarray
     energies: np.ndarray
-    sq_masses: np.ndarray
-    shell_masses: np.ndarray
     rayleighs: np.ndarray
     lambda_k: float
-    beta: float
     results: list
     error_bars: dict
 
@@ -1071,11 +1058,8 @@ def build_witness_chain(
         k=k,
         selected=chosen,
         energies=energies,
-        sq_masses=sq_masses,
-        shell_masses=shell_masses,
         rayleighs=rayleighs,
         lambda_k=lam_k,
-        beta=beta,
         results=results,
         error_bars=bars,
     )
@@ -1191,7 +1175,7 @@ def _genus_check(surface: Surface, seed: int = 0) -> CheckResult:
 
 
 def _balance_decay_check() -> CheckResult:
-    decay = balance_decay(levels=(3, 4), center=(0.5, 0.0, 0.0))
+    decay = balance_decay(levels=(3, 4))
     return _ineq(
         "balance-decay",
         f"residual L2 {decay['l2'][0]:.3e} -> {decay['l2'][1]:.3e}, "
@@ -1234,7 +1218,7 @@ def _weyl_check(surface: Surface, seed: int = 0) -> CheckResult:
     # the battery sticks to meshes small enough for the dense solver,
     # so the fit window sits below the discretization-dominated tail
     eigenvalues = surface.spectrum(_WEYL_PAIRS).eigenvalues
-    fit = weyl_fit(eigenvalues, surface.mesh.area, n=2, k_range=(15, 55))
+    fit = weyl_fit(eigenvalues, surface.mesh.area, k_range=(15, 55))
     return _ineq(
         f"weyl-{surface.name}",
         f"slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "

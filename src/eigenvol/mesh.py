@@ -69,7 +69,8 @@ class TriangleMesh:
     ------
     ValueError
         If the mesh is not closed, not connected, has an invalid face,
-        or some face violates the strict triangle inequality.
+        or some face violates the strict triangle inequality or has an
+        edge length or area that is not finite.
     """
 
     def __init__(self, vertices, faces, ambient=None, edge_lengths=None):
@@ -116,8 +117,10 @@ class TriangleMesh:
                 raise ValueError("edge lengths must be positive and finite")
             self.edge_lengths = edge_lengths
         else:
-            diffs = vertices[self._edges[:, 0]] - vertices[self._edges[:, 1]]
-            self.edge_lengths = np.linalg.norm(diffs, axis=1)
+            # lengths that overflow are refused below, without a warning
+            with np.errstate(over="ignore"):
+                diffs = vertices[self._edges[:, 0]] - vertices[self._edges[:, 1]]
+                self.edge_lengths = np.linalg.norm(diffs, axis=1)
             if ambient == "unit_sphere":
                 norms = np.linalg.norm(vertices, axis=1)
                 err = np.max(np.abs(norms - 1.0)) if norms.size else 0.0
@@ -126,7 +129,7 @@ class TriangleMesh:
                         f"unit_sphere ambient but max |norm - 1| = {err:.3e}"
                     )
 
-        self._validate_triangle_inequality()
+        self._validate_metric()
 
     # ------------------------------------------------------------------ #
     # construction-time checks
@@ -168,16 +171,25 @@ class TriangleMesh:
         if ncomp != 1:
             raise ValueError(f"mesh has {ncomp} connected components")
 
-    def _validate_triangle_inequality(self):
+    def _validate_metric(self):
         lens = self.face_edge_lengths
+        finite = np.isfinite(lens).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"face {bad} has an edge length that is not finite")
         a, b, c = lens[:, 0], lens[:, 1], lens[:, 2]
-        slack = np.minimum(b + c - a, np.minimum(a + c - b, a + b - c))
+        with np.errstate(over="ignore"):
+            slack = np.minimum(b + c - a, np.minimum(a + c - b, a + b - c))
         if np.any(slack <= 0.0):
             bad = int(np.argmin(slack))
             raise ValueError(
                 f"face {bad} violates the strict triangle inequality "
                 f"(lengths {lens[bad].tolist()})"
             )
+        finite = np.isfinite(self.face_areas)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"face {bad} has an area that is not finite")
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -222,8 +234,10 @@ class TriangleMesh:
         if "areas" not in self._cache:
             lens = np.sort(self.face_edge_lengths, axis=1)[:, ::-1]  # a >= b >= c
             a, b, c = lens[:, 0], lens[:, 1], lens[:, 2]
-            # Kahan's rearrangement avoids cancellation for needle triangles
-            prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+            # Kahan's rearrangement avoids cancellation for needle
+            # triangles; a product that overflows is refused at construction
+            with np.errstate(over="ignore"):
+                prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
             self._cache["areas"] = 0.25 * np.sqrt(np.maximum(prod, 0.0))
         return self._cache["areas"]
 
@@ -463,15 +477,15 @@ def _read_block(path, lines, numbers, width, problem, dtype, what):
     raise AssertionError("a malformed block has a malformed line")
 
 
-def load_off(path, ambient: str | None = None) -> TriangleMesh:
+def load_off(path) -> TriangleMesh:
     """Read an ASCII OFF file with triangle faces.
 
     Vertex dimension is inferred from the first vertex line, so spheres
     in R^4 or R^5 load without extra flags.  Coordinates are read as
     ``float()`` reads them and face indices as ``int()`` does (so ``1_0``
     and ``inf`` parse, and ``3.0`` is not an index).  An ``# ambient``
-    comment written by :func:`save_off` restores the ambient tag; the
-    `ambient` argument overrides it.
+    comment written by :func:`save_off` restores the ambient tag; without
+    one the mesh has none.
 
     Raises
     ------
@@ -531,8 +545,6 @@ def load_off(path, ambient: str | None = None) -> TriangleMesh:
         np.int64, "face index",
     )[:, 1:]
 
-    if ambient is None:
-        ambient = file_ambient
-    mesh = TriangleMesh(verts, faces, ambient=ambient)
+    mesh = TriangleMesh(verts, faces, ambient=file_ambient)
     _log_io("read", path, mesh, start)
     return mesh

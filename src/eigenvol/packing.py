@@ -110,18 +110,12 @@ class DiscreteMeasure:
                 f"total={self.total:.6g})")
 
 
-def pushforward_measure(mesh, images=None, density=None) -> DiscreteMeasure:
+def pushforward_measure(mesh, images, density=None) -> DiscreteMeasure:
     """Pushforward of the mesh area measure under a sphere-valued map.
 
     Each vertex becomes an atom at its image point carrying its lumped
     area, optionally multiplied by a finite nonnegative per-vertex `density`.
-    With ``images=None`` the identity is used, which requires the mesh to
-    carry the ``unit_sphere`` ambient.
     """
-    if images is None:
-        if mesh.ambient != "unit_sphere":
-            raise ValueError("identity pushforward needs a unit_sphere mesh")
-        images = mesh.vertices
     images = np.asarray(images, dtype=float)
     if images.shape[0] != mesh.nv:
         raise ValueError("need one image point per vertex")
@@ -190,9 +184,13 @@ class AnnulusFamily:
         }
 
 
-def _candidate_centers(mu: DiscreteMeasure, seed: int, extra: int = 32) -> np.ndarray:
+# seeded random poles that join the atoms as candidate annulus centers
+_EXTRA_CENTERS = 32
+
+
+def _candidate_centers(mu: DiscreteMeasure, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    poles = rng.standard_normal((extra, mu.points.shape[1]))
+    poles = rng.standard_normal((_EXTRA_CENTERS, mu.points.shape[1]))
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
     return np.vstack([mu.points, poles])
 

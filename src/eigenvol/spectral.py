@@ -17,7 +17,6 @@ read off the pivot signs of one sparse symmetric factorization
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,13 +290,11 @@ def negative_count(
 
 
 def stability_index(
-    mesh_or_ops: TriangleMesh | OperatorPair,
-    shape_squared,
-    n: int = 2,
+    mesh_or_ops: TriangleMesh | OperatorPair, shape_squared
 ) -> NegativeCountResult:
-    """Morse index of a minimal surface in the round sphere.
+    """Morse index of a minimal surface in the round 3-sphere.
 
-    The second variation operator is  Delta - (n + |A|^2)  acting on
+    The second variation operator is  Delta - (2 + |A|^2)  acting on
     normal variations; its number of negative eigenvalues is the index.
     `shape_squared` is |A|^2, scalar or per vertex.
 
@@ -306,14 +303,14 @@ def stability_index(
     (0.02 * (1 + max V)) rather than at machine precision; genuine
     negative eigenvalues of the reference surfaces sit far below it.
     """
-    V = n + np.asarray(shape_squared, dtype=float)
+    V = 2.0 + np.asarray(shape_squared, dtype=float)
     tol = 0.02 * (1.0 + float(np.max(V)))
     return negative_count(mesh_or_ops, V, tol=tol)
 
 
 @dataclass
 class WeylFit:
-    """Least-squares slope of lambda_k Vol^{2/n} against k^{2/n}."""
+    """Least-squares slope of lambda_k Vol against k."""
 
     slope: float
     intercept: float
@@ -327,24 +324,18 @@ class WeylFit:
 def weyl_fit(
     eigenvalues: np.ndarray,
     volume: float,
-    n: int = 2,
     k_range: tuple[int, int] = (20, 60),
 ) -> WeylFit:
-    """Fit the Weyl growth law over the index window ``k_range``.
+    """Fit the Weyl growth law of a surface over the index window ``k_range``.
 
-    For an n-manifold,  lambda_k ~ C_W (k / Vol)^{2/n}  with
-    C_W = 4 pi^2 / omega_n^{2/n}; the fitted slope should approach C_W
-    (4 pi when n = 2).  Eigenvalues are indexed from 0 (the constant
-    mode) and an intercept absorbs the low-order term.
+    On a surface  lambda_k ~ 4 pi k / Vol, so the slope of lambda_k Vol
+    against k should approach 4 pi.  Eigenvalues are indexed from 0 (the
+    constant mode) and an intercept absorbs the low-order term.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     lo, hi = k_range
     if not 0 < lo < hi < lam.shape[0]:
         raise ValueError(f"k_range {k_range} out of bounds for {lam.shape[0]} eigenvalues")
     k = np.arange(lo, hi + 1)
-    x = k ** (2.0 / n)
-    y = lam[lo : hi + 1] * volume ** (2.0 / n)
-    slope, intercept = np.polyfit(x, y, 1)
-    omega_n = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    target = 4.0 * np.pi**2 / omega_n ** (2.0 / n)
-    return WeylFit(slope=float(slope), intercept=float(intercept), target=float(target))
+    slope, intercept = np.polyfit(k, lam[lo : hi + 1] * volume, 1)
+    return WeylFit(slope=float(slope), intercept=float(intercept), target=4.0 * np.pi)

@@ -274,7 +274,7 @@ def test_criterion_09_conformal_volume_vs_willmore(sphere3, fat_torus):
 def test_criterion_10_balance_residual_decay():
     """The curvature-balance residual drops by at least 2.5x per
     refinement level on an off-center sphere (levels 3 -> 4 -> 5)."""
-    d = balance_decay(levels=(3, 4, 5), center=(0.5, 0.0, 0.0))
+    d = balance_decay(levels=(3, 4, 5))
     ok = all(f >= 2.5 for f in d["factors"])
     _report(
         10,

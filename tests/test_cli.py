@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from eigenvol import spectral
+from eigenvol import harness, spectral
 from eigenvol.cli import main
 from eigenvol.fixtures import icosphere
 from eigenvol.harness import run_verification
@@ -105,6 +105,35 @@ def test_confvol_identity_sphere(runner):
     assert data["value"] == pytest.approx(4 * np.pi, rel=0.03)
     assert data["diverged"] is False
     assert sorted(data["map"]) == ["pole", "t"]
+
+
+def test_confvol_power_map(runner):
+    result = runner.invoke(
+        main, ["confvol", "--fixture", "icosphere:2", "--map", "power:2", "--starts", "1"]
+    )
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    # the degree-2 map covers the sphere twice
+    assert data["base_area"] == pytest.approx(8 * np.pi, rel=0.01)
+    assert data["value"] >= data["base_area"]
+
+
+def test_confvol_unknown_map_is_one_line(runner):
+    result = runner.invoke(main, ["confvol", "--fixture", "icosphere:1", "--map", "shear"])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: Invalid value: unknown map 'shear'"]
+    assert "Traceback" not in result.output
+
+
+def test_verification_error_is_one_line(runner, monkeypatch):
+    def breaks():
+        raise harness.VerificationError("constant chain broke")
+
+    monkeypatch.setattr(harness, "_constants_section", breaks)
+    result = runner.invoke(main, ["verify", "constants"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: verification aborted: constant chain broke"]
 
 
 def test_confvol_rejects_zero_starts(runner):
@@ -233,6 +262,17 @@ def test_repeated_off_face_is_one_line(runner, tmp_path):
     result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
     assert result.exit_code == 1
     assert result.output.splitlines() == ["Error: face 4 repeats the vertices of face 0"]
+
+
+def test_overflowing_off_mesh_is_one_line(runner, tmp_path):
+    path = tmp_path / "huge.off"
+    path.write_text(
+        "OFF\n4 4 0\n1e300 1e300 1e300\n1e300 -1e300 -1e300\n-1e300 1e300 -1e300\n"
+        "-1e300 -1e300 1e300\n3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: face 0 has an edge length that is not finite"]
 
 
 def test_bad_off_face_index_is_one_line(runner, tmp_path):

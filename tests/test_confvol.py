@@ -146,8 +146,16 @@ def test_power_map_covers_degree_times(sphere4):
 
 
 def test_power_map_rejects_vertex_on_axis(sphere3):
+    # rotate the mesh about v x p so that vertex 0 lands on the axis p
+    v, p = sphere3.vertices[0], confvol._GENERIC_POLE
+    axis = np.cross(v, p)
+    sin, cos = np.linalg.norm(axis), v @ p
+    x, y, z = axis / sin
+    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    R = np.eye(3) + sin * K + (1.0 - cos) * K @ K
+    rotated = TriangleMesh(sphere3.vertices @ R.T, sphere3.faces, ambient="unit_sphere")
     with pytest.raises(ValueError, match="projection axis"):
-        SphereImmersion.power(sphere3, 2, pole=np.array([0.0, 0.0, 1.0]))
+        SphereImmersion.power(rotated, 2)
 
 
 def test_immersion_validates_inputs(sphere3):

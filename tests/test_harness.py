@@ -29,7 +29,6 @@ from eigenvol.harness import (
     check_index,
     conformal_balance,
     genus_conformal_volume_bound,
-    index_constant,
     proof_constants,
     run_verification,
 )
@@ -74,8 +73,9 @@ def test_constants_reject_bad_dimensions():
         proof_constants(2, 1)
 
 
-def test_index_constant_is_count_constant_in_s3():
-    assert index_constant(2) == proof_constants(2, 3).count_conformal
+def test_index_constant_is_count_constant_in_s3(sphere3):
+    r = check_index(sphere3, 0.0)
+    assert r.detail["constant"] == str(proof_constants(2, 3).count_conformal)
 
 
 def test_genus_bound_values():
@@ -335,7 +335,7 @@ def test_balance_centered_sphere_is_exact(sphere3):
 
 
 def test_balance_residual_decays():
-    d = balance_decay(levels=(3, 4), center=(0.5, 0.0, 0.0))
+    d = balance_decay(levels=(3, 4))
     assert d["factors"][0] >= 2.5
     assert d["oracle_gap"][1] < d["oracle_gap"][0]
     assert d["oracle"] == pytest.approx(16 * np.pi / (0.5**4 + 4.0))

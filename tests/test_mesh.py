@@ -196,13 +196,6 @@ def test_off_round_trip_r5(tmp_path):
     assert np.array_equal(back.vertices, v.vertices)
 
 
-def test_off_ambient_override(tmp_path, sphere3):
-    path = tmp_path / "sphere.off"
-    save_off(sphere3, path)
-    back = load_off(path, ambient="euclidean")
-    assert back.ambient == "euclidean"
-
-
 def test_off_refuses_abstract_mesh(tmp_path):
     faces = _tetrahedron()[1]
     mesh = TriangleMesh(None, faces, edge_lengths=np.ones(6))
@@ -437,6 +430,29 @@ def test_abstract_edge_lengths_must_be_positive_and_finite(bad):
     lengths[5] = bad
     with pytest.raises(ValueError, match="positive and finite"):
         TriangleMesh(None, faces, edge_lengths=lengths)
+
+
+def test_overflowing_metric_rejected():
+    verts, faces = _tetrahedron()
+    # edges of 1e300 overflow to inf; edges of 1e100 are finite, but the
+    # area product overflows once edges pass about 1e77
+    with pytest.raises(ValueError, match="^face 0 has an edge length that is not finite$"):
+        TriangleMesh(verts * 1e300, faces)
+    with pytest.raises(ValueError, match="^face 0 has an area that is not finite$"):
+        TriangleMesh(verts * 1e100, faces)
+    with pytest.raises(ValueError, match="^face 0 has an area that is not finite$"):
+        TriangleMesh(None, faces, edge_lengths=np.full(6, 1e100))
+    assert np.isfinite(TriangleMesh(verts * 1e70, faces).area)
+
+
+def test_off_with_overflowing_edges_rejected(tmp_path):
+    path = tmp_path / "huge.off"
+    path.write_text(
+        "OFF\n4 4 0\n1e300 1e300 1e300\n1e300 -1e300 -1e300\n-1e300 1e300 -1e300\n"
+        "-1e300 -1e300 1e300\n3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    with pytest.raises(ValueError, match="face 0 has an edge length that is not finite"):
+        load_off(path)
 
 
 def test_off_with_nan_coordinate_rejected(tmp_path):

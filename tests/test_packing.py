@@ -91,11 +91,11 @@ def test_measure_rejects_overflowing_total(sphere3):
     with pytest.raises(ValueError, match="finite total"):
         DiscreteMeasure(np.eye(3), np.full(3, 1e308))
     with pytest.raises(ValueError, match="finite total"):
-        pushforward_measure(sphere3, density=1e308)
+        pushforward_measure(sphere3, sphere3.vertices, density=1e308)
 
 
 def test_pushforward_identity(sphere3):
-    mu = pushforward_measure(sphere3)
+    mu = pushforward_measure(sphere3, sphere3.vertices)
     assert mu.total == pytest.approx(sphere3.area, rel=1e-12)
     assert mu.size == sphere3.nv
 
@@ -103,19 +103,14 @@ def test_pushforward_identity(sphere3):
 def test_pushforward_density(sphere3):
     dens = np.zeros(sphere3.nv)
     dens[:10] = 2.0
-    mu = pushforward_measure(sphere3, density=dens)
+    mu = pushforward_measure(sphere3, sphere3.vertices, density=dens)
     assert mu.size == 10
     assert mu.total == pytest.approx(2.0 * sphere3.vertex_areas[:10].sum())
     with pytest.raises(ValueError, match="nonnegative"):
-        pushforward_measure(sphere3, density=-1.0)
+        pushforward_measure(sphere3, sphere3.vertices, density=-1.0)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="density must be finite"):
-            pushforward_measure(sphere3, density=bad)
-
-
-def test_pushforward_requires_sphere_or_images(fat_torus):
-    with pytest.raises(ValueError, match="unit_sphere"):
-        pushforward_measure(fat_torus)
+            pushforward_measure(sphere3, sphere3.vertices, density=bad)
 
 
 # ---------------------------------------------------------------------- #
@@ -135,6 +130,13 @@ def test_shells_disjoint_antipodal():
     assert shells_disjoint(Annulus(p, 0.0, 0.5), Annulus(-p, 0.0, 0.5))
     # but radius 1.7 caps overlap near the equator
     assert not shells_disjoint(Annulus(p, 0.0, 1.7), Annulus(-p, 0.0, 1.7))
+    # shells far out from both centers lie beyond d1 + d2 <= 2 pi - D:
+    # antipodal at D = pi, and about centers 2.5 apart
+    assert shells_disjoint(Annulus(p, 1.8, 2.5), Annulus(-p, 1.8, 2.5))
+    q = np.array([np.sin(2.5), 0.0, np.cos(2.5)])
+    assert shells_disjoint(Annulus(p, 2.0, 3.0), Annulus(q, 2.0, 3.0))
+    # the antipodal [1.4, 2.5) shells share a band about the equator
+    assert not shells_disjoint(Annulus(p, 1.4, 2.5), Annulus(-p, 1.4, 2.5))
 
 
 def test_shells_disjoint_agrees_with_sampling():
@@ -518,7 +520,7 @@ def test_gny_failure_matches_scalar_reference():
 )
 def test_gny_matches_scalar_reference_on_a_mesh(sphere3, r_max, gap):
     # icosphere atoms: thousands of exactly tied distances
-    _assert_same_packing(pushforward_measure(sphere3), 8, r_max=r_max, gap=gap)
+    _assert_same_packing(pushforward_measure(sphere3, sphere3.vertices), 8, r_max=r_max, gap=gap)
 
 
 def test_gny_matches_scalar_reference_with_holes():
@@ -532,7 +534,7 @@ def test_gny_matches_scalar_reference_with_holes():
 def test_gny_table_stays_short(sphere4, caplog):
     # the table the greedy ends with, read from the one DEBUG record of
     # the decomposition; the full table holds (n + 32)(n + 1) entries
-    mu = pushforward_measure(sphere4)
+    mu = pushforward_measure(sphere4, sphere4.vertices)
     with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
         fam = gny_decompose(mu, 8, r_max=R_MAX_TEST)
     (record,) = caplog.records
@@ -546,14 +548,14 @@ def test_gny_table_stays_short(sphere4, caplog):
 def test_gny_reuses_its_table_for_the_same_seed_and_reach(sphere3, caplog):
     # a second decomposition of the same measure grows the first one's
     # table instead of building its own, and packs what a fresh one packs
-    mu = pushforward_measure(sphere3)
+    mu = pushforward_measure(sphere3, sphere3.vertices)
     with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
         gny_decompose(mu, 6, r_max=R_MAX_TEST)
         again = gny_decompose(mu, 3, r_max=R_MAX_TEST)
         gny_decompose(mu, 3, seed=1, r_max=R_MAX_TEST)
         gny_decompose(mu, 3)
     assert [r.args["table"] for r in caplog.records] == ["built", "reused", "built", "built"]
-    fresh = gny_decompose(pushforward_measure(sphere3), 3, r_max=R_MAX_TEST)
+    fresh = gny_decompose(pushforward_measure(sphere3, sphere3.vertices), 3, r_max=R_MAX_TEST)
     assert again.as_dict() == fresh.as_dict()
 
 
@@ -561,7 +563,7 @@ def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, 
     # every row starts at its nearest atom; two decompositions share one
     # table, and each short row is rebuilt complete after the table's last
     # entry, into room reserved with the table, at most once
-    mu = pushforward_measure(sphere3)
+    mu = pushforward_measure(sphere3, sphere3.vertices)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_start_length", lambda n, k: 1)
         with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
@@ -590,7 +592,7 @@ def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, 
 
 
 def test_unreservable_table_is_a_packing_error(sphere3, packing_without_room):
-    mu = pushforward_measure(sphere3)
+    mu = pushforward_measure(sphere3, sphere3.vertices)
     with pytest.raises(PackingError, match=(
         r"^cannot reserve the distance table of 642 atoms and 674 candidates: 7818400 bytes$"
     )):
