@@ -80,7 +80,11 @@ def _immersion(mesh, kind: str):
     if kind == "lift":
         return SphereImmersion.lifted(mesh)
     if kind.startswith("power:"):
-        return SphereImmersion.power(mesh, int(kind.split(":", 1)[1]))
+        try:
+            degree = int(kind.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"map {kind!r} needs an integer degree") from None
+        return SphereImmersion.power(mesh, degree)
     raise click.BadParameter(f"unknown map {kind!r}")
 
 

@@ -537,12 +537,14 @@ HERSCH_MAX_ITER = 500
 
 @dataclass
 class HerschResult:
-    """Conformal centering of a sphere-valued map."""
+    """Conformal centering of a sphere-valued map.
+
+    The centering converged when ``moment_norm < HERSCH_TOL``.
+    """
 
     map: MoebiusMap
     moment_norm: float
     iterations: int
-    converged: bool
 
 
 def hersch_center(immersion: SphereImmersion) -> HerschResult:
@@ -587,5 +589,4 @@ def hersch_center(immersion: SphereImmersion) -> HerschResult:
         map=MoebiusMap(*ball_dilation(w)),
         moment_norm=float(np.linalg.norm(c)),
         iterations=it,
-        converged=bool(np.linalg.norm(c) < HERSCH_TOL),
     )

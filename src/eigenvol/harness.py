@@ -38,7 +38,7 @@ from .fixtures import (
     revolution_torus,
     veronese,
 )
-from .mesh import TriangleMesh, mean_curvature, willmore_energy
+from .mesh import TriangleMesh, cotangent_stiffness, mean_curvature, willmore_energy
 from .moebius import u_annulus
 from .packing import (
     gny_decompose,
@@ -261,7 +261,7 @@ class Surface:
     def spectrum(self, count: int) -> SpectrumResult:
         """The lowest `count` eigenpairs."""
         if self._spectrum is None or self._spectrum.eigenvalues.shape[0] < count:
-            self._spectrum = eigensolve(self.ops, count=count, seed=self.seed)
+            self._spectrum = eigensolve(self.mesh, count=count, seed=self.seed)
         return self._spectrum.head(count)
 
     def willmore(self, kappa: float) -> float:
@@ -281,6 +281,15 @@ def _surface(mesh_or_surface, seed: int = 0) -> Surface:
     if isinstance(mesh_or_surface, Surface):
         return mesh_or_surface
     return Surface(mesh_or_surface, seed=seed)
+
+
+def _own_immersion(surface: Surface, immersion):
+    """`immersion`, or the surface's own when None; it must map the
+    surface's mesh, not a copy or another mesh."""
+    immersion = surface.immersion if immersion is None else immersion
+    if immersion is not None and immersion.mesh is not surface.mesh:
+        raise ValueError("the immersion maps another mesh than the one checked")
+    return immersion
 
 
 # eigenpairs read by the first-eigenvalue checks: the kernel, the first
@@ -316,7 +325,7 @@ def check_first_eigenvalue(
     rounding aborts.
     """
     surface = _surface(mesh, seed)
-    immersion = surface.immersion if immersion is None else immersion
+    immersion = _own_immersion(surface, immersion)
     vc_reference = surface.vc if vc_reference is None else vc_reference
     ops = surface.ops
     spec = surface.spectrum(_FIRST_PAIRS)
@@ -597,15 +606,15 @@ def check_eigenvalue_counts(
     form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
     surface = _surface(mesh, seed)
-    immersion = surface.immersion if immersion is None else immersion
+    immersion = _own_immersion(surface, immersion)
     vc_reference = surface.vc if vc_reference is None else vc_reference
     mesh, ops = surface.mesh, surface.ops
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (ops.n,)).copy()
+    V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,)).copy()
     if np.any(V < 0.0):
         raise ValueError("potential must be nonnegative")
     vol = mesh.area
     intV = float(ops.areas @ V)
-    counted = negative_count(ops, V)
+    counted = negative_count(mesh, V)
     N = counted.count
     consts = proof_constants(2, m)
     results = []
@@ -718,12 +727,12 @@ def check_index(
     """
     surface = _surface(mesh, seed)
     ops = surface.ops
-    S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (ops.n,))
+    S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (surface.mesh.nv,))
+    idx = stability_index(surface.mesh, S2)
     vol = surface.mesh.area
     avg = float(ops.areas @ S2) / vol
     constant = proof_constants(2, 3).count_conformal
     lhs = float(constant) * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
-    idx = stability_index(ops, S2)
     detail = {
         "index": idx.count,
         "boundary_modes": idx.boundary_count,
@@ -767,7 +776,7 @@ _FIT_BLOCK = 2048
 _FRAME_TILTS = 2
 
 
-def _pointwise_laplacian(mesh: TriangleMesh, ops, values):
+def _pointwise_laplacian(mesh: TriangleMesh, values):
     """Second-order pointwise estimate of -div grad at every vertex.
 
     The cotangent Laplacian converges weakly but not pointwise at
@@ -782,10 +791,11 @@ def _pointwise_laplacian(mesh: TriangleMesh, ops, values):
     most ``_FIT_BLOCK`` at a time: the frame is the eigenbasis of each
     ring's 3x3 scatter matrix, and every least-squares fit solves its
     6x6 normal equations in coordinates divided by the ring radius, which
-    keeps them well conditioned.
+    keeps them well conditioned.  The 2-rings come from the sparsity of
+    the mesh's cached stiffness matrix.
     """
     x = mesh.vertices
-    K = ops.stiffness
+    K = cotangent_stiffness(mesh)
     pattern = sp.csr_matrix(
         (np.ones_like(K.data), K.indices, K.indptr), shape=K.shape
     )
@@ -884,7 +894,7 @@ def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
     sq = np.sum(x * x, axis=1)
     ef = 4.0 / (1.0 + sq) ** 2
     f = np.log(ef)
-    lap_f = _pointwise_laplacian(mesh, ops, f)
+    lap_f = _pointwise_laplacian(mesh, f)
 
     H = mean_curvature(mesh)
     H2 = np.sum(H * H, axis=1)
@@ -983,6 +993,7 @@ def build_witness_chain(
     if k < 1:
         raise ValueError("need k >= 1")
     surface = _surface(mesh, seed)
+    immersion = _own_immersion(surface, immersion)
     ops = surface.ops
     spec = surface.spectrum(k + 4) if spectrum is None else spectrum
     lam_k = float(spec.nonzero()[k - 1])

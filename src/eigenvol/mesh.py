@@ -129,7 +129,8 @@ class TriangleMesh:
                         f"unit_sphere ambient but max |norm - 1| = {err:.3e}"
                     )
 
-        self._validate_metric()
+        # per face: edge lengths, column i opposite corner i, and areas
+        self.face_edge_lengths, self.face_areas = self._face_metric()
 
     # ------------------------------------------------------------------ #
     # construction-time checks
@@ -171,8 +172,12 @@ class TriangleMesh:
         if ncomp != 1:
             raise ValueError(f"mesh has {ncomp} connected components")
 
-    def _validate_metric(self):
-        lens = self.face_edge_lengths
+    def _face_metric(self):
+        """Edge lengths per face, shape (nf, 3), and face areas by the
+        numerically stable Heron formula, shape (nf,).  The lengths are
+        checked finite and against the strict triangle inequality before
+        any area is computed, and the areas checked finite."""
+        lens = self.edge_lengths[self._face_edge_idx]
         finite = np.isfinite(lens).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -186,10 +191,16 @@ class TriangleMesh:
                 f"face {bad} violates the strict triangle inequality "
                 f"(lengths {lens[bad].tolist()})"
             )
-        finite = np.isfinite(self.face_areas)
+        a, b, c = np.sort(lens, axis=1)[:, ::-1].T  # a >= b >= c
+        # Kahan's rearrangement avoids cancellation for needle triangles
+        with np.errstate(over="ignore"):
+            prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+        areas = 0.25 * np.sqrt(np.maximum(prod, 0.0))
+        finite = np.isfinite(areas)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"face {bad} has an area that is not finite")
+        return lens, areas
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -220,26 +231,6 @@ class TriangleMesh:
 
     # ------------------------------------------------------------------ #
     # metric quantities (everything below works for abstract meshes too)
-
-    @property
-    def face_edge_lengths(self) -> np.ndarray:
-        """Edge lengths per face, shape (nf, 3); column i is opposite corner i."""
-        if "fel" not in self._cache:
-            self._cache["fel"] = self.edge_lengths[self._face_edge_idx]
-        return self._cache["fel"]
-
-    @property
-    def face_areas(self) -> np.ndarray:
-        """Triangle areas by the numerically stable Heron formula, shape (nf,)."""
-        if "areas" not in self._cache:
-            lens = np.sort(self.face_edge_lengths, axis=1)[:, ::-1]  # a >= b >= c
-            a, b, c = lens[:, 0], lens[:, 1], lens[:, 2]
-            # Kahan's rearrangement avoids cancellation for needle
-            # triangles; a product that overflows is refused at construction
-            with np.errstate(over="ignore"):
-                prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-            self._cache["areas"] = 0.25 * np.sqrt(np.maximum(prod, 0.0))
-        return self._cache["areas"]
 
     @property
     def area(self) -> float:

@@ -54,25 +54,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Stiffness/mass pencil of a mesh.
+    """Stiffness/mass pencil of a mesh, for the energies and masses of
+    test functions; the solvers take the mesh itself.
 
     Attributes
     ----------
     stiffness : scipy.sparse.csc_matrix
         The cotangent matrix K (positive semidefinite).
-    mass : scipy.sparse.dia_matrix
-        Diagonal lumped mass matrix M.
     areas : numpy.ndarray
-        The diagonal of M (mixed Voronoi vertex areas).
+        The diagonal of the lumped mass matrix M (mixed Voronoi vertex areas).
     """
 
     stiffness: sparse.csc_matrix
-    mass: sparse.dia_matrix
     areas: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.areas.shape[0]
 
     def energy(self, u: np.ndarray) -> float:
         """Dirichlet energy u^T K u."""
@@ -85,9 +79,7 @@ class OperatorPair:
 
 def assemble_laplacian(mesh: TriangleMesh) -> OperatorPair:
     """Assemble the (K, M) pencil of a mesh."""
-    K = cotangent_stiffness(mesh)
-    areas = mesh.vertex_areas
-    return OperatorPair(K, sparse.diags(areas), areas)
+    return OperatorPair(cotangent_stiffness(mesh), mesh.vertex_areas)
 
 
 @dataclass
@@ -138,14 +130,14 @@ def _zero_tol(K, areas) -> float:
     return 1e-8 * float(K.diagonal().sum() / areas.sum())
 
 
-def eigensolve(
-    mesh_or_ops: TriangleMesh | OperatorPair, count: int = 10, seed: int = 0
-) -> SpectrumResult:
-    """Lowest `count` eigenpairs of the Laplace pencil, ascending.
+def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumResult:
+    """Lowest `count` eigenpairs of the mesh's Laplace pencil, ascending.
 
-    Always includes the zero mode(s).  Dense below :data:`DENSE_CUTOFF`
-    vertices or when every pair is asked for, otherwise shift-invert
-    Lanczos with a seeded deterministic start vector.
+    The mesh caches its stiffness matrix, so the pencil is assembled
+    once per mesh.  Always includes the zero mode(s).  Dense below
+    :data:`DENSE_CUTOFF` vertices or when every pair is asked for,
+    otherwise shift-invert Lanczos with a seeded deterministic start
+    vector.
 
     Raises
     ------
@@ -153,13 +145,9 @@ def eigensolve(
         If the iterative solver fails to converge; partial results are
         attached to the exception.
     """
-    ops = (
-        mesh_or_ops
-        if isinstance(mesh_or_ops, OperatorPair)
-        else assemble_laplacian(mesh_or_ops)
-    )
-    K, M, areas = ops.stiffness, ops.mass, ops.areas
-    n = ops.n
+    ops = assemble_laplacian(mesh)
+    K, areas = ops.stiffness, ops.areas
+    n = mesh.nv
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
@@ -173,7 +161,9 @@ def eigensolve(
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:
-            lam, vecs = eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+            lam, vecs = eigsh(
+                K, k=count, M=sparse.diags(areas), sigma=sigma, which="LM", v0=v0
+            )
         except ArpackNoConvergence as exc:
             raise SolverError(
                 f"ARPACK converged only {len(exc.eigenvalues)}/{count} pairs",
@@ -212,18 +202,14 @@ class NegativeCountResult:
 
     ``count`` is the number of eigenvalues below ``-tol``; eigenvalues
     in ``[-tol, tol)`` are near-kernel modes reported separately in
-    ``boundary_count`` (with ``boundary_flag`` set), never silently added
-    to the count.  Both come from Sylvester inertia, not from a spectrum.
+    ``boundary_count`` (nonzero flags them), never silently added to the
+    count.  Both come from Sylvester inertia, not from a spectrum.
     """
 
     count: int
     boundary_count: int
     tol: float
     method: str
-
-    @property
-    def boundary_flag(self) -> bool:
-        return self.boundary_count > 0
 
 
 def _negative_pivots(A) -> int:
@@ -245,12 +231,9 @@ def _negative_pivots(A) -> int:
 
 
 def negative_count(
-    mesh_or_ops: TriangleMesh | OperatorPair,
-    potential,
-    tol: float = 1e-9,
-    seed: int = 0,
+    mesh: TriangleMesh, potential, tol: float = 1e-9, seed: int = 0
 ) -> NegativeCountResult:
-    """Number of negative eigenvalues of the Schroedinger pencil
+    """Number of negative eigenvalues of the mesh's Schroedinger pencil
     (K - diag(m_i V_i)) v = lambda M v.
 
     `potential` is a scalar or a per-vertex array V; the operator is the
@@ -268,12 +251,8 @@ def negative_count(
         If a factorization is singular (an eigenvalue sits exactly at
         -tol or tol) or its elimination was not symmetric.
     """
-    ops = (
-        mesh_or_ops
-        if isinstance(mesh_or_ops, OperatorPair)
-        else assemble_laplacian(mesh_or_ops)
-    )
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (ops.n,))
+    ops = assemble_laplacian(mesh)
+    V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,))
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if not np.all(np.isfinite(V)):
@@ -289,23 +268,25 @@ def negative_count(
     )
 
 
-def stability_index(
-    mesh_or_ops: TriangleMesh | OperatorPair, shape_squared
-) -> NegativeCountResult:
-    """Morse index of a minimal surface in the round 3-sphere.
+def stability_index(mesh: TriangleMesh, shape_squared) -> NegativeCountResult:
+    """Morse index of a minimal surface in the round 3-sphere, on its mesh.
 
     The second variation operator is  Delta - (2 + |A|^2)  acting on
     normal variations; its number of negative eigenvalues is the index.
-    `shape_squared` is |A|^2, scalar or per vertex.
+    `shape_squared` is |A|^2, scalar or per vertex; a negative or
+    non-finite value raises ValueError.
 
     Discretization scatters exact kernel eigenvalues by O(h^2), so the
     boundary band is taken proportional to the potential scale
     (0.02 * (1 + max V)) rather than at machine precision; genuine
     negative eigenvalues of the reference surfaces sit far below it.
     """
-    V = 2.0 + np.asarray(shape_squared, dtype=float)
+    S2 = np.asarray(shape_squared, dtype=float)
+    if not np.all(np.isfinite(S2) & (S2 >= 0.0)):
+        raise ValueError("shape_squared must be finite and nonnegative")
+    V = 2.0 + S2
     tol = 0.02 * (1.0 + float(np.max(V)))
-    return negative_count(mesh_or_ops, V, tol=tol)
+    return negative_count(mesh, V, tol=tol)
 
 
 @dataclass

@@ -126,6 +126,12 @@ def test_confvol_unknown_map_is_one_line(runner):
     assert "Traceback" not in result.output
 
 
+def test_confvol_non_integer_power_is_one_line(runner):
+    result = runner.invoke(main, ["confvol", "--fixture", "icosphere:1", "--map", "power:x"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: map 'power:x' needs an integer degree"]
+
+
 def test_verification_error_is_one_line(runner, monkeypatch):
     def breaks():
         raise harness.VerificationError("constant chain broke")
@@ -152,6 +158,17 @@ def test_index_clifford(runner):
     )
     assert result.exit_code == 0
     assert "index = 5" in result.output
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_index_rejects_bad_shape_squared(runner, value):
+    result = runner.invoke(
+        main, ["index", "--fixture", "icosphere:2", "--shape-squared", value]
+    )
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: shape_squared must be finite and nonnegative"
+    ]
 
 
 def test_index_takes_no_seed(runner):

@@ -7,6 +7,7 @@ import pytest
 
 from eigenvol import confvol
 from eigenvol.confvol import (
+    HERSCH_TOL,
     SphereImmersion,
     _bfgs,
     _corners,
@@ -391,7 +392,7 @@ def test_search_reaches_the_strength_cap_without_creeping(seed):
 
 def test_hersch_center_fixes_symmetric_mesh(sphere3):
     res = hersch_center(SphereImmersion.identity(sphere3))
-    assert res.converged
+    assert res.moment_norm < HERSCH_TOL
     assert res.iterations == 0
     assert res.map.t == 1.0  # bitwise identity
 
@@ -405,7 +406,7 @@ def test_hersch_center_recenters_a_dilated_sphere(sphere4):
     res = hersch_center(imm)
     after = np.linalg.norm(areas @ res.map(imm.images)) / areas.sum()
     assert before > 0.5  # the dilation really did pile mass up
-    assert res.converged
+    assert res.moment_norm < HERSCH_TOL
     assert after < 1e-10
 
 

@@ -192,6 +192,28 @@ def test_first_eigenvalue_sphere_near_equality(sphere3):
     assert r.error_bars["max_log_distortion"] < 1e-9
 
 
+def test_checks_refuse_an_immersion_of_another_mesh(sphere3):
+    # the identity of a vertex-permuted copy sends vertex i of sphere3 to
+    # another vertex's image; read against sphere3 it is a scrambled map
+    perm = np.random.default_rng(0).permutation(sphere3.nv)
+    copy = TriangleMesh(
+        sphere3.vertices[perm], np.argsort(perm)[sphere3.faces], ambient="unit_sphere"
+    )
+    immersion = SphereImmersion.identity(copy)
+    match = "^the immersion maps another mesh than the one checked$"
+    with pytest.raises(ValueError, match=match):
+        check_first_eigenvalue(sphere3, immersion=immersion, vc_reference=SPHERE_AREA)
+    with pytest.raises(ValueError, match=match):
+        check_first_eigenvalue(Surface(sphere3, immersion, SPHERE_AREA))
+    with pytest.raises(ValueError, match=match):
+        check_eigenvalue_counts(sphere3, 2.5, vc_reference=SPHERE_AREA, immersion=immersion)
+    with pytest.raises(ValueError, match=match):
+        build_witness_chain(sphere3, immersion, k=2, vc_reference=SPHERE_AREA)
+    # the copy checked with its own immersion replays the sphere's bound
+    own = check_first_eigenvalue(copy, immersion=immersion, vc_reference=SPHERE_AREA)
+    assert own.detail["replay"]["test_function_bound"] == pytest.approx(2.0, rel=1e-6)
+
+
 def test_first_eigenvalue_needs_a_reference(sphere3):
     with pytest.raises(ValueError):
         check_first_eigenvalue(sphere3)
@@ -352,11 +374,11 @@ def test_balance_holds_off_the_sphere(fat_torus):
     assert bal.willmore > 0.5 * bal.lifted_energy
 
 
-def _reference_pointwise_laplacian(mesh, ops, values, refine=2):
+def _reference_pointwise_laplacian(mesh, values, refine=2):
     """The quadratic fit of `_pointwise_laplacian` one vertex at a time,
     with the frame from `svd` and every fit from `lstsq`."""
     x = mesh.vertices
-    K = ops.stiffness
+    K = assemble_laplacian(mesh).stiffness
     pattern = sp.csr_matrix((np.ones_like(K.data), K.indices, K.indptr), shape=K.shape)
     pattern.setdiag(1.0)
     ring2 = ((pattern @ pattern) > 0).tocsr()
@@ -384,7 +406,7 @@ def _reference_pointwise_laplacian(mesh, ops, values, refine=2):
 
 @pytest.fixture(scope="module")
 def fit_cases():
-    """(name, mesh, ops, values, reference Laplacian) on meshes whose
+    """(name, mesh, values, reference Laplacian) on meshes whose
     2-rings differ in size and shape."""
     s3 = icosphere(3)
     jitter = np.random.default_rng(5).normal(scale=3e-3, size=s3.vertices.shape)
@@ -400,22 +422,21 @@ def fit_cases():
     }
     cases = []
     for name, mesh in meshes.items():
-        ops = assemble_laplacian(mesh)
         x = mesh.vertices
         for values in (
             np.log(4.0 / (1.0 + np.sum(x * x, axis=1)) ** 2),
             np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2,
         ):
-            want = _reference_pointwise_laplacian(mesh, ops, values)
-            cases.append((name, mesh, ops, values, want))
+            want = _reference_pointwise_laplacian(mesh, values)
+            cases.append((name, mesh, values, want))
     return cases
 
 
 @pytest.mark.parametrize("block", [1, harness._FIT_BLOCK])
 def test_pointwise_laplacian_matches_scalar_reference(fit_cases, block, monkeypatch):
     monkeypatch.setattr(harness, "_FIT_BLOCK", block)
-    for name, mesh, ops, values, want in fit_cases:
-        got = harness._pointwise_laplacian(mesh, ops, values)
+    for name, mesh, values, want in fit_cases:
+        got = harness._pointwise_laplacian(mesh, values)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
 
@@ -460,7 +481,7 @@ def test_witness_chain_rejects_k_zero(sphere3):
 
 def test_exact_orthogonality_detects_overlap(sphere3):
     ops = assemble_laplacian(sphere3)
-    U = np.ones((2, ops.n))
+    U = np.ones((2, sphere3.nv))
     with pytest.raises(VerificationError):
         _exact_orthogonality(ops, U)
 
