@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,61 +236,48 @@ def _ineq(
 
 
 # ---------------------------------------------------------------------- #
-# the per-surface context
+# what the checks read of a mesh
 
 
-class Surface:
-    """A mesh with what every check of it shares, each computed once.
-
-    Owns the Laplace pencil, one spectrum that checks read the leading
-    pairs of (solved again only when more pairs are asked for), the
-    Willmore integral per curvature component and, when known, a sphere
-    immersion with its conformal volume `vc`.  `seed` seeds the iterative
-    eigensolver; `name` labels the surface's checks in the battery.
-    """
-
-    def __init__(self, mesh, immersion=None, vc=None, name="", seed=0):
-        self.mesh = mesh
-        self.ops = assemble_laplacian(mesh)
-        self.immersion = immersion
-        self.vc = vc
-        self.name = name
-        self.seed = seed
-        self._spectrum = None
-        self._willmore = {}
-
-    def spectrum(self, count: int) -> SpectrumResult:
-        """The lowest `count` eigenpairs."""
-        if self._spectrum is None or self._spectrum.eigenvalues.shape[0] < count:
-            self._spectrum = eigensolve(self.mesh, count=count, seed=self.seed)
-        return self._spectrum.head(count)
-
-    def willmore(self, kappa: float) -> float:
-        """int |H|^2 for ambient curvature `kappa`: in a unit-sphere mesh
-        with kappa = 1, H is the mean curvature seen inside the sphere."""
-        if self.mesh.vertices is None:
-            raise ValueError("curvature bounds need an embedded mesh")
-        component = (
-            "sphere" if kappa == 1.0 and self.mesh.ambient == "unit_sphere" else "ambient"
-        )
-        if component not in self._willmore:
-            self._willmore[component] = willmore_energy(self.mesh, component=component)
-        return self._willmore[component]
-
-
-def _surface(mesh_or_surface, seed: int = 0) -> Surface:
-    if isinstance(mesh_or_surface, Surface):
-        return mesh_or_surface
-    return Surface(mesh_or_surface, seed=seed)
-
-
-def _own_immersion(surface: Surface, immersion):
-    """`immersion`, or the surface's own when None; it must map the
-    surface's mesh, not a copy or another mesh."""
-    immersion = surface.immersion if immersion is None else immersion
-    if immersion is not None and immersion.mesh is not surface.mesh:
+def _own_immersion(mesh: TriangleMesh, immersion) -> None:
+    """Refuse an immersion of another mesh than `mesh`, a copy too."""
+    if immersion is not None and immersion.mesh is not mesh:
         raise ValueError("the immersion maps another mesh than the one checked")
-    return immersion
+
+
+def _vc(vc_reference) -> float | None:
+    """A known conformal volume as a float, or None when there is none."""
+    if vc_reference is None:
+        return None
+    vc = float(vc_reference)
+    if not (np.isfinite(vc) and vc > 0.0):
+        raise ValueError(f"vc_reference must be finite and positive, got {vc_reference}")
+    return vc
+
+
+def _lowest(mesh: TriangleMesh, spectrum: SpectrumResult | None, count: int, seed: int):
+    """The lowest `count` pairs of `spectrum`, which must be a spectrum of
+    `mesh`, or of a fresh solve when it is None."""
+    if spectrum is None:
+        return eigensolve(mesh, count=count, seed=seed)
+    rows = spectrum.eigenvectors.shape[0]
+    if rows != mesh.nv:
+        raise ValueError(f"the spectrum has {rows} eigenvector rows, the mesh {mesh.nv} vertices")
+    return spectrum.head(count)
+
+
+def _nonzero(spec: SpectrumResult, count: int) -> np.ndarray:
+    """The `count` lowest nonzero eigenvalues of `spec`."""
+    lams = spec.nonzero()[:count]
+    if lams.shape[0] < count:
+        raise ValueError(f"spectrum only has {lams.shape[0]} nonzero eigenvalues, need {count}")
+    return lams
+
+
+def _component(mesh: TriangleMesh, kappa: float) -> str:
+    """The mean curvature that int(|H|^2 + kappa) reads: in a unit-sphere
+    mesh with kappa = 1, the part seen inside the sphere."""
+    return "sphere" if kappa == 1.0 and mesh.ambient == "unit_sphere" else "ambient"
 
 
 # eigenpairs read by the first-eigenvalue checks: the kernel, the first
@@ -305,17 +293,19 @@ _FIRST_REL_TOL = 0.03
 
 
 def check_first_eigenvalue(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     immersion: SphereImmersion | None = None,
     vc_reference: float | None = None,
     seed: int = 0,
+    spectrum: SpectrumResult | None = None,
 ) -> CheckResult:
     """lambda_1 Vol^{2/n} <= n Vc^{2/n}, plus a test-function replay.
 
     With `vc_reference` (a known conformal volume) the verdict is
     conclusive.  With only an `immersion`, the search supplies a lower
     bound for Vc, so a violated inequality is reported as inconclusive
-    rather than failed.  A :class:`Surface` supplies both by default.
+    rather than failed.  `spectrum`, pairs of `mesh` solved elsewhere,
+    replaces the solve of its lowest pairs.
 
     When an immersion is available the proof is replayed: center the
     images so the weighted barycenter vanishes, then use the centered
@@ -324,18 +314,15 @@ def check_first_eigenvalue(
     lambda_1 * sum ||u_i||^2 <= sum E(u_i) exactly; a violation beyond
     rounding aborts.
     """
-    surface = _surface(mesh, seed)
-    immersion = _own_immersion(surface, immersion)
-    vc_reference = surface.vc if vc_reference is None else vc_reference
-    ops = surface.ops
-    spec = surface.spectrum(_FIRST_PAIRS)
-    lam1 = float(spec.nonzero()[0])
-    vol = surface.mesh.area
+    _own_immersion(mesh, immersion)
+    vc = _vc(vc_reference)
+    spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
+    lam1 = float(_nonzero(spec, 1)[0])
+    vol = mesh.area
     lhs = lam1 * vol
 
     detail: dict = {"lambda_1": lam1, "volume": vol}
-    if vc_reference is not None:
-        vc = float(vc_reference)
+    if vc is not None:
         detail["vc_source"] = "reference"
         soft = False
     elif immersion is not None:
@@ -357,10 +344,10 @@ def check_first_eigenvalue(
     if immersion is not None:
         centering = hersch_center(immersion)
         images = centering.map(immersion.images)
-        w = ops.areas
-        centered = images - (w @ images)[None, :] / w.sum()
-        energies = np.array([ops.energy(centered[:, i]) for i in range(centered.shape[1])])
-        masses = np.array([ops.inner(centered[:, i], centered[:, i]) for i in range(centered.shape[1])])
+        K, areas = assemble_laplacian(mesh)
+        centered = images - (areas @ images)[None, :] / areas.sum()
+        energies = np.array([float(u @ (K @ u)) for u in centered.T])
+        masses = np.array([float(np.sum(areas * u * u)) for u in centered.T])
         bound = float(energies.sum() / masses.sum())
         if lam1 > bound * (1.0 + 1e-9):
             raise VerificationError(
@@ -394,21 +381,23 @@ def check_first_eigenvalue(
 
 
 def check_curvature_first_eigenvalue(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     kappa: float = 0.0,
     seed: int = 0,
+    spectrum: SpectrumResult | None = None,
 ) -> CheckResult:
     """lambda_1 <= (n / Vol) int (|H|^2 + kappa), sharp for round spheres.
 
     `kappa` is the sectional curvature of the ambient space: 0 for a
     surface in Euclidean space, 1 for one sitting inside the unit
     sphere (where |H| means the mean curvature seen in the sphere).
+    `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
+    its lowest pairs.
     """
-    surface = _surface(mesh, seed)
-    w2 = surface.willmore(kappa)
-    spec = surface.spectrum(_FIRST_PAIRS)
-    lam1 = float(spec.nonzero()[0])
-    vol = surface.mesh.area
+    w2 = willmore_energy(mesh, _component(mesh, kappa))
+    spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
+    lam1 = float(_nonzero(spec, 1)[0])
+    vol = mesh.area
     rhs = 2.0 * (w2 + kappa * vol) / vol
     return _ineq(
         "first-eigenvalue-curvature",
@@ -437,33 +426,33 @@ def _check_kmax(kmax: int) -> None:
 
 
 def check_higher_eigenvalues(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     kmax: int = 8,
     m: int = 2,
     vc_reference: float | None = None,
     kappa: float | None = None,
     seed: int = 0,
+    spectrum: SpectrumResult | None = None,
 ) -> list[CheckResult]:
     """lambda_k bounds for k = 1..kmax, in both available forms.
 
     Conformal form (when `vc_reference`, a known conformal volume, is
-    given or the surface carries one):  lambda_k Vol <= C Vc k  (n = 2),
-    with the exact constant `higher_eigenvalue`.  A searched Vc would
+    given):  lambda_k Vol <= C Vc k  (n = 2), with the exact constant
+    `higher_eigenvalue`.  A searched Vc would
     only be a lower bound, which can never confirm this form, so none is
     searched.  Curvature form (when `kappa` is given and the mesh is
     embedded):  lambda_k <= C avg(|H|^2 + kappa) k  with
     `curvature_eigenvalue`.  At least one of `vc_reference` and `kappa`
     is needed.  The constants are astronomically generous; the point of
     evaluating them literally is that the margin, too, becomes a number.
+    `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
+    its kmax + 4 lowest pairs.
     """
     _check_kmax(kmax)
-    surface = _surface(mesh, seed)
-    vc_reference = surface.vc if vc_reference is None else vc_reference
-    spec = surface.spectrum(kmax + 4)
-    lams = spec.nonzero()[:kmax]
-    if lams.shape[0] < kmax:
-        raise ValueError(f"spectrum only has {lams.shape[0]} nonzero eigenvalues")
-    vol = surface.mesh.area
+    vc = _vc(vc_reference)
+    spec = _lowest(mesh, spectrum, kmax + 4, seed)
+    lams = _nonzero(spec, kmax)
+    vol = mesh.area
     ks = np.arange(1, kmax + 1, dtype=float)
     consts = proof_constants(2, m)
     results = []
@@ -484,13 +473,12 @@ def check_higher_eigenvalues(
             )
         )
 
-    if vc_reference is not None:
-        vc = float(vc_reference)
+    if vc is not None:
         C = consts.higher_eigenvalue
         bounds = float(C) * vc * ks
         form("higher-eigenvalues", "lambda_k Vol <= C Vc k", lams * vol, bounds, C, vc=vc)
     if kappa is not None:
-        avg = (surface.willmore(kappa) + kappa * vol) / vol
+        avg = (willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol) / vol
         C = consts.curvature_eigenvalue
         claim = f"lambda_k <= C avg(|H|^2 + {kappa:g}) k"
         bounds = float(C) * avg * ks
@@ -509,7 +497,7 @@ def _annulus_test_functions(images, annuli):
     return np.stack([np.asarray(u_annulus(a, images), dtype=float) for a in annuli])
 
 
-def _exact_orthogonality(ops, U) -> None:
+def _exact_orthogonality(K, U) -> None:
     """Assert disjoint supports and bitwise-zero stiffness cross terms."""
     supports = U > 0.0
     for i in range(U.shape[0]):
@@ -520,7 +508,7 @@ def _exact_orthogonality(ops, U) -> None:
                 raise VerificationError(
                     f"supports of test functions {i} and {j} overlap"
                 )
-    KU = ops.stiffness @ U.T
+    KU = K @ U.T
     gram = U @ KU
     off = gram - np.diag(np.diag(gram))
     if np.any(off != 0.0):
@@ -551,7 +539,7 @@ def _potential_mass_floor(images, annuli, U) -> None:
             )
 
 
-def _replay_family(ops, images, nu, pieces, seed, gap, light=None):
+def _replay_family(K, images, nu, pieces, seed, gap, light=None):
     """Pack `pieces` annuli against `nu` and pull back their test functions.
 
     The family is re-verified; with `light = (mu, count)` only the
@@ -571,9 +559,9 @@ def _replay_family(ops, images, nu, pieces, seed, gap, light=None):
         chosen = select_light(light[0], family, light[1])
     annuli = [family.annuli[i] for i in chosen]
     U = _annulus_test_functions(images, annuli)
-    _exact_orthogonality(ops, U)
+    _exact_orthogonality(K, U)
     _potential_mass_floor(images, annuli, U)
-    energies = np.array([ops.energy(u) for u in U])
+    energies = np.array([float(u @ (K @ u)) for u in U])
     return family.beta, chosen, rep.masses[chosen], U, energies
 
 
@@ -582,7 +570,7 @@ def _replay_family(ops, images, nu, pieces, seed, gap, light=None):
 
 
 def check_eigenvalue_counts(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     potential,
     m: int = 2,
     vc_reference: float | None = None,
@@ -605,15 +593,14 @@ def check_eigenvalue_counts(
     guaranteed count zero the constant function is the witness: its
     form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
-    surface = _surface(mesh, seed)
-    immersion = _own_immersion(surface, immersion)
-    vc_reference = surface.vc if vc_reference is None else vc_reference
-    mesh, ops = surface.mesh, surface.ops
+    _own_immersion(mesh, immersion)
+    vc_reference = _vc(vc_reference)
+    K, areas = assemble_laplacian(mesh)
     V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,)).copy()
     if np.any(V < 0.0):
         raise ValueError("potential must be nonnegative")
     vol = mesh.area
-    intV = float(ops.areas @ V)
+    intV = float(areas @ V)
     counted = negative_count(mesh, V)
     N = counted.count
     consts = proof_constants(2, m)
@@ -649,7 +636,7 @@ def check_eigenvalue_counts(
 
     k_curvature = None
     if kappa is not None:
-        denom = surface.willmore(kappa) + kappa * vol
+        denom = willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol
         C3 = float(consts.count_curvature)
         lhs3 = C3 * intV / denom
         k_curvature = count_check(
@@ -684,9 +671,9 @@ def check_eigenvalue_counts(
             kk = max(guaranteed, 0)
             pieces = 2 * (kk + 1) if doubled else kk + 1
             beta, chosen, _, U, energies = _replay_family(
-                ops, images, nu, pieces, seed, gap, light=(mu, kk + 1) if doubled else None
+                K, images, nu, pieces, seed, gap, light=(mu, kk + 1) if doubled else None
             )
-            pot_masses = np.array([float(np.sum(ops.areas * V * u * u)) for u in U])
+            pot_masses = np.array([float(np.sum(areas * V * u * u)) for u in U])
             strict = energies < pot_masses
             replay[key] = {
                 "annuli": pieces,
@@ -713,10 +700,9 @@ def check_eigenvalue_counts(
 
 
 def check_index(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     shape_squared,
     reference_index: int | None = None,
-    seed: int = 0,
 ) -> CheckResult:
     """index >= C (n + avg |S|^2)^{n/2} for minimal surfaces in S^3.
 
@@ -725,12 +711,9 @@ def check_index(
     int|S|^2 bounds known in two dimensions are noted for context; this
     check evaluates the explicit-constant form only.
     """
-    surface = _surface(mesh, seed)
-    ops = surface.ops
-    S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (surface.mesh.nv,))
-    idx = stability_index(surface.mesh, S2)
-    vol = surface.mesh.area
-    avg = float(ops.areas @ S2) / vol
+    S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (mesh.nv,))
+    idx = stability_index(mesh, S2)
+    avg = float(mesh.vertex_areas @ S2) / mesh.area
     constant = proof_constants(2, 3).count_conformal
     lhs = float(constant) * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
     detail = {
@@ -876,7 +859,7 @@ class ConformalBalance:
         }
 
 
-def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
+def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     """Check  |H|^2 = e^f (|H_lift|^2 + 1) - (1/2) div grad f  vertexwise.
 
     H_lift is the mean curvature of the lifted surface seen inside S^3
@@ -886,8 +869,6 @@ def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
     lifted coordinates) is recorded too; for a sphere centered at the
     origin both sides equal the sphere area.
     """
-    surface = _surface(mesh)
-    mesh, ops = surface.mesh, surface.ops
     if mesh.vertices is None or mesh.vertices.shape[1] != 3:
         raise ValueError("the balance needs a surface embedded in R^3")
     x = mesh.vertices
@@ -904,10 +885,11 @@ def conformal_balance(mesh: TriangleMesh | Surface) -> ConformalBalance:
     Ht2 = np.sum(Ht * Ht, axis=1)
 
     res = H2 - ef * (Ht2 + 1.0) + 0.5 * lap_f
-    l2 = float(np.sqrt(np.sum(ops.areas * res * res)))
-    w2 = surface.willmore(0.0)
-    energy = float(sum(ops.energy(lift[:, i]) for i in range(4)))
-    conf_area = float(np.sum(ops.areas * ef))
+    K, areas = assemble_laplacian(mesh)
+    l2 = float(np.sqrt(np.sum(areas * res * res)))
+    w2 = willmore_energy(mesh)
+    energy = float(sum(float(u @ (K @ u)) for u in lift.T))
+    conf_area = float(np.sum(areas * ef))
     return ConformalBalance(
         residuals=res,
         l2=l2,
@@ -965,12 +947,12 @@ class WitnessChain:
 
 
 def build_witness_chain(
-    mesh: TriangleMesh | Surface,
+    mesh: TriangleMesh,
     immersion: SphereImmersion,
     k: int,
     vc_reference: float,
     seed: int = 0,
-    spectrum=None,
+    spectrum: SpectrumResult | None = None,
 ) -> WitnessChain:
     """Replay the eigenvalue bound: annuli, test functions, inequalities.
 
@@ -987,25 +969,29 @@ def build_witness_chain(
     * lambda_k at most the largest Rayleigh quotient -- the variational
       principle, allowed only the eigensolver's own residual.
 
-    `spectrum` replaces the surface's own k + 4 lowest pairs, for example
-    with pairs solved elsewhere.
+    `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
+    its k + 4 lowest pairs; every pair it holds counts towards the
+    spectral error bar.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    surface = _surface(mesh, seed)
-    immersion = _own_immersion(surface, immersion)
-    ops = surface.ops
-    spec = surface.spectrum(k + 4) if spectrum is None else spectrum
-    lam_k = float(spec.nonzero()[k - 1])
-    vol = surface.mesh.area
+    _own_immersion(mesh, immersion)
+    vc_reference = _vc(vc_reference)
+    if vc_reference is None:
+        raise ValueError("the witness chain needs vc_reference")
+    K, areas = assemble_laplacian(mesh)
+    pairs = k + 4 if spectrum is None else spectrum.eigenvalues.shape[0]
+    spec = _lowest(mesh, spectrum, pairs, seed)
+    lam_k = float(_nonzero(spec, k)[k - 1])
+    vol = mesh.area
     images = immersion.images
-    gap = _image_gap(surface.mesh, images)
-    mu = pushforward_measure(surface.mesh, images)
+    gap = _image_gap(mesh, images)
+    mu = pushforward_measure(mesh, images)
 
     beta, chosen, shell_masses, U, energies = _replay_family(
-        ops, images, mu, 2 * (k + 1), seed, gap, light=(mu, k + 1)
+        K, images, mu, 2 * (k + 1), seed, gap, light=(mu, k + 1)
     )
-    sq_masses = np.array([ops.inner(u, u) for u in U])
+    sq_masses = np.array([float(np.sum(areas * u * u)) for u in U])
     floor = (81.0 / 625.0) * shell_masses
     if np.any(sq_masses < floor * (1.0 - 1e-9)):
         raise VerificationError("squared mass fell below 81/625 of the annulus")
@@ -1136,6 +1122,18 @@ _REFERENCE_SURFACES = {
 _WEYL_PAIRS = 70
 
 
+class _Reference(NamedTuple):
+    """A reference surface as the battery built it: its mesh, sphere
+    immersion and known Vc (each None where there is none) and the one
+    spectrum every check of it reads."""
+
+    name: str
+    mesh: TriangleMesh
+    immersion: SphereImmersion | None
+    vc: float | None
+    spectrum: SpectrumResult
+
+
 def _constants_section() -> list[CheckResult]:
     rs = []
     for n, m in ((2, 2), (2, 3), (2, 4)):
@@ -1169,13 +1167,13 @@ def _constants_section() -> list[CheckResult]:
     return rs
 
 
-def _genus_check(surface: Surface, seed: int = 0) -> CheckResult:
+def _genus_check(ref: _Reference) -> CheckResult:
     """lambda_1 Vol <= 2 Vc with Vc bounded by the covering degree."""
-    mesh = surface.mesh
-    lam1 = float(surface.spectrum(_FIRST_PAIRS).nonzero()[0])
+    mesh = ref.mesh
+    lam1 = float(_nonzero(ref.spectrum, 1)[0])
     bound = 2.0 * genus_conformal_volume_bound(mesh.genus, mesh.orientable)
     return _ineq(
-        f"first-eigenvalue-genus-{surface.name}",
+        f"first-eigenvalue-genus-{ref.name}",
         f"lambda_1 Vol = {lam1 * mesh.area:.4f} <= "
         f"2 Vc(genus {mesh.genus}) = {bound:.4f}",
         lam1 * mesh.area,
@@ -1197,10 +1195,10 @@ def _balance_decay_check() -> CheckResult:
     )
 
 
-def _balance_integral_check(surface: Surface, seed: int = 0) -> CheckResult:
-    bal = conformal_balance(surface)
+def _balance_integral_check(ref: _Reference) -> CheckResult:
+    bal = conformal_balance(ref.mesh)
     return _ineq(
-        f"balance-integral-{surface.name}",
+        f"balance-integral-{ref.name}",
         f"int |H|^2 = {bal.willmore:.4f} >= E(lift)/2 = "
         f"{0.5 * bal.lifted_energy:.4f}",
         0.5 * bal.lifted_energy,
@@ -1210,28 +1208,12 @@ def _balance_integral_check(surface: Surface, seed: int = 0) -> CheckResult:
     )
 
 
-def _witness_check(surface: Surface, k: int, pairs: int, seed: int = 0) -> list:
-    """The witness chain at `k`, its spectral error bar over `pairs` pairs."""
-    chain = build_witness_chain(
-        surface,
-        surface.immersion,
-        k=k,
-        vc_reference=surface.vc,
-        seed=seed,
-        spectrum=surface.spectrum(pairs),
-    )
-    for r in chain.results:
-        r.name = f"{r.name}-{surface.name}"
-    return chain.results
-
-
-def _weyl_check(surface: Surface, seed: int = 0) -> CheckResult:
+def _weyl_check(ref: _Reference) -> CheckResult:
     # the battery sticks to meshes small enough for the dense solver,
     # so the fit window sits below the discretization-dominated tail
-    eigenvalues = surface.spectrum(_WEYL_PAIRS).eigenvalues
-    fit = weyl_fit(eigenvalues, surface.mesh.area, k_range=(15, 55))
+    fit = weyl_fit(ref.spectrum.eigenvalues, ref.mesh.area, k_range=(15, 55))
     return _ineq(
-        f"weyl-{surface.name}",
+        f"weyl-{ref.name}",
         f"slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "
         f"({100 * fit.relative_error:.1f}%)",
         abs(fit.slope - fit.target),
@@ -1240,48 +1222,69 @@ def _weyl_check(surface: Surface, seed: int = 0) -> CheckResult:
     )
 
 
-def _battery(kmax: int) -> list:
+def _battery(kmax: int, seed: int) -> list:
     """The battery as (section, report title, rows), each row a
-    (surface, check, kwargs) triple run in order.
+    (surface, check) pair run in order.
 
-    A row naming a reference surface runs ``check(surface, seed=seed,
-    **kwargs)`` on it; a row without one runs ``check(**kwargs)``.  A
-    check returns one CheckResult or a list of them.
+    A row naming a reference surface runs ``check(ref)`` on its
+    :class:`_Reference`, passing the check what it reads of it; a row
+    without one runs ``check()``.  A check returns one CheckResult or a
+    list of them.
     """
     k = min(kmax, 4)
-    minimal = {"minimal_in_sphere": True}
     vc_known = ("sphere", "clifford", "veronese")
+
+    def first(ref):
+        return check_first_eigenvalue(ref.mesh, ref.immersion, ref.vc, seed, ref.spectrum)
+
+    def curvature(kappa):
+        return lambda ref: check_curvature_first_eigenvalue(ref.mesh, kappa, spectrum=ref.spectrum)
+
+    def higher(m, kappa=None):
+        return lambda ref: check_higher_eigenvalues(
+            ref.mesh, kmax, m, ref.vc, kappa, spectrum=ref.spectrum
+        )
+
+    def counts(potential, m, kappa=None):
+        return lambda ref: check_eigenvalue_counts(
+            ref.mesh, potential, m, ref.vc, ref.immersion, kappa, minimal_in_sphere=True, seed=seed
+        )
+
+    def index(shape_squared, reference_index):
+        return lambda ref: check_index(ref.mesh, shape_squared, reference_index)
+
+    def witness(ref):  # its spectral error bar reads kmax + 4 pairs
+        pairs = ref.spectrum.head(kmax + 4)
+        chain = build_witness_chain(ref.mesh, ref.immersion, k, ref.vc, seed, pairs)
+        for r in chain.results:
+            r.name = f"{r.name}-{ref.name}"
+        return chain.results
+
     return [
-        ("constants", "constants", [(None, _constants_section, {})]),
+        ("constants", "constants", [(None, _constants_section)]),
         ("first", "first-eigenvalue",
-         [(s, check_first_eigenvalue, {}) for s in (*vc_known, "revolution")]
-         + [(s, _genus_check, {}) for s in vc_known]),
+         [(s, first) for s in (*vc_known, "revolution")]
+         + [(s, _genus_check) for s in vc_known]),
         ("curvature", "curvature-first-eigenvalue",
-         [(s, check_curvature_first_eigenvalue, {"kappa": kappa})
+         [(s, curvature(kappa))
           for s, kappa in (("sphere", 0.0), ("revolution", 0.0), ("clifford", 1.0))]),
         ("higher", "higher-eigenvalues", [
-            ("sphere", check_higher_eigenvalues, {"kmax": kmax, "m": 2, "kappa": 0.0}),
-            ("clifford", check_higher_eigenvalues, {"kmax": kmax, "m": 3, "kappa": 1.0}),
-            ("veronese", check_higher_eigenvalues, {"kmax": kmax, "m": 4}),
+            ("sphere", higher(2, kappa=0.0)),
+            ("clifford", higher(3, kappa=1.0)),
+            ("veronese", higher(4)),
         ]),
         ("counts", "negative-counts", [
-            ("sphere", check_eigenvalue_counts,
-             {"potential": 2.5, "m": 2, "kappa": 0.0, **minimal}),
+            ("sphere", counts(2.5, 2, kappa=0.0)),
             # the stability potential n + |S|^2 of the square torus
-            ("clifford", check_eigenvalue_counts,
-             {"potential": 4.0, "m": 3, "kappa": 1.0, **minimal}),
-            ("veronese", check_eigenvalue_counts, {"potential": 2.5, "m": 4, **minimal}),
+            ("clifford", counts(4.0, 3, kappa=1.0)),
+            ("veronese", counts(2.5, 4)),
         ]),
-        ("index", "index", [
-            ("sphere", check_index, {"shape_squared": 0.0, "reference_index": 1}),
-            ("clifford", check_index, {"shape_squared": 2.0, "reference_index": 5}),
-        ]),
+        ("index", "index", [("sphere", index(0.0, 1)), ("clifford", index(2.0, 5))]),
         ("balance", "conformal-balance",
-         [(None, _balance_decay_check, {})]
-         + [(s, _balance_integral_check, {}) for s in ("sphere", "revolution")]),
-        ("witness", "witness-chain",
-         [(s, _witness_check, {"k": k, "pairs": kmax + 4}) for s in ("sphere", "clifford")]),
-        ("weyl", "weyl", [(s, _weyl_check, {}) for s in ("sphere", "flat-torus")]),
+         [(None, _balance_decay_check)]
+         + [(s, _balance_integral_check) for s in ("sphere", "revolution")]),
+        ("witness", "witness-chain", [(s, witness) for s in ("sphere", "clifford")]),
+        ("weyl", "weyl", [(s, _weyl_check) for s in ("sphere", "flat-torus")]),
     ]
 
 
@@ -1291,33 +1294,34 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     All meshes are small enough for the dense eigensolver, so a fixed
     seed yields bit-identical reports.  `which` is "all" or a section of
     :func:`_battery`: constants, first, curvature, higher, counts, index,
-    balance, witness, weyl.  Each reference surface is assembled and
-    solved once, for every check that reads it.
+    balance, witness, weyl.  Each reference surface is built and solved
+    once, when a check first reads it, for every check that reads it.
     """
     _check_kmax(kmax)
-    battery = _battery(kmax)
+    battery = _battery(kmax, seed)
     valid = ["all"] + [section for section, _, _ in battery]
     if which not in valid:
         raise ValueError(f"unknown battery {which!r}; choose from {sorted(valid)}")
 
-    surfaces: dict = {}
+    references: dict = {}
 
-    def surface(name):
-        if name not in surfaces:
+    def reference(name):
+        if name not in references:
             build, immerse, vc = _REFERENCE_SURFACES[name]
             mesh = build()
-            immersion = immerse(mesh) if immerse else None
-            surfaces[name] = Surface(mesh, immersion, vc, name=name, seed=seed)
-            surfaces[name].spectrum(max(_WEYL_PAIRS, kmax + 4))
-        return surfaces[name]
+            spectrum = eigensolve(mesh, count=max(_WEYL_PAIRS, kmax + 4), seed=seed)
+            references[name] = _Reference(
+                name, mesh, immerse(mesh) if immerse else None, vc, spectrum
+            )
+        return references[name]
 
     sections = []
     for section, title, rows in battery:
         if which not in ("all", section):
             continue
         results = []
-        for name, check, kwargs in rows:
-            out = check(surface(name), seed=seed, **kwargs) if name else check(**kwargs)
+        for name, check in rows:
+            out = check(reference(name)) if name else check()
             results += out if isinstance(out, list) else [out]
         sections.append((title, results))
     return VerificationReport(sections=sections, seed=seed, kmax=kmax)

@@ -29,7 +29,6 @@ from .mesh import TriangleMesh, cotangent_stiffness
 __all__ = [
     "DENSE_CUTOFF",
     "NegativeCountResult",
-    "OperatorPair",
     "SolverError",
     "SpectrumResult",
     "assemble_laplacian",
@@ -52,34 +51,11 @@ class SolverError(RuntimeError):
         self.eigenvectors = eigenvectors
 
 
-@dataclass(frozen=True)
-class OperatorPair:
-    """Stiffness/mass pencil of a mesh, for the energies and masses of
-    test functions; the solvers take the mesh itself.
-
-    Attributes
-    ----------
-    stiffness : scipy.sparse.csc_matrix
-        The cotangent matrix K (positive semidefinite).
-    areas : numpy.ndarray
-        The diagonal of the lumped mass matrix M (mixed Voronoi vertex areas).
-    """
-
-    stiffness: sparse.csc_matrix
-    areas: np.ndarray
-
-    def energy(self, u: np.ndarray) -> float:
-        """Dirichlet energy u^T K u."""
-        return float(u @ (self.stiffness @ u))
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """L^2 inner product u^T M v."""
-        return float(np.sum(self.areas * u * v))
-
-
-def assemble_laplacian(mesh: TriangleMesh) -> OperatorPair:
-    """Assemble the (K, M) pencil of a mesh."""
-    return OperatorPair(cotangent_stiffness(mesh), mesh.vertex_areas)
+def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarray]:
+    """The (K, M) pencil of a mesh: the cotangent stiffness matrix K
+    (positive semidefinite, cached on the mesh) and the diagonal of the
+    lumped mass matrix M (mixed Voronoi vertex areas)."""
+    return cotangent_stiffness(mesh), mesh.vertex_areas
 
 
 @dataclass
@@ -145,8 +121,7 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
         If the iterative solver fails to converge; partial results are
         attached to the exception.
     """
-    ops = assemble_laplacian(mesh)
-    K, areas = ops.stiffness, ops.areas
+    K, areas = assemble_laplacian(mesh)
     n = mesh.nv
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
@@ -251,7 +226,7 @@ def negative_count(
         If a factorization is singular (an eigenvalue sits exactly at
         -tol or tol) or its elimination was not symmetric.
     """
-    ops = assemble_laplacian(mesh)
+    K, areas = assemble_laplacian(mesh)
     V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,))
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -259,7 +234,7 @@ def negative_count(
         raise ValueError("potential must be finite")
 
     def below(shift):  # eigenvalues of the pencil below `shift`
-        A = ops.stiffness - sparse.diags(ops.areas * (V + shift))
+        A = K - sparse.diags(areas * (V + shift))
         return _negative_pivots(A.tocsc())
 
     count = below(-tol)

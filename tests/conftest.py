@@ -8,6 +8,29 @@ from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_
 from eigenvol.spectral import eigensolve
 
 
+def _assert_report_close(got, want, path="report"):
+    if isinstance(want, float):
+        close = got == want or abs(got - want) <= 1e-10 * abs(want) + 1e-12
+        assert isinstance(got, float) and close, (path, got, want)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key, value in want.items():
+            _assert_report_close(got[key], value, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, value in enumerate(want):
+            _assert_report_close(got[i], value, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.fixture(scope="session")
+def assert_report_close():
+    """Compare report-shaped JSON: every float leaf within
+    1e-10 |x| + 1e-12, every other leaf of the same type and equal."""
+    return _assert_report_close
+
+
 @pytest.fixture(scope="session")
 def sphere3():
     return icosphere(3)

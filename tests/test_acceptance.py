@@ -370,22 +370,6 @@ def test_criterion_13_deterministic_report(report_all):
     )
 
 
-def _assert_report_close(got, want, path="report"):
-    if isinstance(want, float):
-        close = got == want or abs(got - want) <= 1e-10 * abs(want) + 1e-12
-        assert isinstance(got, float) and close, (path, got, want)
-    elif isinstance(want, dict):
-        assert sorted(got) == sorted(want), path
-        for key, value in want.items():
-            _assert_report_close(got[key], value, f"{path}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
-        for i, value in enumerate(want):
-            _assert_report_close(got[i], value, f"{path}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, (path, got, want)
-
-
 def _searched_check(report):
     """The one check whose conformal volume comes from the search."""
     checks = [c for sec in report["sections"] for c in sec["checks"] if "vc_search" in c["detail"]]
@@ -405,7 +389,7 @@ def _pop_search_leaves(check):
     }
 
 
-def test_report_matches_committed_reference(report_all):
+def test_report_matches_committed_reference(report_all, assert_report_close):
     """`verify all` at seed 0 reproduces the committed report: every name,
     status, statement and other non-float leaf exactly, every float within
     1e-10 |x| + 1e-12, so the report cannot drift unnoticed.
@@ -419,7 +403,7 @@ def test_report_matches_committed_reference(report_all):
     got = json.loads(json.dumps(report_all.as_dict()))
     check = _searched_check(got)
     new, old = _pop_search_leaves(check), _pop_search_leaves(_searched_check(want))
-    _assert_report_close(got, want)
+    assert_report_close(got, want)
     assert new["value"] >= old["value"] and new["vc"] == new["value"]
     assert new["evaluations"] < old["evaluations"]
     assert new["rhs"] == 2.0 * new["vc"] and new["rhs"] >= old["rhs"]

@@ -16,7 +16,6 @@ from eigenvol.confvol import SphereImmersion
 from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus
 from eigenvol.harness import (
     CheckResult,
-    Surface,
     VerificationError,
     _exact_orthogonality,
     _ineq,
@@ -32,8 +31,8 @@ from eigenvol.harness import (
     proof_constants,
     run_verification,
 )
-from eigenvol.mesh import TriangleMesh
-from eigenvol.spectral import assemble_laplacian
+from eigenvol.mesh import TriangleMesh, willmore_energy
+from eigenvol.spectral import assemble_laplacian, eigensolve
 
 SPHERE_AREA = 4.0 * np.pi
 CLIFFORD_AREA = 2.0 * np.pi**2
@@ -127,51 +126,112 @@ def test_check_result_serializes():
 
 
 # ---------------------------------------------------------------------- #
-# the per-surface context
+# what the checks read
 
 
-def test_surface_solves_once_for_every_check(sphere3, monkeypatch):
+def test_surface_solves_once_for_every_check(monkeypatch):
+    # the battery solves each of its five reference surfaces once, for
+    # the most pairs any of its checks reads, and hands that spectrum on
     counts = []
     solve = harness.eigensolve
-    def counting(ops, count, seed):
+
+    def counting(mesh, count=10, seed=0):
         counts.append(count)
-        return solve(ops, count, seed)
+        return solve(mesh, count, seed)
 
     monkeypatch.setattr(harness, "eigensolve", counting)
-    surface = Surface(sphere3, SphereImmersion.identity(sphere3), SPHERE_AREA)
-    surface.spectrum(12)
-    check_first_eigenvalue(surface)
-    check_curvature_first_eigenvalue(surface)
-    check_higher_eigenvalues(surface, kmax=6, kappa=0.0)
-    assert counts == [12]
-    surface.spectrum(20)  # more pairs than were solved for
-    assert counts == [12, 20]
+    run_verification("all", 0)
+    assert counts == [70] * 5
+    counts.clear()
+    run_verification("higher", 0, kmax=70)
+    assert counts == [74] * 3
 
 
-def test_checks_agree_on_mesh_and_surface(sphere3):
-    surface = Surface(sphere3, SphereImmersion.identity(sphere3), SPHERE_AREA)
+def test_checks_given_a_spectrum_match_their_own_solve(sphere3, assert_report_close):
+    spectrum = eigensolve(sphere3, 70)
     immersion = SphereImmersion.identity(sphere3)
+    higher = {"vc_reference": SPHERE_AREA, "kappa": 0.0}
     pairs = [
         (
-            check_first_eigenvalue(surface),
-            check_first_eigenvalue(sphere3, immersion=immersion, vc_reference=SPHERE_AREA),
+            check_first_eigenvalue(sphere3, immersion, SPHERE_AREA, spectrum=spectrum),
+            check_first_eigenvalue(sphere3, immersion, SPHERE_AREA),
         ),
-        (check_curvature_first_eigenvalue(surface), check_curvature_first_eigenvalue(sphere3)),
-        (check_index(surface, 0.0, 1), check_index(sphere3, 0.0, 1)),
+        (
+            check_curvature_first_eigenvalue(sphere3, spectrum=spectrum),
+            check_curvature_first_eigenvalue(sphere3),
+        ),
+        *zip(
+            check_higher_eigenvalues(sphere3, **higher, spectrum=spectrum),
+            check_higher_eigenvalues(sphere3, **higher),
+        ),
+        # the chain's error bar reads every pair it is given
+        *zip(
+            build_witness_chain(
+                sphere3, immersion, 2, SPHERE_AREA, spectrum=spectrum.head(6)
+            ).results,
+            build_witness_chain(sphere3, immersion, 2, SPHERE_AREA).results,
+        ),
     ]
-    for a, b in pairs:
-        assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
+    for given, own in pairs:
+        given, own = (json.loads(json.dumps(r.as_dict())) for r in (given, own))
+        assert_report_close(given, own)
+
+
+def test_checks_refuse_a_spectrum_of_another_mesh(sphere3):
+    other = eigensolve(icosphere(2), 12)
+    immersion = SphereImmersion.identity(sphere3)
+    match = "^the spectrum has 162 eigenvector rows, the mesh 642 vertices$"
+    checks = [
+        lambda: check_first_eigenvalue(sphere3, immersion, SPHERE_AREA, spectrum=other),
+        lambda: check_curvature_first_eigenvalue(sphere3, spectrum=other),
+        lambda: check_higher_eigenvalues(sphere3, kmax=2, kappa=0.0, spectrum=other),
+        lambda: build_witness_chain(sphere3, immersion, 2, SPHERE_AREA, spectrum=other),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=match):
+            check()
+
+
+def test_checks_refuse_a_spectrum_shorter_than_they_read(sphere3, sphere3_spec):
+    immersion = SphereImmersion.identity(sphere3)
+    kernel, short = sphere3_spec.head(1), sphere3_spec.head(3)
+    cases = [
+        (lambda: check_first_eigenvalue(sphere3, immersion, SPHERE_AREA, spectrum=kernel), 0, 1),
+        (lambda: check_curvature_first_eigenvalue(sphere3, spectrum=kernel), 0, 1),
+        (lambda: check_higher_eigenvalues(sphere3, kmax=4, kappa=0.0, spectrum=short), 2, 4),
+        (lambda: build_witness_chain(sphere3, immersion, 4, SPHERE_AREA, spectrum=short), 2, 4),
+    ]
+    for check, has, need in cases:
+        match = f"^spectrum only has {has} nonzero eigenvalues, need {need}$"
+        with pytest.raises(ValueError, match=match):
+            check()
+
+
+@pytest.mark.parametrize("vc", [0.0, -1.0, float("nan"), float("inf")])
+def test_checks_refuse_a_vc_reference_not_finite_and_positive(sphere3, sphere3_spec, vc):
+    immersion = SphereImmersion.identity(sphere3)
+    checks = [
+        lambda: check_first_eigenvalue(sphere3, immersion, vc, spectrum=sphere3_spec),
+        lambda: check_higher_eigenvalues(sphere3, vc_reference=vc, spectrum=sphere3_spec),
+        lambda: check_eigenvalue_counts(sphere3, 2.5, vc_reference=vc),
+        lambda: build_witness_chain(sphere3, immersion, 2, vc, spectrum=sphere3_spec),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="^vc_reference must be finite and positive, got "):
+            check()
 
 
 def test_surface_willmore_component_follows_kappa(sphere3, clifford32):
     # on the unit sphere the ambient mean curvature has length one; the
     # part seen inside the sphere vanishes for the minimal Clifford torus
-    assert Surface(sphere3).willmore(0.0) == pytest.approx(SPHERE_AREA, rel=0.01)
-    clifford = Surface(clifford32)
-    assert clifford.willmore(1.0) < 1e-9
-    assert clifford.willmore(0.0) == pytest.approx(CLIFFORD_AREA, rel=0.01)
+    def willmore(mesh, kappa):
+        return willmore_energy(mesh, harness._component(mesh, kappa))
+
+    assert willmore(sphere3, 0.0) == pytest.approx(SPHERE_AREA, rel=0.01)
+    assert willmore(clifford32, 1.0) < 1e-9
+    assert willmore(clifford32, 0.0) == pytest.approx(CLIFFORD_AREA, rel=0.01)
     with pytest.raises(ValueError):
-        Surface(flat_torus(2 * np.pi, 2 * np.pi, 8)).willmore(0.0)
+        willmore(flat_torus(2 * np.pi, 2 * np.pi, 8), 0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -203,8 +263,6 @@ def test_checks_refuse_an_immersion_of_another_mesh(sphere3):
     match = "^the immersion maps another mesh than the one checked$"
     with pytest.raises(ValueError, match=match):
         check_first_eigenvalue(sphere3, immersion=immersion, vc_reference=SPHERE_AREA)
-    with pytest.raises(ValueError, match=match):
-        check_first_eigenvalue(Surface(sphere3, immersion, SPHERE_AREA))
     with pytest.raises(ValueError, match=match):
         check_eigenvalue_counts(sphere3, 2.5, vc_reference=SPHERE_AREA, immersion=immersion)
     with pytest.raises(ValueError, match=match):
@@ -378,7 +436,7 @@ def _reference_pointwise_laplacian(mesh, values, refine=2):
     """The quadratic fit of `_pointwise_laplacian` one vertex at a time,
     with the frame from `svd` and every fit from `lstsq`."""
     x = mesh.vertices
-    K = assemble_laplacian(mesh).stiffness
+    K, _ = assemble_laplacian(mesh)
     pattern = sp.csr_matrix((np.ones_like(K.data), K.indices, K.indptr), shape=K.shape)
     pattern.setdiag(1.0)
     ring2 = ((pattern @ pattern) > 0).tocsr()
@@ -479,11 +537,18 @@ def test_witness_chain_rejects_k_zero(sphere3):
         )
 
 
+def test_witness_chain_needs_a_vc_reference(sphere3, sphere3_spec):
+    with pytest.raises(ValueError, match="^the witness chain needs vc_reference$"):
+        build_witness_chain(
+            sphere3, SphereImmersion.identity(sphere3), 2, None, spectrum=sphere3_spec
+        )
+
+
 def test_exact_orthogonality_detects_overlap(sphere3):
-    ops = assemble_laplacian(sphere3)
+    K, _ = assemble_laplacian(sphere3)
     U = np.ones((2, sphere3.nv))
     with pytest.raises(VerificationError):
-        _exact_orthogonality(ops, U)
+        _exact_orthogonality(K, U)
 
 
 # ---------------------------------------------------------------------- #
