@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -115,8 +116,7 @@ def _emit(content, out: str | None) -> None:
         "version": __version__,
         "numpy": np.__version__,
     }
-    base = out.rsplit(".", 1)[0] if "." in out else out
-    with open(base + ".run_meta.json", "w") as fh:
+    with open(os.path.splitext(out)[0] + ".run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -246,7 +246,7 @@ def gny(fixture, mesh, k, density, seed, out) -> None:
         "doubled_masses": report.doubled_masses.tolist(),
         "disjoint_doubles": report.disjoint,
         "ok": report.ok,
-        "annuli": family.as_dict()["annuli"],
+        "annuli": [a.as_dict() for a in family.annuli],
     }
     _emit(payload, out)
     if not report.ok:

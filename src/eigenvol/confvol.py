@@ -30,6 +30,7 @@ explicit error bar instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -253,19 +254,15 @@ class SphereImmersion:
             self.singular_faces.min() < 0 or self.singular_faces.max() >= self.mesh.nf
         ):
             raise ValueError("singular face index out of range")
-        self._distortion = None
 
     @property
     def target_dim(self) -> int:
         """Dimension m of the target sphere S^m."""
         return self.images.shape[1] - 1
 
+    @cached_property
     def distortion(self) -> DistortionReport:
-        if self._distortion is None:
-            self._distortion = conformal_distortion(
-                self.mesh, self.images, exclude=self.singular_faces
-            )
-        return self._distortion
+        return conformal_distortion(self.mesh, self.images, exclude=self.singular_faces)
 
     def moved_by(self, g: MoebiusMap) -> "SphereImmersion":
         return SphereImmersion(self.mesh, g(self.images), self.singular_faces)

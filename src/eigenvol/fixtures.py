@@ -10,7 +10,6 @@ flat_torus(a,b,n)   abstract flat torus, lambda = (2 pi j / a)^2 + (2 pi k / b)^
 clifford_torus(n)   minimal torus in S^3, lambda_1 = 2 (mult. 4), area 2 pi^2
 revolution_torus    torus of revolution in R^3, |H| known pointwise
 veronese(L)         projective plane minimally in S^4, lambda_1 = 2, area 6 pi
-round_rp2_double_cover(L)   its genus-0 double cover, area 12 pi
 ==================  =========================================================
 """
 
@@ -25,7 +24,6 @@ __all__ = [
     "flat_torus",
     "icosphere",
     "revolution_torus",
-    "round_rp2_double_cover",
     "veronese",
 ]
 
@@ -253,16 +251,3 @@ def veronese(level: int = 3) -> TriangleMesh:
     qverts /= np.linalg.norm(qverts, axis=1, keepdims=True)
     return TriangleMesh(qverts, qfaces, ambient="unit_sphere")
 
-
-def round_rp2_double_cover(level: int = 3) -> TriangleMesh:
-    """The icosphere mapped through the Veronese map *without* identification.
-
-    A genus-0 immersed sphere in S^4 covering the projective plane twice:
-    antipodal vertices land on coincident coordinates on purpose.  Area
-    converges to 12 pi, first eigenvalue to 2/3 (the round sphere of
-    curvature 1/3).
-    """
-    sphere = icosphere(level)
-    verts = _veronese_map(sphere.vertices)
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return TriangleMesh(verts, sphere.faces, ambient="unit_sphere")

@@ -39,7 +39,7 @@ from .fixtures import (
     revolution_torus,
     veronese,
 )
-from .mesh import TriangleMesh, cotangent_stiffness, mean_curvature, willmore_energy
+from .mesh import TriangleMesh, mean_curvature, willmore_energy
 from .moebius import u_annulus
 from .packing import (
     gny_decompose,
@@ -360,7 +360,7 @@ def check_first_eigenvalue(
             "centering_iterations": centering.iterations,
             "moment_norm": centering.moment_norm,
         }
-        dist = immersion.distortion()
+        dist = immersion.distortion
         error_bars["max_log_distortion"] = dist.max_log_distortion
         error_bars["singular_area"] = dist.singular_area
 
@@ -775,10 +775,10 @@ def _pointwise_laplacian(mesh: TriangleMesh, values):
     ring's 3x3 scatter matrix, and every least-squares fit solves its
     6x6 normal equations in coordinates divided by the ring radius, which
     keeps them well conditioned.  The 2-rings come from the sparsity of
-    the mesh's cached stiffness matrix.
+    the mesh's stiffness matrix.
     """
     x = mesh.vertices
-    K = cotangent_stiffness(mesh)
+    K = mesh.stiffness
     pattern = sp.csr_matrix(
         (np.ones_like(K.data), K.indices, K.indptr), shape=K.shape
     )
@@ -1000,7 +1000,7 @@ def build_witness_chain(
     consts = proof_constants(2, immersion.target_dim)
     punch = float(consts.higher_eigenvalue) * vc_reference / vol * k
 
-    dist = immersion.distortion()
+    dist = immersion.distortion
     bars = {
         "spectral_residual": spec.max_residual,
         "max_log_distortion": dist.max_log_distortion,

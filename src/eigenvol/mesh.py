@@ -5,7 +5,9 @@ possibly constrained to the unit sphere) or *abstract* (no coordinates,
 just combinatorics plus one length per edge).  All metric quantities --
 face areas, the lumped mass matrix, the cotangent stiffness matrix -- are
 computed from edge lengths alone, so the two flavours share every code
-path after `face_edge_lengths`.
+path after `face_edge_lengths`.  The mesh owns its Laplace pencil: the
+stiffness K is :attr:`TriangleMesh.stiffness` and the lumped mass M is
+:attr:`TriangleMesh.vertex_areas`, each computed once on first use.
 
 Only closed connected surfaces are accepted: every edge must belong to
 exactly two faces and the edge graph must be connected.  Meshes with
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import time
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -23,7 +26,6 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "TriangleMesh",
-    "cotangent_stiffness",
     "load_off",
     "mean_curvature",
     "save_off",
@@ -101,7 +103,6 @@ class TriangleMesh:
             self._nv = vertices.shape[0]
         self.ambient = ambient
 
-        self._cache = {}
         self._validate_faces()
         self._edges, self._face_edge_idx = unique_edges(faces, self._nv)
         self._validate_closed_connected()
@@ -237,58 +238,77 @@ class TriangleMesh:
         """Total surface area."""
         return float(self.face_areas.sum())
 
-    @property
+    @cached_property
     def face_cotangents(self) -> np.ndarray:
         """Cotangent of the interior angle at each face corner, shape (nf, 3)."""
-        if "cots" not in self._cache:
-            sq = self.face_edge_lengths**2
-            area4 = 4.0 * self.face_areas[:, None]
-            # cot(angle at corner i) from the law of cosines, a is opposite
-            a, b, c = sq[:, 0], sq[:, 1], sq[:, 2]
-            cots = np.column_stack([b + c - a, c + a - b, a + b - c]) / area4
-            self._cache["cots"] = cots
-        return self._cache["cots"]
+        sq = self.face_edge_lengths**2
+        area4 = 4.0 * self.face_areas[:, None]
+        # cot(angle at corner i) from the law of cosines, a is opposite
+        a, b, c = sq[:, 0], sq[:, 1], sq[:, 2]
+        return np.column_stack([b + c - a, c + a - b, a + b - c]) / area4
 
-    @property
+    @cached_property
     def vertex_areas(self) -> np.ndarray:
-        """Lumped (mixed Voronoi) vertex areas, shape (nv,).
+        """Lumped (mixed Voronoi) vertex areas, shape (nv,): the mass M of
+        the pencil K v = lambda M v.
 
         Inside a non-obtuse triangle each corner receives its true Voronoi
         area; obtuse triangles give half their area to the obtuse corner
         and a quarter to each of the others.  The areas sum exactly to the
         total surface area.
         """
-        if "varea" not in self._cache:
-            cots = self.face_cotangents
-            sq = self.face_edge_lengths**2
-            areas = self.face_areas
-            # Voronoi area at corner i: (1/8)(|edge to j|^2 cot_k + |edge to k|^2 cot_j)
-            # where the edge from corner i to corner j is opposite corner k.
-            voronoi = 0.125 * (
-                np.roll(sq, -1, axis=1) * np.roll(cots, -1, axis=1)
-                + np.roll(sq, 1, axis=1) * np.roll(cots, 1, axis=1)
-            )
-            obtuse = cots < 0.0
-            any_obtuse = obtuse.any(axis=1)
-            contrib = np.where(
-                any_obtuse[:, None],
-                np.where(obtuse, 0.5 * areas[:, None], 0.25 * areas[:, None]),
-                voronoi,
-            )
-            out = np.zeros(self._nv)
-            np.add.at(out, self.faces, contrib)
-            self._cache["varea"] = out
-        return self._cache["varea"]
+        cots = self.face_cotangents
+        sq = self.face_edge_lengths**2
+        areas = self.face_areas
+        # Voronoi area at corner i: (1/8)(|edge to j|^2 cot_k + |edge to k|^2 cot_j)
+        # where the edge from corner i to corner j is opposite corner k.
+        voronoi = 0.125 * (
+            np.roll(sq, -1, axis=1) * np.roll(cots, -1, axis=1)
+            + np.roll(sq, 1, axis=1) * np.roll(cots, 1, axis=1)
+        )
+        obtuse = cots < 0.0
+        any_obtuse = obtuse.any(axis=1)
+        contrib = np.where(
+            any_obtuse[:, None],
+            np.where(obtuse, 0.5 * areas[:, None], 0.25 * areas[:, None]),
+            voronoi,
+        )
+        out = np.zeros(self._nv)
+        np.add.at(out, self.faces, contrib)
+        return out
+
+    @cached_property
+    def stiffness(self) -> sparse.csc_matrix:
+        """Cotangent stiffness matrix K of the positive Laplacian, shape (nv, nv).
+
+        ``u^T K u`` is the Dirichlet energy of the piecewise linear function
+        with vertex values u; K is symmetric positive semidefinite with the
+        constants in its kernel.  Assembled from edge lengths only, once per
+        mesh: later reads return the same matrix, which must not be modified.
+        """
+        f = self.faces
+        cots = self.face_cotangents
+        rows, cols, vals = [], [], []
+        for corner in range(3):
+            j = f[:, (corner + 1) % 3]
+            k = f[:, (corner + 2) % 3]
+            w = 0.5 * cots[:, corner]
+            rows += [j, k, j, k]
+            cols += [k, j, j, k]
+            vals += [-w, -w, w, w]
+        K = sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self._nv, self._nv),
+        )
+        return K.tocsc()
 
     # ------------------------------------------------------------------ #
     # topology
 
-    @property
+    @cached_property
     def orientable(self) -> bool:
         """Whether the faces admit a consistent orientation."""
-        if "orientable" not in self._cache:
-            self._cache["orientable"] = self._check_orientable()
-        return self._cache["orientable"]
+        return self._check_orientable()
 
     def _check_orientable(self) -> bool:
         # The orientation double cover has two sheets per face.  Two faces
@@ -332,38 +352,6 @@ class TriangleMesh:
         )
 
 
-def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csc_matrix:
-    """Cotangent stiffness matrix K of the positive Laplacian.
-
-    ``u^T K u`` is the Dirichlet energy of the piecewise linear function
-    with vertex values u; K is symmetric positive semidefinite with the
-    constants in its kernel.  Assembled from edge lengths only, once per
-    mesh: later calls return the same matrix, which must not be modified.
-
-    Returns
-    -------
-    scipy.sparse.csc_matrix of shape (nv, nv)
-    """
-    if "stiffness" not in mesh._cache:
-        f = mesh.faces
-        cots = mesh.face_cotangents
-        nv = mesh.nv
-        rows, cols, vals = [], [], []
-        for corner in range(3):
-            j = f[:, (corner + 1) % 3]
-            k = f[:, (corner + 2) % 3]
-            w = 0.5 * cots[:, corner]
-            rows += [j, k, j, k]
-            cols += [k, j, j, k]
-            vals += [-w, -w, w, w]
-        K = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nv, nv),
-        )
-        mesh._cache["stiffness"] = K.tocsc()
-    return mesh._cache["stiffness"]
-
-
 def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray:
     """Discrete mean curvature vector at each vertex, shape (nv, d).
 
@@ -382,8 +370,7 @@ def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray
     """
     if mesh.vertices is None:
         raise ValueError("mean curvature needs vertex coordinates")
-    K = cotangent_stiffness(mesh)
-    H = -(K @ mesh.vertices) / (2.0 * mesh.vertex_areas[:, None])
+    H = -(mesh.stiffness @ mesh.vertices) / (2.0 * mesh.vertex_areas[:, None])
     if component == "ambient":
         return H
     if component == "sphere":

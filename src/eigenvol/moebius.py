@@ -242,10 +242,6 @@ class Annulus:
         d = geodesic_distance(self.center, points)
         return (d >= self.inner) & (d < self.outer)
 
-    def shell_interval(self) -> tuple[float, float]:
-        """Distance-from-center interval, clipped to the attainable [0, pi]."""
-        return self.inner, min(self.outer, np.pi)
-
     def as_dict(self) -> dict:
         return {
             "center": [float(x) for x in self.center],

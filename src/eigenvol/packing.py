@@ -144,8 +144,8 @@ def shells_disjoint(a: Annulus, b: Annulus) -> bool:
     polygon, so separation by one of its three edges decides the question
     without any sampling.
     """
-    a1, b1 = a.shell_interval()
-    a2, b2 = b.shell_interval()
+    a1, b1 = a.inner, a.outer
+    a2, b2 = b.inner, b.outer
     D = float(geodesic_distance(a.center, b.center))
     if b1 + b2 <= D:  # box below d1 + d2 >= D (suprema are open)
         return True
@@ -168,20 +168,6 @@ class AnnulusFamily:
     masses: np.ndarray
     beta: float
     target: float
-    k: int
-    gap: float
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "annuli": [a.as_dict() for a in self.annuli],
-            "masses": [float(x) for x in self.masses],
-            "beta": float(self.beta),
-            "target": float(self.target),
-            "k": self.k,
-            "gap": float(self.gap),
-            "seed": self.seed,
-        }
 
 
 # seeded random poles that join the atoms as candidate annulus centers
@@ -491,10 +477,7 @@ def gny_decompose(
     )
     if packed:
         masses = np.array([mu.mass(a) for a in annuli])
-        return AnnulusFamily(
-            annuli=annuli, masses=masses, beta=beta, target=tau,
-            k=k, gap=gap, seed=seed,
-        )
+        return AnnulusFamily(annuli=annuli, masses=masses, beta=beta, target=tau)
     raise PackingError(
         f"could not pack {k} annuli even at the guaranteed mass fraction "
         f"{floor:.3e}; progress per beta: {attempts[-3:]}",

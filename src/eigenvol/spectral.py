@@ -1,7 +1,8 @@
 """Eigenvalue computations for the lumped cotangent Laplacian.
 
 The discrete operator is the generalized pencil  K v = lambda M v  with K
-the cotangent stiffness matrix and M the diagonal lumped mass matrix; its
+the cotangent stiffness matrix (``TriangleMesh.stiffness``) and M the
+diagonal lumped mass matrix (``TriangleMesh.vertex_areas``); its
 Rayleigh quotient is the Dirichlet energy over the L^2 norm, so the
 discrete eigenvalues are upper-bound-consistent with the min-max
 characterization used everywhere in the bounds.
@@ -24,7 +25,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from .mesh import TriangleMesh, cotangent_stiffness
+from .mesh import TriangleMesh
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -52,10 +53,11 @@ class SolverError(RuntimeError):
 
 
 def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarray]:
-    """The (K, M) pencil of a mesh: the cotangent stiffness matrix K
-    (positive semidefinite, cached on the mesh) and the diagonal of the
-    lumped mass matrix M (mixed Voronoi vertex areas)."""
-    return cotangent_stiffness(mesh), mesh.vertex_areas
+    """The (K, M) pencil of a mesh: its cotangent stiffness matrix
+    ``mesh.stiffness`` (positive semidefinite) and the diagonal of the
+    lumped mass matrix, ``mesh.vertex_areas`` (mixed Voronoi vertex
+    areas).  The mesh owns both and computes each once."""
+    return mesh.stiffness, mesh.vertex_areas
 
 
 @dataclass

@@ -259,6 +259,23 @@ def test_out_file_matches_stdout_and_names_its_command(runner, tmp_path, args):
     assert meta["command"] == args[0]
 
 
+@pytest.mark.parametrize("out, meta", [
+    ("out.d/report", "out.d/report.run_meta.json"),
+    ("./plain", "plain.run_meta.json"),
+])
+def test_run_meta_sits_beside_an_out_file_without_extension(
+    runner, tmp_path, monkeypatch, out, meta
+):
+    # a dot in a directory name, or the "./" prefix, is no file extension
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    result = runner.invoke(main, ["constants", "--out", out])
+    assert result.exit_code == 0
+    assert json.loads((tmp_path / meta).read_text())["command"] == "constants"
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted([out.removeprefix("./"), meta])
+
+
 def test_non_finite_off_coordinate_is_one_line(runner, tmp_path):
     path = tmp_path / "nan.off"
     path.write_text(

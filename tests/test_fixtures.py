@@ -9,7 +9,6 @@ from eigenvol.fixtures import (
     flat_torus_spectrum,
     icosphere,
     revolution_torus,
-    round_rp2_double_cover,
     veronese,
 )
 from eigenvol.mesh import mean_curvature
@@ -134,24 +133,6 @@ def test_veronese_first_eigenvalue():
 def test_veronese_rejects_coarse_level():
     with pytest.raises(ValueError):
         veronese(1)
-
-
-def test_double_cover_is_round_sphere_of_curvature_third():
-    d = round_rp2_double_cover(3)
-    assert d.euler_characteristic == 2
-    assert d.orientable
-    assert d.area == pytest.approx(12 * np.pi, rel=0.015)
-    res = eigensolve(d, 5)
-    assert np.allclose(res.eigenvalues[1:4], 2.0 / 3.0, rtol=0.01)
-
-
-def test_double_cover_images_coincide_in_pairs():
-    d = round_rp2_double_cover(2)
-    canon = {}
-    for i, v in enumerate(d.vertices):
-        canon.setdefault((v + 0.0).tobytes(), []).append(i)
-    sizes = sorted(len(ids) for ids in canon.values())
-    assert sizes == [2] * (d.nv // 2)
 
 
 def test_fixture_input_validation():

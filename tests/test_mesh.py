@@ -8,7 +8,6 @@ import pytest
 from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import (
     TriangleMesh,
-    cotangent_stiffness,
     load_off,
     mean_curvature,
     save_off,
@@ -40,13 +39,13 @@ def test_face_areas_match_cross_product(sphere3):
 
 
 def test_stiffness_rows_sum_to_zero(sphere3):
-    K = cotangent_stiffness(sphere3)
+    K = sphere3.stiffness
     assert np.max(np.abs(K @ np.ones(sphere3.nv))) < 1e-12
     assert (abs(K - K.T) > 1e-14).nnz == 0
 
 
 def test_stiffness_is_positive_semidefinite(sphere3):
-    K = cotangent_stiffness(sphere3)
+    K = sphere3.stiffness
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(sphere3.nv)
@@ -59,7 +58,7 @@ def test_dirichlet_energy_of_linear_function():
     # easiest exact case: sphere coordinates have energy 8pi/3 each in
     # the continuum; check the discrete version converges from below of 2%
     mesh = icosphere(3)
-    K = cotangent_stiffness(mesh)
+    K = mesh.stiffness
     for i in range(3):
         x = mesh.vertices[:, i]
         assert x @ (K @ x) == pytest.approx(8 * np.pi / 3, rel=0.02)
@@ -160,7 +159,7 @@ def test_stiffness_is_assembled_once_per_mesh():
     fresh, shared = icosphere(2), icosphere(2)
     H_fresh = mean_curvature(fresh)
     K, _ = assemble_laplacian(shared)
-    assert cotangent_stiffness(shared) is K
+    assert shared.stiffness is K
     assert np.array_equal(mean_curvature(shared), H_fresh)
 
 
