@@ -887,7 +887,7 @@ def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     res = H2 - ef * (Ht2 + 1.0) + 0.5 * lap_f
     K, areas = assemble_laplacian(mesh)
     l2 = float(np.sqrt(np.sum(areas * res * res)))
-    w2 = willmore_energy(mesh)
+    w2 = float(np.sum(areas * H2))
     energy = float(sum(float(u @ (K @ u)) for u in lift.T))
     conf_area = float(np.sum(areas * ef))
     return ConformalBalance(

@@ -16,8 +16,11 @@ boundary raise at construction time.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import os
 import time
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -455,15 +458,130 @@ def _read_block(path, lines, numbers, width, problem, dtype, what):
     raise AssertionError("a malformed block has a malformed line")
 
 
+def _data_lines(path, lines, tags):
+    """Physical line number and stripped text of each line of `lines` that
+    is neither blank nor a comment.  An ``# ambient <name> [<dim>]`` comment
+    sets ``tags["ambient"]`` and ``tags["dim"]``.
+
+    `lines` is an open text file, which splits at newlines only:
+    str.splitlines would also split at form feeds and shift the numbers."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            parts = stripped[1:].split()
+            if len(parts) >= 2 and parts[0] == "ambient":
+                tags["ambient"] = parts[1]
+                if len(parts) >= 3:
+                    try:
+                        tags["dim"] = int(parts[2])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: bad ambient comment") from exc
+        elif stripped:
+            yield lineno, stripped
+
+
+def _counts(path, lineno, line):
+    counts = line.split()
+    if len(counts) != 3:
+        raise ValueError(f"{path}:{lineno}: counts line must have three fields")
+    try:
+        nv, nf, _ = (int(c) for c in counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: bad counts line") from exc
+    if nv < 0 or nf < 0:
+        raise ValueError(f"{path}:{lineno}: bad counts line")
+    return nv, nf
+
+
+def _face_problem(fields):
+    try:
+        triangle = len(fields) == 4 and int(fields[0]) == 3
+    except ValueError:
+        triangle = False
+    return "" if triangle else "only triangle faces are supported"
+
+
+def _stream_off(path, fh):
+    """Vertices, faces (count column included) and tags of the OFF file
+    open as `fh`, each block parsed by ``np.loadtxt`` as it reads the file.
+
+    Raises ValueError, or the warning as an exception, on anything that
+    reader refuses or returns short; :func:`_walk_off` then says what."""
+    tags = {}
+    head = list(itertools.islice(_data_lines(path, fh, tags), 2))
+    if len(head) < 2 or head[0][1].split() != ["OFF"]:
+        raise ValueError("no header")
+    nv, nf = _counts(path, *head[1])
+    # np.loadtxt reserves max_rows rows up front; a file of n bytes has
+    # fewer than n lines
+    if nv + nf > os.fstat(fh.fileno()).st_size:
+        raise ValueError("more rows counted than the file can hold")
+    with warnings.catch_warnings():
+        # a blank line inside a block, or a block of no rows
+        warnings.simplefilter("error")
+        verts = np.loadtxt(fh, dtype=np.float64, comments=None, max_rows=nv, ndmin=2)
+        faces = np.loadtxt(fh, dtype=np.int64, comments=None, max_rows=nf, ndmin=2)
+    if (
+        len(verts) != nv
+        or faces.shape != (nf, 4)
+        or np.any(faces[:, 0] != 3)
+        # an ambient comment after the faces still counts
+        or any(line.lstrip().startswith("#") for line in fh)
+    ):
+        raise ValueError("short block, not triangles, or a trailing comment")
+    return verts, faces, tags
+
+
+def _walk_off(path, fh):
+    """As :func:`_stream_off`, but reading line by line, so that an error
+    names the first malformed line."""
+    tags = {}
+    numbers, content = [], []  # physical line number and text of each data line
+    for lineno, text in _data_lines(path, fh, tags):
+        numbers.append(lineno)
+        content.append(text)
+    if not content or content[0].split() != ["OFF"]:
+        raise ValueError(f"{path}: missing OFF header")
+    if len(content) < 2:
+        raise ValueError(f"{path}: missing counts line")
+    nv, nf = _counts(path, numbers[1], content[1])
+    if len(content) - 2 < nv + nf:
+        raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
+
+    dim = len(content[2].split()) if nv else (tags.get("dim") or 3)
+    verts = _read_block(
+        path, content[2 : 2 + nv], numbers[2 : 2 + nv], dim,
+        lambda f: f"vertex has {len(f)} coordinates, expected {dim}" if len(f) != dim else "",
+        float, "vertex coordinate",
+    )
+    faces = _read_block(
+        path, content[2 + nv : 2 + nv + nf], numbers[2 + nv : 2 + nv + nf], 4,
+        _face_problem, np.int64, "face index",
+    )
+    return verts, faces, tags
+
+
 def load_off(path) -> TriangleMesh:
     """Read an ASCII OFF file with triangle faces.
 
     Vertex dimension is inferred from the first vertex line, so spheres
     in R^4 or R^5 load without extra flags.  Coordinates are read as
     ``float()`` reads them and face indices as ``int()`` does (so ``1_0``
-    and ``inf`` parse, and ``3.0`` is not an index).  An ``# ambient``
-    comment written by :func:`save_off` restores the ambient tag; without
-    one the mesh has none.
+    and ``inf`` parse, and ``3.0`` is not an index).  The count opening
+    each face line is read as ``int()`` reads it too and must be 3 (so
+    ``+3`` and ``03`` are triangles, and ``3.0`` and ``4`` are not).  An
+    ``# ambient`` comment written by :func:`save_off` restores the
+    ambient tag; without one the mesh has none.
+
+    After the header, ``np.loadtxt`` parses the vertex block and then the
+    face block as it streams them from the open file, so no line or token
+    is kept as a Python string.  It reads a strict subset of what
+    ``float()`` and ``int()`` read, to the same values.  Whatever it
+    refuses or returns short (a comment or blank line inside a block, a
+    ragged or malformed line, ``1_0``, a non-ASCII digit, too few lines, a
+    face that is not a triangle) is read again from the start line by
+    line, which alone raises the errors.  A pipe, which cannot be read
+    twice, goes to that line walk directly.
 
     Raises
     ------
@@ -472,57 +590,14 @@ def load_off(path) -> TriangleMesh:
     """
     start = time.perf_counter()
     with open(path) as fh:
-        # split on newlines only: str.splitlines would also break lines at
-        # form feeds and other separators and shift the line numbers
-        raw = fh.read().split("\n")
+        streamed = None
+        if fh.seekable():  # a pipe is read once, by the line walk
+            try:
+                streamed = _stream_off(path, fh)
+            except (ValueError, Warning):
+                fh.seek(0)
+        verts, faces, tags = streamed or _walk_off(path, fh)
 
-    file_ambient = None
-    file_dim = None
-    numbers, content = [], []  # physical line number and text of each data line
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if len(parts) >= 2 and parts[0] == "ambient":
-                file_ambient = parts[1]
-                if len(parts) >= 3:
-                    try:
-                        file_dim = int(parts[2])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: bad ambient comment") from exc
-            continue
-        if stripped:
-            numbers.append(lineno)
-            content.append(stripped)
-
-    if not content or content[0].split() != ["OFF"]:
-        raise ValueError(f"{path}: missing OFF header")
-    if len(content) < 2:
-        raise ValueError(f"{path}: missing counts line")
-    counts = content[1].split()
-    if len(counts) != 3:
-        raise ValueError(f"{path}:{numbers[1]}: counts line must have three fields")
-    try:
-        nv, nf, _ = (int(c) for c in counts)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{numbers[1]}: bad counts line") from exc
-    if nv < 0 or nf < 0:
-        raise ValueError(f"{path}:{numbers[1]}: bad counts line")
-    if len(content) - 2 < nv + nf:
-        raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
-
-    dim = len(content[2].split()) if nv else (file_dim or 3)
-    verts = _read_block(
-        path, content[2 : 2 + nv], numbers[2 : 2 + nv], dim,
-        lambda f: f"vertex has {len(f)} coordinates, expected {dim}" if len(f) != dim else "",
-        float, "vertex coordinate",
-    )
-    faces = _read_block(
-        path, content[2 + nv : 2 + nv + nf], numbers[2 + nv : 2 + nv + nf], 4,
-        lambda f: "only triangle faces are supported" if f[0] != "3" or len(f) != 4 else "",
-        np.int64, "face index",
-    )[:, 1:]
-
-    mesh = TriangleMesh(verts, faces, ambient=file_ambient)
+    mesh = TriangleMesh(verts, faces[:, 1:], ambient=tags.get("ambient"))
     _log_io("read", path, mesh, start)
     return mesh

@@ -165,7 +165,6 @@ class AnnulusFamily:
     """Result of a decomposition: annuli plus the parameters that won."""
 
     annuli: list
-    masses: np.ndarray
     beta: float
     target: float
 
@@ -476,8 +475,7 @@ def gny_decompose(
         },
     )
     if packed:
-        masses = np.array([mu.mass(a) for a in annuli])
-        return AnnulusFamily(annuli=annuli, masses=masses, beta=beta, target=tau)
+        return AnnulusFamily(annuli=annuli, beta=beta, target=tau)
     raise PackingError(
         f"could not pack {k} annuli even at the guaranteed mass fraction "
         f"{floor:.3e}; progress per beta: {attempts[-3:]}",

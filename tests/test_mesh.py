@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import logging
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from eigenvol import mesh as mesh_module
 from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import (
     TriangleMesh,
@@ -195,6 +198,22 @@ def test_off_round_trip_r5(tmp_path):
     assert np.array_equal(back.vertices, v.vertices)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_off_round_trip_through_a_pipe(tmp_path, sphere3):
+    # a pipe cannot seek back to its start, so the line walk reads it once
+    path = tmp_path / "sphere.off"
+    save_off(sphere3, path)
+    pipe = tmp_path / "pipe.off"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+    writer.start()
+    back = load_off(pipe)
+    writer.join()
+    assert back.ambient == "unit_sphere"
+    assert np.array_equal(back.vertices, sphere3.vertices)
+    assert np.array_equal(back.faces, sphere3.faces)
+
+
 def test_off_refuses_abstract_mesh(tmp_path):
     faces = _tetrahedron()[1]
     mesh = TriangleMesh(None, faces, edge_lengths=np.ones(6))
@@ -258,12 +277,18 @@ _OFF_MESHES = {
 }
 
 
+def _line_walk_refused(*args):
+    raise AssertionError("the line walk read a file np.loadtxt should stream")
+
+
 @pytest.mark.parametrize("name", sorted(_OFF_MESHES))
-def test_off_writer_matches_per_value_reference(tmp_path, name):
+def test_off_writer_matches_per_value_reference(tmp_path, monkeypatch, name):
     mesh = _OFF_MESHES[name]()
     path = tmp_path / "mesh.off"
     save_off(mesh, path)
     assert path.read_bytes() == _reference_off(mesh).encode()
+    # every file save_off writes streams through np.loadtxt
+    monkeypatch.setattr(mesh_module, "_read_block", _line_walk_refused)
     back = load_off(path)
     assert back.ambient == mesh.ambient
     assert back.vertices.dtype == np.float64 and back.faces.dtype == np.int64
@@ -309,6 +334,10 @@ def _edit(lines, replace):
     ({4: "1 nope -1", 5: "-1 1"}, "bad.off:4: bad vertex coordinate"),
     ({4: "1 -1", 5: "-1 nope -1"}, "bad.off:4: vertex has 2 coordinates, expected 3"),
     ({6: "-1 -1 x", 7: "3 0 1"}, "bad.off:6: bad vertex coordinate"),
+    ({8: "3.0 0 3 1"}, "bad.off:8: only triangle faces are supported"),
+    ({8: "4 0 3 1"}, "bad.off:8: only triangle faces are supported"),
+    # an inline "#" is a field, not the start of a comment
+    ({4: "1 1 1 # note"}, "bad.off:4: vertex has 5 coordinates, expected 3"),
 ])
 def test_off_errors_name_the_line(tmp_path, replace, expected):
     assert _off_error(tmp_path, _edit(_TETRA_OFF, replace)) == expected
@@ -347,6 +376,26 @@ def test_off_values_parse_as_float_and_int(tmp_path):
     verts, faces = _tetrahedron()
     assert np.array_equal(mesh.vertices, verts * 10 * np.sqrt(3.0))
     assert np.array_equal(mesh.faces, faces)
+
+
+@pytest.mark.parametrize("comment", [False, True])
+def test_off_face_count_reads_as_int(tmp_path, monkeypatch, comment):
+    # "+3" and "03" are triangles whichever reader takes the file: as
+    # written it streams through np.loadtxt, and a comment line inside the
+    # vertex block sends it to the line walk
+    lines = _edit(_TETRA_OFF, {7: "+3 0 1 2", 8: "03 0 3 1"})
+    if comment:
+        lines.insert(4, "# inside the vertex block")
+    walked = []
+    read_block = mesh_module._read_block
+    monkeypatch.setattr(mesh_module, "_read_block", lambda *a: walked.append(a) or read_block(*a))
+    path = tmp_path / "counts.off"
+    path.write_text("\n".join(lines) + "\n")
+    mesh = load_off(path)
+    verts, faces = _tetrahedron()
+    assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
+    assert np.array_equal(mesh.faces, faces)
+    assert bool(walked) == comment
 
 
 def test_off_io_logs_one_debug_record_each(tmp_path, caplog, sphere3):

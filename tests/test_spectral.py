@@ -239,12 +239,14 @@ def test_weyl_fit_flat_torus(torus48, torus48_spec):
     assert fit.relative_error < 0.10
 
 
-def test_import_leaves_scipy_special_unloaded():
+def test_import_leaves_scipy_special_and_optimize_unloaded():
     # scipy.special costs tens of milliseconds at start-up and nothing in
-    # the package needs it
+    # the package needs it; scipy.optimize costs about 0.2 s and 15 MB,
+    # which is why confvol carries its own BFGS
     code = (
         "import sys, eigenvol, eigenvol.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.special', 'scipy.optimize'))))"
     )
     src = os.path.dirname(os.path.dirname(eigenvol.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
