@@ -264,9 +264,6 @@ class SphereImmersion:
     def distortion(self) -> DistortionReport:
         return conformal_distortion(self.mesh, self.images, exclude=self.singular_faces)
 
-    def moved_by(self, g: MoebiusMap) -> "SphereImmersion":
-        return SphereImmersion(self.mesh, g(self.images), self.singular_faces)
-
     # -------------------------------------------------------------- #
     # constructors
 

@@ -19,7 +19,7 @@ and returns a deterministic report (fixed seed in, identical bytes out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -88,23 +88,14 @@ class ProofConstants:
     count_curvature: Fraction
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "covering_number": self.covering_number,
-            "mass_fraction": str(self.mass_fraction),
-            "higher_eigenvalue": str(self.higher_eigenvalue),
-            "curvature_eigenvalue": str(self.curvature_eigenvalue),
-            "count_conformal": str(self.count_conformal),
-            "count_curvature": str(self.count_curvature),
-            "floats": {
-                "mass_fraction": float(self.mass_fraction),
-                "higher_eigenvalue": float(self.higher_eigenvalue),
-                "curvature_eigenvalue": float(self.curvature_eigenvalue),
-                "count_conformal": float(self.count_conformal),
-                "count_curvature": float(self.count_curvature),
-            },
-        }
+        out, floats = {}, {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Fraction):
+                out[f.name], floats[f.name] = str(value), float(value)
+            else:
+                out[f.name] = value
+        return {**out, "floats": floats}
 
 
 def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
@@ -725,20 +716,7 @@ def check_index(
     }
     if reference_index is not None:
         detail["reference_index"] = reference_index
-        if idx.count != reference_index:
-            return CheckResult(
-                name="index",
-                statement=(
-                    f"index {idx.count} != reference {reference_index} "
-                    f"(boundary modes {idx.boundary_count})"
-                ),
-                status="fail",
-                lhs=lhs,
-                rhs=float(idx.count),
-                detail=detail,
-                error_bars={"band": idx.tol},
-            )
-    return _ineq(
+    result = _ineq(
         "index",
         f"index = {idx.count} >= C (2 + avg|S|^2) = {lhs:.3e}",
         lhs,
@@ -746,6 +724,13 @@ def check_index(
         detail=detail,
         error_bars={"band": idx.tol},
     )
+    if reference_index is not None and idx.count != reference_index:
+        result.status = "fail"
+        result.statement = (
+            f"index {idx.count} != reference {reference_index} "
+            f"(boundary modes {idx.boundary_count})"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------- #

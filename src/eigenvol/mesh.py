@@ -16,6 +16,8 @@ boundary raise at construction time.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import logging
 import os
@@ -407,8 +409,8 @@ def save_off(mesh: TriangleMesh, path) -> None:
 
     The ambient tag is preserved in a leading comment so that
     :func:`load_off` round-trips it.  Each coordinate is written as
-    ``f"{x:.17g}"`` writes it, so that ``float()`` reads every coordinate
-    back bit for bit; face indices are written as integers.
+    ``f"{x:.17g}"`` writes it, so that :func:`load_off` reads every
+    coordinate back bit for bit; face indices are written as integers.
     """
     if mesh.vertices is None:
         raise ValueError("abstract meshes have no coordinates to export")
@@ -426,42 +428,10 @@ def save_off(mesh: TriangleMesh, path) -> None:
     _log_io("wrote", path, mesh, start)
 
 
-def _read_block(path, lines, numbers, width, problem, dtype, what):
-    """The fields of `lines` as an array of shape (len(lines), width).
-
-    Each value is read as ``float()`` or ``int()`` reads it (``dtype``
-    float or int64).  `problem(fields)` names what is wrong with a line's
-    fields, or is empty.  On the first line that `problem` names, or whose
-    value does not parse, raise ValueError naming its physical line number
-    from `numbers`.
-    """
-    tokens = []
-    for line in lines:
-        fields = line.split()
-        if problem(fields):
-            break
-        tokens += fields
-    else:
-        try:
-            return np.array(tokens, dtype=dtype).reshape(len(lines), width)
-        except (ValueError, OverflowError):
-            pass
-    # some line is malformed: report the first, checking lines in order
-    for line, lineno in zip(lines, numbers):
-        fields = line.split()
-        if message := problem(fields):
-            raise ValueError(f"{path}:{lineno}: {message}")
-        try:
-            np.array(fields, dtype=dtype)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad {what}") from exc
-    raise AssertionError("a malformed block has a malformed line")
-
-
 def _data_lines(path, lines, tags):
     """Physical line number and stripped text of each line of `lines` that
     is neither blank nor a comment.  An ``# ambient <name> [<dim>]`` comment
-    sets ``tags["ambient"]`` and ``tags["dim"]``.
+    sets ``tags["ambient"]``; a <dim> that is not an integer is refused.
 
     `lines` is an open text file, which splits at newlines only:
     str.splitlines would also split at form feeds and shift the numbers."""
@@ -473,14 +443,23 @@ def _data_lines(path, lines, tags):
                 tags["ambient"] = parts[1]
                 if len(parts) >= 3:
                     try:
-                        tags["dim"] = int(parts[2])
+                        int(parts[2])
                     except ValueError as exc:
                         raise ValueError(f"{path}:{lineno}: bad ambient comment") from exc
         elif stripped:
             yield lineno, stripped
 
 
-def _counts(path, lineno, line):
+def _counts(path, fh):
+    """Vertex and face counts, counts line number and ambient tag (or None)
+    of the OFF file `fh`, read from its start through its counts line."""
+    tags = {}
+    head = list(itertools.islice(_data_lines(path, fh, tags), 2))
+    if not head or head[0][1].split() != ["OFF"]:
+        raise ValueError(f"{path}: missing OFF header")
+    if len(head) < 2:
+        raise ValueError(f"{path}: missing counts line")
+    lineno, line = head[1]
     counts = line.split()
     if len(counts) != 3:
         raise ValueError(f"{path}:{lineno}: counts line must have three fields")
@@ -490,98 +469,69 @@ def _counts(path, lineno, line):
         raise ValueError(f"{path}:{lineno}: bad counts line") from exc
     if nv < 0 or nf < 0:
         raise ValueError(f"{path}:{lineno}: bad counts line")
-    return nv, nf
+    return nv, nf, lineno, tags.get("ambient")
 
 
-def _face_problem(fields):
+def _row(text, dtype):
+    """The values of one line as np.loadtxt reads them, or None if it refuses."""
     try:
-        triangle = len(fields) == 4 and int(fields[0]) == 3
+        return np.loadtxt([text], dtype=dtype, comments="#", ndmin=1).tolist()
     except ValueError:
-        triangle = False
-    return "" if triangle else "only triangle faces are supported"
+        return None
 
 
-def _stream_off(path, fh):
-    """Vertices, faces (count column included) and tags of the OFF file
-    open as `fh`, each block parsed by ``np.loadtxt`` as it reads the file.
-
-    Raises ValueError, or the warning as an exception, on anything that
-    reader refuses or returns short; :func:`_walk_off` then says what."""
-    tags = {}
-    head = list(itertools.islice(_data_lines(path, fh, tags), 2))
-    if len(head) < 2 or head[0][1].split() != ["OFF"]:
-        raise ValueError("no header")
-    nv, nf = _counts(path, *head[1])
-    # np.loadtxt reserves max_rows rows up front; a file of n bytes has
-    # fewer than n lines
-    if nv + nf > os.fstat(fh.fileno()).st_size:
-        raise ValueError("more rows counted than the file can hold")
-    with warnings.catch_warnings():
-        # a blank line inside a block, or a block of no rows
-        warnings.simplefilter("error")
-        verts = np.loadtxt(fh, dtype=np.float64, comments=None, max_rows=nv, ndmin=2)
-        faces = np.loadtxt(fh, dtype=np.int64, comments=None, max_rows=nf, ndmin=2)
-    if (
-        len(verts) != nv
-        or faces.shape != (nf, 4)
-        or np.any(faces[:, 0] != 3)
-        # an ambient comment after the faces still counts
-        or any(line.lstrip().startswith("#") for line in fh)
-    ):
-        raise ValueError("short block, not triangles, or a trailing comment")
-    return verts, faces, tags
-
-
-def _walk_off(path, fh):
-    """As :func:`_stream_off`, but reading line by line, so that an error
-    names the first malformed line."""
-    tags = {}
-    numbers, content = [], []  # physical line number and text of each data line
-    for lineno, text in _data_lines(path, fh, tags):
-        numbers.append(lineno)
-        content.append(text)
-    if not content or content[0].split() != ["OFF"]:
-        raise ValueError(f"{path}: missing OFF header")
-    if len(content) < 2:
-        raise ValueError(f"{path}: missing counts line")
-    nv, nf = _counts(path, numbers[1], content[1])
-    if len(content) - 2 < nv + nf:
-        raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
-
-    dim = len(content[2].split()) if nv else (tags.get("dim") or 3)
-    verts = _read_block(
-        path, content[2 : 2 + nv], numbers[2 : 2 + nv], dim,
-        lambda f: f"vertex has {len(f)} coordinates, expected {dim}" if len(f) != dim else "",
-        float, "vertex coordinate",
-    )
-    faces = _read_block(
-        path, content[2 + nv : 2 + nv + nf], numbers[2 + nv : 2 + nv + nf], 4,
-        _face_problem, np.int64, "face index",
-    )
-    return verts, faces, tags
+def _name_refused_line(path, fh):
+    """Raise ValueError naming the first data line of the OFF file `fh`
+    that np.loadtxt refuses, or else saying that the blocks are short.
+    Reads `fh` again from its start, one line at a time."""
+    fh.seek(0)
+    nv, nf, lineno, _ = _counts(path, fh)
+    dim = row = 0
+    for lineno, line in enumerate(fh, start=lineno + 1):
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
+        problem = ""
+        if row < nv:
+            dim = dim or len(fields)
+            if len(fields) != dim:
+                problem = f"vertex has {len(fields)} coordinates, expected {dim}"
+            elif _row(line, np.float64) is None:
+                problem = "bad vertex coordinate"
+        elif len(fields) != 4 or _row(fields[0], np.int64) != [3]:
+            problem = "only triangle faces are supported"
+        elif _row(line, np.int64) is None:
+            problem = "bad face index"
+        if problem:
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        row += 1
+    raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
 
 
 def load_off(path) -> TriangleMesh:
     """Read an ASCII OFF file with triangle faces.
 
     Vertex dimension is inferred from the first vertex line, so spheres
-    in R^4 or R^5 load without extra flags.  Coordinates are read as
-    ``float()`` reads them and face indices as ``int()`` does (so ``1_0``
-    and ``inf`` parse, and ``3.0`` is not an index).  The count opening
-    each face line is read as ``int()`` reads it too and must be 3 (so
-    ``+3`` and ``03`` are triangles, and ``3.0`` and ``4`` are not).  An
-    ``# ambient`` comment written by :func:`save_off` restores the
+    in R^4 or R^5 load without extra flags.  An ``# ambient`` comment
+    before the counts line, where :func:`save_off` writes it, restores the
     ambient tag; without one the mesh has none.
 
-    After the header, ``np.loadtxt`` parses the vertex block and then the
-    face block as it streams them from the open file, so no line or token
-    is kept as a Python string.  It reads a strict subset of what
-    ``float()`` and ``int()`` read, to the same values.  Whatever it
-    refuses or returns short (a comment or blank line inside a block, a
-    ragged or malformed line, ``1_0``, a non-ASCII digit, too few lines, a
-    face that is not a triangle) is read again from the start line by
-    line, which alone raises the errors.  A pipe, which cannot be read
-    twice, goes to that line walk directly.
+    After the header, ``np.loadtxt`` reads the vertex block (``float64``)
+    and then the face block (``int64``) from the open file, so no line is
+    kept as a Python string.  Its rules are the file's rules:
+
+    * ``#`` starts a comment wherever it stands: ``1 1 1 # note`` is a
+      vertex of three coordinates.
+    * Values read as ``np.loadtxt`` reads them: ``+10``, ``1e1`` and
+      ``-10.0`` are coordinates, ``+3`` and ``03`` indices, while ``1_0``,
+      ``0_3`` and non-ASCII digits such as ``٣`` are refused, and ``3.0``
+      is not an index.  Each face line opens with the count 3.
+    * After the counts line an ``# ambient`` comment is only a comment.
+
+    Only when that reader refuses a block, returns it short, or returns a
+    face that is not ``3 i j k`` is the file read again, from its start
+    and one line at a time, to name the first line that reader refuses,
+    also when the file is short.  A pipe is read once into memory.
 
     Raises
     ------
@@ -590,14 +540,23 @@ def load_off(path) -> TriangleMesh:
     """
     start = time.perf_counter()
     with open(path) as fh:
-        streamed = None
-        if fh.seekable():  # a pipe is read once, by the line walk
-            try:
-                streamed = _stream_off(path, fh)
-            except (ValueError, Warning):
-                fh.seek(0)
-        verts, faces, tags = streamed or _walk_off(path, fh)
+        fh = fh if fh.seekable() else io.StringIO(fh.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        nv, nf, _, ambient = _counts(path, fh)
+        verts = faces = None
+        # np.loadtxt reserves max_rows rows up front; n bytes hold fewer rows
+        if nv + nf <= size:
+            # it warns of each blank or comment line in a block, and of a block of no rows
+            with warnings.catch_warnings(), contextlib.suppress(ValueError):
+                warnings.simplefilter("ignore", UserWarning)
+                verts = np.loadtxt(fh, dtype=np.float64, comments="#", max_rows=nv, ndmin=2)
+                faces = np.loadtxt(fh, dtype=np.int64, comments="#", max_rows=nf, ndmin=2)
+        # a block of no rows reads as shape (0, 1)
+        triangles = faces is not None and len(faces) == nf and faces.size == 4 * nf
+        if not triangles or len(verts) != nv or np.any(faces[:, 0] != 3):
+            _name_refused_line(path, fh)
 
-    mesh = TriangleMesh(verts, faces[:, 1:], ambient=tags.get("ambient"))
+    mesh = TriangleMesh(verts, faces.reshape(nf, 4)[:, 1:], ambient=ambient)
     _log_io("read", path, mesh, start)
     return mesh

@@ -18,7 +18,7 @@ read off the pivot signs of one sparse symmetric factorization
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -273,10 +273,10 @@ class WeylFit:
     slope: float
     intercept: float
     target: float
-    relative_error: float = field(init=False)
 
-    def __post_init__(self):
-        self.relative_error = abs(self.slope - self.target) / self.target
+    @property
+    def relative_error(self) -> float:
+        return abs(self.slope - self.target) / self.target
 
 
 def weyl_fit(

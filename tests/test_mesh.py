@@ -198,20 +198,34 @@ def test_off_round_trip_r5(tmp_path):
     assert np.array_equal(back.vertices, v.vertices)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_off_round_trip_through_a_pipe(tmp_path, sphere3):
-    # a pipe cannot seek back to its start, so the line walk reads it once
-    path = tmp_path / "sphere.off"
-    save_off(sphere3, path)
+def _load_through_a_pipe(tmp_path, data):
+    # a pipe cannot seek back to its start
     pipe = tmp_path / "pipe.off"
     os.mkfifo(pipe)
-    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data))
     writer.start()
-    back = load_off(pipe)
-    writer.join()
+    try:
+        return load_off(pipe)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_off_round_trip_through_a_pipe(tmp_path, sphere3):
+    path = tmp_path / "sphere.off"
+    save_off(sphere3, path)
+    back = _load_through_a_pipe(tmp_path, path.read_bytes())
     assert back.ambient == "unit_sphere"
     assert np.array_equal(back.vertices, sphere3.vertices)
     assert np.array_equal(back.faces, sphere3.faces)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_off_error_through_a_pipe_names_the_line(tmp_path):
+    data = ("\n".join(_edit(_TETRA_OFF, {8: "3 0 x 1"})) + "\n").encode()
+    with pytest.raises(ValueError) as exc:
+        _load_through_a_pipe(tmp_path, data)
+    assert str(exc.value) == f"{tmp_path / 'pipe.off'}:8: bad face index"
 
 
 def test_off_refuses_abstract_mesh(tmp_path):
@@ -277,8 +291,8 @@ _OFF_MESHES = {
 }
 
 
-def _line_walk_refused(*args):
-    raise AssertionError("the line walk read a file np.loadtxt should stream")
+def _namer_refused(*args):
+    raise AssertionError("the error namer read a file np.loadtxt should read")
 
 
 @pytest.mark.parametrize("name", sorted(_OFF_MESHES))
@@ -287,8 +301,8 @@ def test_off_writer_matches_per_value_reference(tmp_path, monkeypatch, name):
     path = tmp_path / "mesh.off"
     save_off(mesh, path)
     assert path.read_bytes() == _reference_off(mesh).encode()
-    # every file save_off writes streams through np.loadtxt
-    monkeypatch.setattr(mesh_module, "_read_block", _line_walk_refused)
+    # every file save_off writes loads without the error namer
+    monkeypatch.setattr(mesh_module, "_name_refused_line", _namer_refused)
     back = load_off(path)
     assert back.ambient == mesh.ambient
     assert back.vertices.dtype == np.float64 and back.faces.dtype == np.int64
@@ -336,8 +350,20 @@ def _edit(lines, replace):
     ({6: "-1 -1 x", 7: "3 0 1"}, "bad.off:6: bad vertex coordinate"),
     ({8: "3.0 0 3 1"}, "bad.off:8: only triangle faces are supported"),
     ({8: "4 0 3 1"}, "bad.off:8: only triangle faces are supported"),
-    # an inline "#" is a field, not the start of a comment
-    ({4: "1 1 1 # note"}, "bad.off:4: vertex has 5 coordinates, expected 3"),
+    # "#" starts a comment wherever it stands: the note is not counted
+    ({4: "1 1 1 1 1 # note"}, "bad.off:4: vertex has 5 coordinates, expected 3"),
+    # values read as np.loadtxt reads them
+    ({3: "1_0 1 1"}, "bad.off:3: bad vertex coordinate"),
+    ({4: "1 \u0663 -1"}, "bad.off:4: bad vertex coordinate"),
+    ({8: "3 0 3 1_0"}, "bad.off:8: bad face index"),
+    ({8: "3 0 \u0663 1"}, "bad.off:8: bad face index"),
+    ({8: "0_3 0 3 1"}, "bad.off:8: only triangle faces are supported"),
+    ({8: "\u0663 0 3 1"}, "bad.off:8: only triangle faces are supported"),
+    # counts no file could hold: a short malformed file names its first
+    # malformed line, a short well-formed one what it expected
+    ({2: f"{10**20} 4 0", 5: "-1 nope -1"}, "bad.off:5: bad vertex coordinate"),
+    ({2: f"4 {10**20} 0", 9: "3 1 x 2"}, "bad.off:9: bad face index"),
+    ({2: f"4 {10**20} 0"}, f"bad.off: expected 4 vertices and {10**20} faces"),
 ])
 def test_off_errors_name_the_line(tmp_path, replace, expected):
     assert _off_error(tmp_path, _edit(_TETRA_OFF, replace)) == expected
@@ -369,9 +395,10 @@ def test_off_crlf_file(tmp_path):
 
 
 def test_off_values_parse_as_float_and_int(tmp_path):
+    # as np.loadtxt reads them, with "#" starting a comment mid-line
     path = tmp_path / "spelled.off"
-    path.write_text("OFF\n4 4 0\n1_0 1e1 +10\n10 -1E1 -10.0\n-10 10 -1_0\n-10 -10 10\n"
-                    "3 0 1 2\n3 0 3 1\n3 0 +2 0_3\n3 1 3 2\n")
+    path.write_text("OFF\n4 4 0\n10 1e1 +10 # note\n10 -1E1 -10.0\n-10 10 -010\n-10 -10 10#\n"
+                    "3 0 1 2\n3 0 3 1 # 4\n3 0 +2 03\n3 1 3 2\n")
     mesh = load_off(path)
     verts, faces = _tetrahedron()
     assert np.array_equal(mesh.vertices, verts * 10 * np.sqrt(3.0))
@@ -380,22 +407,32 @@ def test_off_values_parse_as_float_and_int(tmp_path):
 
 @pytest.mark.parametrize("comment", [False, True])
 def test_off_face_count_reads_as_int(tmp_path, monkeypatch, comment):
-    # "+3" and "03" are triangles whichever reader takes the file: as
-    # written it streams through np.loadtxt, and a comment line inside the
-    # vertex block sends it to the line walk
+    # "+3" and "03" are triangles, with or without a comment line inside
+    # the vertex block, and neither file needs the error namer
     lines = _edit(_TETRA_OFF, {7: "+3 0 1 2", 8: "03 0 3 1"})
     if comment:
         lines.insert(4, "# inside the vertex block")
-    walked = []
-    read_block = mesh_module._read_block
-    monkeypatch.setattr(mesh_module, "_read_block", lambda *a: walked.append(a) or read_block(*a))
+    monkeypatch.setattr(mesh_module, "_name_refused_line", _namer_refused)
     path = tmp_path / "counts.off"
     path.write_text("\n".join(lines) + "\n")
     mesh = load_off(path)
     verts, faces = _tetrahedron()
     assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
     assert np.array_equal(mesh.faces, faces)
-    assert bool(walked) == comment
+
+
+def test_off_ambient_comment_after_counts_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(mesh_module, "_name_refused_line", _namer_refused)
+    verts, faces = _tetrahedron()
+    for at in (2, 4, 8, 10):  # after the counts line, inside each block, after the faces
+        lines = list(_TETRA_OFF)
+        lines.insert(at, "# ambient unit_sphere three")
+        path = tmp_path / "late.off"
+        path.write_text("\n".join(lines) + "\n")
+        mesh = load_off(path)
+        assert mesh.ambient is None
+        assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
+        assert np.array_equal(mesh.faces, faces)
 
 
 def test_off_io_logs_one_debug_record_each(tmp_path, caplog, sphere3):
