@@ -246,7 +246,7 @@ def _vc(vc_reference) -> float | None:
     return vc
 
 
-def _lowest(mesh: TriangleMesh, spectrum: SpectrumResult | None, count: int, seed: int):
+def _lowest(mesh: TriangleMesh, spectrum: SpectrumResult | None, count: int, seed: int = 0):
     """The lowest `count` pairs of `spectrum`, which must be a spectrum of
     `mesh`, or of a fresh solve when it is None."""
     if spectrum is None:
@@ -337,7 +337,8 @@ def check_first_eigenvalue(
         images = centering.map(immersion.images)
         K, areas = assemble_laplacian(mesh)
         centered = images - (areas @ images)[None, :] / areas.sum()
-        energies = np.array([float(u @ (K @ u)) for u in centered.T])
+        energies = _energies(K, centered.T)
+        # one sum per row: summed along the axis, these strided rows round otherwise
         masses = np.array([float(np.sum(areas * u * u)) for u in centered.T])
         bound = float(energies.sum() / masses.sum())
         if lam1 > bound * (1.0 + 1e-9):
@@ -374,7 +375,6 @@ def check_first_eigenvalue(
 def check_curvature_first_eigenvalue(
     mesh: TriangleMesh,
     kappa: float = 0.0,
-    seed: int = 0,
     spectrum: SpectrumResult | None = None,
 ) -> CheckResult:
     """lambda_1 <= (n / Vol) int (|H|^2 + kappa), sharp for round spheres.
@@ -386,7 +386,7 @@ def check_curvature_first_eigenvalue(
     its lowest pairs.
     """
     w2 = willmore_energy(mesh, _component(mesh, kappa))
-    spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
+    spec = _lowest(mesh, spectrum, _FIRST_PAIRS)
     lam1 = float(_nonzero(spec, 1)[0])
     vol = mesh.area
     rhs = 2.0 * (w2 + kappa * vol) / vol
@@ -422,7 +422,6 @@ def check_higher_eigenvalues(
     m: int = 2,
     vc_reference: float | None = None,
     kappa: float | None = None,
-    seed: int = 0,
     spectrum: SpectrumResult | None = None,
 ) -> list[CheckResult]:
     """lambda_k bounds for k = 1..kmax, in both available forms.
@@ -441,7 +440,7 @@ def check_higher_eigenvalues(
     """
     _check_kmax(kmax)
     vc = _vc(vc_reference)
-    spec = _lowest(mesh, spectrum, kmax + 4, seed)
+    spec = _lowest(mesh, spectrum, kmax + 4)
     lams = _nonzero(spec, kmax)
     vol = mesh.area
     ks = np.arange(1, kmax + 1, dtype=float)
@@ -483,25 +482,23 @@ def check_higher_eigenvalues(
 # annulus replays: the shared step of the counting and eigenvalue proofs
 
 
-def _annulus_test_functions(images, annuli):
-    """Evaluate the annulus functions at the vertex images, stacked."""
-    return np.stack([np.asarray(u_annulus(a, images), dtype=float) for a in annuli])
+def _energies(K, U) -> np.ndarray:
+    """The stiffness energy u K u of each row u of `U`."""
+    return np.array([float(u @ (K @ u)) for u in U])
 
 
 def _exact_orthogonality(K, U) -> None:
     """Assert disjoint supports and bitwise-zero stiffness cross terms."""
     supports = U > 0.0
-    for i in range(U.shape[0]):
-        if not supports[i].any():
-            raise VerificationError(f"test function {i} vanishes identically")
-        for j in range(i + 1, U.shape[0]):
-            if np.any(supports[i] & supports[j]):
-                raise VerificationError(
-                    f"supports of test functions {i} and {j} overlap"
-                )
-    KU = K @ U.T
-    gram = U @ KU
-    off = gram - np.diag(np.diag(gram))
+    empty = np.flatnonzero(~supports.any(axis=1))
+    if empty.size:
+        raise VerificationError(f"test function {empty[0]} vanishes identically")
+    overlaps = np.argwhere(np.triu(supports @ supports.T, 1))
+    if overlaps.size:
+        i, j = overlaps[0]
+        raise VerificationError(f"supports of test functions {i} and {j} overlap")
+    off = U @ (K @ U.T)
+    np.fill_diagonal(off, 0.0)
     if np.any(off != 0.0):
         worst = float(np.abs(off).max())
         raise VerificationError(
@@ -510,36 +507,25 @@ def _exact_orthogonality(K, U) -> None:
         )
 
 
-def _image_gap(mesh: TriangleMesh, images: np.ndarray) -> float:
-    """A separation strictly larger than any image edge's geodesic length."""
-    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
-    chords = np.linalg.norm(images[a] - images[b], axis=1)
-    longest = float(2.0 * np.arcsin(np.clip(chords.max() / 2.0, 0.0, 1.0)))
-    return 1.02 * longest
+def _replay_family(mesh, images, nu, pieces, seed, weight, light=None):
+    """The annulus replay of the counting and eigenvalue proofs, whole.
 
-
-def _potential_mass_floor(images, annuli, U) -> None:
-    """Each test function is at least 9/25 at every image vertex inside
-    its annulus: the pointwise floor behind the 81/625 mass bound."""
-    for i, a in enumerate(annuli):
-        inside = a.contains(images)
-        if inside.any() and U[i][inside].min() < 9.0 / 25.0 - 1e-9:
-            raise VerificationError(
-                f"test function {i} dips below 9/25 on its annulus: "
-                f"{U[i][inside].min():.12g}"
-            )
-
-
-def _replay_family(K, images, nu, pieces, seed, gap, light=None):
-    """Pack `pieces` annuli against `nu` and pull back their test functions.
-
-    The family is re-verified; with `light = (mu, count)` only the
-    `count` annuli of lightest doubled `mu`-mass are kept.  Disjoint
-    supports, zero stiffness cross terms and the 9/25 floor are exact
-    links and abort on failure.  Returns the packing's beta, the kept
-    indices, their verified `nu`-masses, the test functions (one per row)
-    and their energies.
+    Takes as gap 1.02 times the longest geodesic edge of the vertex
+    `images` of `mesh`; packs `pieces` annuli against `nu` with that gap
+    between doubled shells and re-verifies them; keeps, with
+    `light = (mu, count)`, the `count` of lightest doubled `mu`-mass;
+    and pulls their test functions back.  Disjoint supports, bitwise-zero
+    stiffness cross terms and each function's floor of 9/25 on its
+    annulus (behind the 81/625 mass bound) are exact links that abort.
+    Returns ``(gap, beta, chosen, shell_masses, energies, masses)``: the
+    kept indices with their verified `nu`-masses, and the test functions'
+    energies and L^2 masses weighted by `weight` (V or 1.0).
     """
+    K, areas = assemble_laplacian(mesh)
+    ends = mesh.edges
+    chords = np.linalg.norm(images[ends[:, 0]] - images[ends[:, 1]], axis=1)
+    gap = 1.02 * float(2.0 * np.arcsin(np.clip(chords.max() / 2.0, 0.0, 1.0)))
+
     family = gny_decompose(nu, pieces, seed=seed, r_max=R_MAX_TEST, gap=gap)
     rep = verify_family(nu, family)
     if not rep.ok:
@@ -549,11 +535,17 @@ def _replay_family(K, images, nu, pieces, seed, gap, light=None):
     else:
         chosen = select_light(light[0], family, light[1])
     annuli = [family.annuli[i] for i in chosen]
-    U = _annulus_test_functions(images, annuli)
+
+    U = np.stack([np.asarray(u_annulus(a, images), dtype=float) for a in annuli])
     _exact_orthogonality(K, U)
-    _potential_mass_floor(images, annuli, U)
-    energies = np.array([float(u @ (K @ u)) for u in U])
-    return family.beta, chosen, rep.masses[chosen], U, energies
+    for i, a in enumerate(annuli):
+        inside = U[i][a.contains(images)]
+        if inside.size and inside.min() < 9.0 / 25.0 - 1e-9:
+            raise VerificationError(
+                f"test function {i} dips below 9/25 on its annulus: {inside.min():.12g}"
+            )
+    masses = np.sum(areas * weight * U * U, axis=1)
+    return gap, family.beta, chosen, rep.masses[chosen], _energies(K, U), masses
 
 
 # ---------------------------------------------------------------------- #
@@ -586,12 +578,11 @@ def check_eigenvalue_counts(
     """
     _own_immersion(mesh, immersion)
     vc_reference = _vc(vc_reference)
-    K, areas = assemble_laplacian(mesh)
     V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,)).copy()
     if np.any(V < 0.0):
         raise ValueError("potential must be nonnegative")
     vol = mesh.area
-    intV = float(areas @ V)
+    intV = float(mesh.vertex_areas @ V)
     counted = negative_count(mesh, V)
     N = counted.count
     consts = proof_constants(2, m)
@@ -647,7 +638,6 @@ def check_eigenvalue_counts(
             )
         replay: dict = {"constant_witness_value": rayleigh_const}
         images = immersion.images
-        gap = _image_gap(mesh, images)
         nu = pushforward_measure(mesh, images, density=V)
         mu = pushforward_measure(mesh, images)
 
@@ -661,10 +651,9 @@ def check_eigenvalue_counts(
                 continue
             kk = max(guaranteed, 0)
             pieces = 2 * (kk + 1) if doubled else kk + 1
-            beta, chosen, _, U, energies = _replay_family(
-                K, images, nu, pieces, seed, gap, light=(mu, kk + 1) if doubled else None
+            _, beta, chosen, _, energies, pot_masses = _replay_family(
+                mesh, images, nu, pieces, seed, V, light=(mu, kk + 1) if doubled else None
             )
-            pot_masses = np.array([float(np.sum(areas * V * u * u)) for u in U])
             strict = energies < pot_masses
             replay[key] = {
                 "annuli": pieces,
@@ -834,14 +823,7 @@ class ConformalBalance:
     integrated_ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "max_abs": self.max_abs,
-            "willmore": self.willmore,
-            "lifted_energy": self.lifted_energy,
-            "conformal_area": self.conformal_area,
-            "integrated_ok": self.integrated_ok,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "residuals"}
 
 
 def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
@@ -873,7 +855,7 @@ def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     K, areas = assemble_laplacian(mesh)
     l2 = float(np.sqrt(np.sum(areas * res * res)))
     w2 = float(np.sum(areas * H2))
-    energy = float(sum(float(u @ (K @ u)) for u in lift.T))
+    energy = float(sum(_energies(K, lift.T)))
     conf_area = float(np.sum(areas * ef))
     return ConformalBalance(
         residuals=res,
@@ -964,19 +946,15 @@ def build_witness_chain(
     vc_reference = _vc(vc_reference)
     if vc_reference is None:
         raise ValueError("the witness chain needs vc_reference")
-    K, areas = assemble_laplacian(mesh)
     pairs = k + 4 if spectrum is None else spectrum.eigenvalues.shape[0]
     spec = _lowest(mesh, spectrum, pairs, seed)
     lam_k = float(_nonzero(spec, k)[k - 1])
     vol = mesh.area
-    images = immersion.images
-    gap = _image_gap(mesh, images)
-    mu = pushforward_measure(mesh, images)
+    mu = pushforward_measure(mesh, immersion.images)
 
-    beta, chosen, shell_masses, U, energies = _replay_family(
-        K, images, mu, 2 * (k + 1), seed, gap, light=(mu, k + 1)
+    gap, beta, chosen, shell_masses, energies, sq_masses = _replay_family(
+        mesh, immersion.images, mu, 2 * (k + 1), seed, 1.0, light=(mu, k + 1)
     )
-    sq_masses = np.array([float(np.sum(areas * u * u)) for u in U])
     floor = (81.0 / 625.0) * shell_masses
     if np.any(sq_masses < floor * (1.0 - 1e-9)):
         raise VerificationError("squared mass fell below 81/625 of the annulus")
@@ -993,13 +971,12 @@ def build_witness_chain(
         "exact_links": 0.0,
     }
     results = [
-        CheckResult(
-            name="witness-orthogonality",
-            statement=f"{k + 1} test functions with disjoint supports, "
+        _ineq(
+            "witness-orthogonality",
+            f"{k + 1} test functions with disjoint supports, "
             "stiffness cross terms exactly zero",
-            status="pass",
-            lhs=0.0,
-            rhs=0.0,
+            0.0,
+            0.0,
             detail={"gap": gap, "beta": beta},
             error_bars={"exact": 0.0},
         ),
@@ -1133,22 +1110,19 @@ def _constants_section() -> list[CheckResult]:
             == (Fraction(9, 2500) * cs.mass_fraction / n) ** (n // 2)
             and cs.count_curvature == Fraction(9, 1250) * cs.mass_fraction / n
         )
+        if not exact:
+            raise VerificationError("constant chain broke; arithmetic is rational")
         rs.append(
-            CheckResult(
-                name=f"constants-n{n}-m{m}",
-                statement=(
-                    f"N = 9^{m} = {N}, c = 1/(8 N^12), "
-                    f"C_eig = {float(cs.higher_eigenvalue):.4e} (exact rational chain)"
-                ),
-                status="pass" if exact else "fail",
-                lhs=0.0,
-                rhs=0.0,
+            _ineq(
+                f"constants-n{n}-m{m}",
+                f"N = 9^{m} = {N}, c = 1/(8 N^12), "
+                f"C_eig = {float(cs.higher_eigenvalue):.4e} (exact rational chain)",
+                0.0,
+                0.0,
                 detail=cs.as_dict(),
                 error_bars={"exact": 0.0},
             )
         )
-        if not exact:
-            raise VerificationError("constant chain broke; arithmetic is rational")
     return rs
 
 

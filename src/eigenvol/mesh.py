@@ -431,7 +431,8 @@ def save_off(mesh: TriangleMesh, path) -> None:
 def _data_lines(path, lines, tags):
     """Physical line number and stripped text of each line of `lines` that
     is neither blank nor a comment.  An ``# ambient <name> [<dim>]`` comment
-    sets ``tags["ambient"]``; a <dim> that is not an integer is refused.
+    sets ``tags["ambient"]``; a <name> other than ``euclidean`` or
+    ``unit_sphere``, or a <dim> that is not an integer, is refused.
 
     `lines` is an open text file, which splits at newlines only:
     str.splitlines would also split at form feeds and shift the numbers."""
@@ -440,6 +441,8 @@ def _data_lines(path, lines, tags):
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) >= 2 and parts[0] == "ambient":
+                if parts[1] not in _AMBIENTS:
+                    raise ValueError(f"{path}:{lineno}: unknown ambient {parts[1]!r}")
                 tags["ambient"] = parts[1]
                 if len(parts) >= 3:
                     try:

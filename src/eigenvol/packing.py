@@ -418,7 +418,6 @@ def gny_decompose(
     betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor]
     betas.append(floor)
 
-    distance_to = {}  # candidate index -> distances from every candidate to it
     attempts = []
     extended = rebuilds = 0
     for beta in betas:
@@ -445,9 +444,7 @@ def gny_decompose(
             ci, inner, outer = best
             annuli.append(Annulus(centers[ci], inner, outer))
             shell = annuli[-1].doubled()
-            if ci not in distance_to:
-                distance_to[ci] = geodesic_distance(centers, shell.center)
-            to_shell = np.column_stack([to_shell, distance_to[ci]])
+            to_shell = np.column_stack([to_shell, geodesic_distance(centers, shell.center)])
             # inflating each shell by `gap` leaves geodesic distance >= gap
             # between the doubled regions themselves, which later makes
             # test-function supports disjoint on meshes with shorter edges

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenvol import harness
+from eigenvol import harness, moebius
 from eigenvol.confvol import SphereImmersion
 from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus
 from eigenvol.harness import (
@@ -32,6 +32,8 @@ from eigenvol.harness import (
     run_verification,
 )
 from eigenvol.mesh import TriangleMesh, willmore_energy
+from eigenvol.moebius import Annulus
+from eigenvol.packing import AnnulusFamily, pushforward_measure
 from eigenvol.spectral import assemble_laplacian, eigensolve
 
 SPHERE_AREA = 4.0 * np.pi
@@ -544,11 +546,81 @@ def test_witness_chain_needs_a_vc_reference(sphere3, sphere3_spec):
         )
 
 
+# ---------------------------------------------------------------------- #
+# the annulus replay and its exact links
+
+
 def test_exact_orthogonality_detects_overlap(sphere3):
     K, _ = assemble_laplacian(sphere3)
     U = np.ones((2, sphere3.nv))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="^supports of test functions 0 and 1 overlap$"):
         _exact_orthogonality(K, U)
+
+
+def test_exact_orthogonality_detects_a_vanishing_function(sphere3):
+    K, _ = assemble_laplacian(sphere3)
+    U = np.zeros((2, sphere3.nv))
+    U[0, 0] = 1.0
+    with pytest.raises(VerificationError, match="^test function 1 vanishes identically$"):
+        _exact_orthogonality(K, U)
+
+
+def test_exact_orthogonality_detects_coupled_neighbours(sphere3):
+    # indicators of the two ends of one edge: disjoint supports that the
+    # stiffness matrix couples
+    K, _ = assemble_laplacian(sphere3)
+    a, b = sphere3.edges[0]
+    U = np.zeros((2, sphere3.nv))
+    U[0, a] = U[1, b] = 1.0
+    with pytest.raises(VerificationError, match="^stiffness cross terms not exactly zero"):
+        _exact_orthogonality(K, U)
+
+
+_NORTH, _SOUTH = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+
+
+def _replay(mesh, monkeypatch, annuli=None):
+    """Replay two annuli on `mesh` under the identity with unit weight:
+    packed against its area measure, or the given `annuli` in their place."""
+    if annuli is not None:
+        family = AnnulusFamily(annuli, 0.5, 1e-3)
+        monkeypatch.setattr(harness, "gny_decompose", lambda *args, **kwargs: family)
+    images = SphereImmersion.identity(mesh).images
+    return harness._replay_family(mesh, images, pushforward_measure(mesh, images), 2, 0, 1.0)
+
+
+def test_replay_refuses_a_family_failing_re_verification(sphere3, monkeypatch):
+    # the doubles of two annuli about one centre overlap
+    annuli = [Annulus(_NORTH, 0.0, 0.3), Annulus(_NORTH, 0.3, 0.6)]
+    with pytest.raises(VerificationError, match="^annulus family failed re-verification$"):
+        _replay(sphere3, monkeypatch, annuli)
+
+
+def test_replay_refuses_test_functions_below_the_floor(sphere3, monkeypatch):
+    u_annulus = harness.u_annulus
+    monkeypatch.setattr(harness, "u_annulus", lambda annulus, q: 0.5 * u_annulus(annulus, q))
+    with pytest.raises(VerificationError, match="^test function 0 dips below 9/25 on its annulus"):
+        _replay(sphere3, monkeypatch)
+
+
+def test_replay_of_an_annulus_with_a_hole(sphere3, monkeypatch):
+    # packed families start at inner radius 0, so only a given family
+    # makes the replay run bar_phi
+    calls = []
+    bar_phi = moebius.bar_phi
+
+    def counting(*args):
+        calls.append(args)
+        return bar_phi(*args)
+
+    monkeypatch.setattr(moebius, "bar_phi", counting)
+    annuli = [Annulus(_NORTH, 0.3, 0.6), Annulus(_SOUTH, 0.0, 0.3)]
+    gap, beta, chosen, shell_masses, energies, masses = _replay(sphere3, monkeypatch, annuli)
+    assert len(calls) == 1
+    assert gap > 0.0 and beta == 0.5
+    assert chosen.tolist() == [0, 1]
+    assert np.all(energies > 0.0)
+    assert np.all(masses >= 81.0 / 625.0 * shell_masses)
 
 
 # ---------------------------------------------------------------------- #

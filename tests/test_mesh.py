@@ -364,6 +364,8 @@ def _edit(lines, replace):
     ({2: f"{10**20} 4 0", 5: "-1 nope -1"}, "bad.off:5: bad vertex coordinate"),
     ({2: f"4 {10**20} 0", 9: "3 1 x 2"}, "bad.off:9: bad face index"),
     ({2: f"4 {10**20} 0"}, f"bad.off: expected 4 vertices and {10**20} faces"),
+    # an ambient comment after the header, naming no known ambient
+    ({1: "OFF\n# ambient sphere 3"}, "bad.off:2: unknown ambient 'sphere'"),
 ])
 def test_off_errors_name_the_line(tmp_path, replace, expected):
     assert _off_error(tmp_path, _edit(_TETRA_OFF, replace)) == expected
