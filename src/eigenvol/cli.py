@@ -226,16 +226,13 @@ def confvol(fixture, mesh, map_kind, starts, seed, out) -> None:
 @mesh_opt
 @click.option("-k", "--pieces", "k", default=4, show_default=True,
               help="number of annuli to pack")
-@click.option("--density", default=None, type=float,
-              help="constant weight for the pushforward measure")
 @seed_opt
 @out_opt
-def gny(fixture, mesh, k, density, seed, out) -> None:
+def gny(fixture, mesh, k, seed, out) -> None:
     """Pack k annuli of comparable mass in the image sphere."""
     surface = _get_mesh(fixture, mesh)
     imm = _immersion(surface, "auto")
-    dens = None if density is None else np.full(surface.vertices.shape[0], density)
-    mu = pushforward_measure(surface, imm.images, density=dens)
+    mu = pushforward_measure(surface, imm.images)
     family = gny_decompose(mu, k, seed=seed)
     report = verify_family(mu, family)
     payload = {

@@ -217,12 +217,11 @@ def conformal_distortion(
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(singular_mask, np.inf, np.log(smax / smin))
     max_log = float(values[active].max()) if active.any() else 0.0
-    areas = spherical_face_areas(images, f)
     return DistortionReport(
         values=values,
         singular=np.flatnonzero(singular_mask),
         max_log_distortion=max_log,
-        singular_area=float(areas[singular_mask].sum()),
+        singular_area=float(spherical_face_areas(images, f[singular_mask]).sum()),
     )
 
 

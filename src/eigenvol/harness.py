@@ -111,7 +111,8 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
     * ``count_curvature``: C in  N(V) >= C int V / int(|H|^2 + R).
 
     Even n keeps every constant rational; odd n would put a square root
-    into ``count_conformal``, which nothing here needs.
+    into ``count_conformal``, which nothing here needs.  Constants that
+    overflow a float, from m = 27 at n = 2, are refused.
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
@@ -119,12 +120,15 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
         raise ValueError("odd n makes the counting constant irrational")
     N = 9**m
     c = Fraction(1, 8 * N**12)
+    higher = Fraction(10000 * n, 81) / c  # the largest; the rest fit when it does
+    if higher > np.finfo(float).max:
+        raise ValueError(f"the proof constants for n = {n}, m = {m} overflow a float")
     return ProofConstants(
         n=n,
         m=m,
         covering_number=N,
         mass_fraction=c,
-        higher_eigenvalue=Fraction(10000 * n, 81) / c,
+        higher_eigenvalue=higher,
         curvature_eigenvalue=Fraction(5000 * n, 81) / c,
         count_conformal=(Fraction(9, 2500) * c / n) ** (n // 2),
         count_curvature=Fraction(9, 1250) * c / n,
@@ -900,7 +904,6 @@ def balance_decay(levels=(3, 4, 5)) -> dict:
 class WitnessChain:
     """The eigenvalue-bound proof replayed on one mesh, with receipts."""
 
-    k: int
     selected: np.ndarray
     energies: np.ndarray
     rayleighs: np.ndarray
@@ -1014,7 +1017,6 @@ def build_witness_chain(
         ),
     ]
     return WitnessChain(
-        k=k,
         selected=chosen,
         energies=energies,
         rayleighs=rayleighs,

@@ -76,8 +76,8 @@ class TriangleMesh:
     ------
     ValueError
         If the mesh is not closed, not connected, has an invalid face,
-        or some face violates the strict triangle inequality or has an
-        edge length or area that is not finite.
+        or some face violates the strict triangle inequality, has an
+        edge length or area that is not finite, or has zero area.
     """
 
     def __init__(self, vertices, faces, ambient=None, edge_lengths=None):
@@ -129,7 +129,7 @@ class TriangleMesh:
                 self.edge_lengths = np.linalg.norm(diffs, axis=1)
             if ambient == "unit_sphere":
                 norms = np.linalg.norm(vertices, axis=1)
-                err = np.max(np.abs(norms - 1.0)) if norms.size else 0.0
+                err = np.max(np.abs(norms - 1.0))
                 if err > 1e-12:
                     raise ValueError(
                         f"unit_sphere ambient but max |norm - 1| = {err:.3e}"
@@ -159,8 +159,6 @@ class TriangleMesh:
             raise ValueError(
                 f"face {order[k + 1]} repeats the vertices of face {order[k]}"
             )
-        if self.vertices is not None and self._nv != self.vertices.shape[0]:
-            raise ValueError("vertex count does not match coordinate array")
 
     def _validate_closed_connected(self):
         counts = np.bincount(self._face_edge_idx.ravel(), minlength=self._edges.shape[0])
@@ -182,7 +180,7 @@ class TriangleMesh:
         """Edge lengths per face, shape (nf, 3), and face areas by the
         numerically stable Heron formula, shape (nf,).  The lengths are
         checked finite and against the strict triangle inequality before
-        any area is computed, and the areas checked finite."""
+        any area is computed, and the areas checked finite and nonzero."""
         lens = self.edge_lengths[self._face_edge_idx]
         finite = np.isfinite(lens).all(axis=1)
         if not finite.all():
@@ -206,6 +204,8 @@ class TriangleMesh:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"face {bad} has an area that is not finite")
+        if not areas.all():
+            raise ValueError(f"face {int(np.argmin(areas))} has zero area")
         return lens, areas
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ closed-form inequalities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -490,17 +490,9 @@ class FamilyReport:
 
     masses: np.ndarray
     doubled_masses: np.ndarray
-    target: float
     disjoint: bool
     max_double_membership: int
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.ok = bool(
-            self.disjoint
-            and self.max_double_membership <= 1
-            and np.all(self.masses >= self.target)
-        )
+    ok: bool
 
 
 def verify_family(mu: DiscreteMeasure, family: AnnulusFamily) -> FamilyReport:
@@ -521,12 +513,13 @@ def verify_family(mu: DiscreteMeasure, family: AnnulusFamily) -> FamilyReport:
     membership = np.zeros(mu.size, dtype=int)
     for d in doubles:
         membership += d.contains(mu.points)
+    most = int(membership.max()) if membership.size else 0
     return FamilyReport(
         masses=masses,
         doubled_masses=doubled_masses,
-        target=family.target,
         disjoint=disjoint,
-        max_double_membership=int(membership.max()) if membership.size else 0,
+        max_double_membership=most,
+        ok=bool(disjoint and most <= 1 and np.all(masses >= family.target)),
     )
 
 

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from eigenvol import harness, spectral
+from eigenvol import cli, harness, spectral
 from eigenvol.cli import main
 from eigenvol.fixtures import icosphere
-from eigenvol.harness import run_verification
+from eigenvol.harness import _ineq, run_verification
 from eigenvol.mesh import save_off
 
 
@@ -28,6 +29,17 @@ def test_constants_json(runner):
     assert data["covering_number"] == 81
     assert data["mass_fraction"].startswith("1/")
     assert data["floats"]["higher_eigenvalue"] > 1e25
+
+
+def test_constants_that_overflow_a_float_are_one_line(runner):
+    result = runner.invoke(main, ["constants", "-m", "27"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: the proof constants for n = 2, m = 27 overflow a float"
+    ]
+    result = runner.invoke(main, ["constants", "-m", "26"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["floats"]["higher_eigenvalue"] > 1e300
 
 
 def test_constants_reject_odd_dimension(runner):
@@ -86,6 +98,23 @@ def test_unknown_fixture_rejected(runner):
     assert "unknown fixture" in result.output
 
 
+def test_fixture_without_parameters_takes_the_defaults(runner):
+    result = runner.invoke(main, ["spectrum", "--fixture", "icosphere", "--count", "2"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["volume"] == icosphere().area
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("icosphere:1,2", "icosphere takes at most 1 parameters"),
+    ("flat:1,x", "bad fixture parameters '1,x': could not convert string to float: 'x'"),
+])
+def test_bad_fixture_parameters_are_one_line(runner, spec, message):
+    result = runner.invoke(main, ["spectrum", "--fixture", spec])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert errors == [f"Error: Invalid value: {message}"]
+
+
 def test_gny_reports_verified_family(runner):
     result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "-k", "3"])
     assert result.exit_code == 0
@@ -94,6 +123,17 @@ def test_gny_reports_verified_family(runner):
     assert data["disjoint_doubles"] is True
     assert len(data["masses"]) == 3
     assert min(data["masses"]) >= data["target_mass"]
+
+
+def test_gny_exits_one_when_the_family_fails_verification(runner, monkeypatch):
+    verify_family = cli.verify_family
+    monkeypatch.setattr(
+        cli, "verify_family", lambda mu, family: replace(verify_family(mu, family), ok=False)
+    )
+    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "-k", "3"])
+    assert result.exit_code == 1
+    data = json.loads(result.output)
+    assert data["ok"] is False and data["disjoint_doubles"] is True
 
 
 def test_confvol_identity_sphere(runner):
@@ -178,17 +218,25 @@ def test_index_takes_no_seed(runner):
     assert "No such option" in result.output and "--seed" in result.output
 
 
-def test_gny_rejects_non_finite_density(runner):
-    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "--density", "inf"])
+def test_index_mismatch_writes_its_report_and_exits_one(runner, tmp_path):
+    out = tmp_path / "index.json"
+    result = runner.invoke(
+        main,
+        ["index", "--fixture", "clifford:32", "--shape-squared", "2.0",
+         "--reference", "4", "--out", str(out)],
+    )
     assert result.exit_code == 1
-    assert result.output.splitlines() == ["Error: density must be finite"]
+    assert result.output.startswith("[    fail    ] index")
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    assert report["detail"]["index"] == 5
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_gny_rejects_overflowing_density(runner):
-    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "--density", "1e308"])
+def test_verify_exits_one_when_a_check_fails(runner, monkeypatch):
+    monkeypatch.setattr(harness, "_constants_section", lambda: [_ineq("broken", "1 <= 0", 1.0, 0.0)])
+    result = runner.invoke(main, ["verify", "constants"])
     assert result.exit_code == 1
-    assert result.output.splitlines() == ["Error: measure weights must have a finite total"]
+    assert "[    fail    ] broken: 1 <= 0" in result.output.splitlines()
 
 
 def test_verify_rejects_kmax_below_one(runner):
@@ -318,6 +366,12 @@ def test_bad_off_face_index_is_one_line(runner, tmp_path):
     result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
     assert result.exit_code == 1
     assert result.output.splitlines() == [f"Error: {path}:8: bad face index"]
+
+
+def test_zero_area_fixture_is_one_line(runner):
+    result = runner.invoke(main, ["spectrum", "--fixture", "flat:1e-300,1e-300,8"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: face 0 has zero area"]
 
 
 def test_solver_error_is_one_line(runner, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,14 @@ def test_constants_scale_with_target_dimension():
     # c shrinks by 9^12 per target dimension, so the eigenvalue
     # constant grows by the same factor
     assert c3.higher_eigenvalue == c2.higher_eigenvalue * 9**12
+
+
+def test_constants_that_overflow_a_float_are_refused(sphere3, sphere3_spec):
+    assert np.isfinite(float(proof_constants(2, 26).higher_eigenvalue))
+    with pytest.raises(ValueError, match="^the proof constants for n = 2, m = 27 overflow a float$"):
+        proof_constants(2, 27)
+    with pytest.raises(ValueError, match="m = 27 overflow a float$"):
+        check_higher_eigenvalues(sphere3, vc_reference=12.0, m=27, spectrum=sphere3_spec)
 
 
 def test_constants_reject_bad_dimensions():
@@ -274,6 +283,21 @@ def test_checks_refuse_an_immersion_of_another_mesh(sphere3):
     assert own.detail["replay"]["test_function_bound"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_first_eigenvalue_replay_refuses_a_violated_variational_principle(
+    sphere3, sphere3_spec
+):
+    # ten times the true eigenvalues put lambda_1 far above the Rayleigh
+    # quotient of the centred coordinates
+    inflated = replace(sphere3_spec, eigenvalues=10.0 * sphere3_spec.eigenvalues)
+    with pytest.raises(VerificationError, match="^variational principle violated by centered"):
+        check_first_eigenvalue(
+            sphere3,
+            immersion=SphereImmersion.identity(sphere3),
+            vc_reference=SPHERE_AREA,
+            spectrum=inflated,
+        )
+
+
 def test_first_eigenvalue_needs_a_reference(sphere3):
     with pytest.raises(ValueError):
         check_first_eigenvalue(sphere3)
@@ -380,6 +404,31 @@ def test_counts_clifford_match_index(clifford32):
         "count-curvature",
     }
     assert rs[0].detail["observed_count"] == 5
+
+
+def test_count_replay_refuses_a_zero_count_under_a_positive_potential(sphere3, monkeypatch):
+    negative_count = harness.negative_count
+    monkeypatch.setattr(
+        harness, "negative_count", lambda mesh, V: replace(negative_count(mesh, V), count=0)
+    )
+    with pytest.raises(VerificationError, match="^constant function makes the form negative"):
+        check_eigenvalue_counts(
+            sphere3, 1.0, vc_reference=SPHERE_AREA, immersion=SphereImmersion.identity(sphere3)
+        )
+
+
+def test_count_replay_refuses_a_guarantee_its_annuli_do_not_meet(sphere3, monkeypatch):
+    # with the counting constant set to 1, V = 1.5 guarantees a count of 1
+    # that no annulus function, its Rayleigh quotient above 1.5, witnesses
+    constants = harness.proof_constants
+    monkeypatch.setattr(
+        harness, "proof_constants",
+        lambda n, m: replace(constants(n, m), count_conformal=Fraction(1)),
+    )
+    with pytest.raises(VerificationError, match="^guaranteed count >= 1 but an annulus function"):
+        check_eigenvalue_counts(
+            sphere3, 1.5, vc_reference=SPHERE_AREA, immersion=SphereImmersion.identity(sphere3)
+        )
 
 
 def test_counts_reject_signed_potential(sphere3):
@@ -530,6 +579,20 @@ def test_witness_chain_sphere(sphere3):
     assert chain.energies.max() <= 8 * SPHERE_AREA
     assert chain.lambda_k <= chain.rayleighs.max() * (1 + 1e-9)
     assert chain.error_bars["exact_links"] == 0.0
+
+
+def test_witness_chain_refuses_masses_below_the_floor(sphere3, monkeypatch):
+    replay = harness._replay_family
+
+    def at_half_the_floor(*args, **kwargs):
+        *receipts, shell_masses, energies, _ = replay(*args, **kwargs)
+        return (*receipts, shell_masses, energies, 0.5 * 81.0 / 625.0 * shell_masses)
+
+    monkeypatch.setattr(harness, "_replay_family", at_half_the_floor)
+    with pytest.raises(VerificationError, match="^squared mass fell below 81/625"):
+        build_witness_chain(
+            sphere3, SphereImmersion.identity(sphere3), k=2, vc_reference=SPHERE_AREA
+        )
 
 
 def test_witness_chain_rejects_k_zero(sphere3):

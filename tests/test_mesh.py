@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eigenvol import mesh as mesh_module
-from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
+from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import (
     TriangleMesh,
     load_off,
@@ -530,6 +530,17 @@ def test_overflowing_metric_rejected():
     with pytest.raises(ValueError, match="^face 0 has an area that is not finite$"):
         TriangleMesh(None, faces, edge_lengths=np.full(6, 1e100))
     assert np.isfinite(TriangleMesh(verts * 1e70, faces).area)
+
+
+def test_underflowing_area_rejected():
+    # edges of 1e-160 are positive, but the area product underflows to
+    # zero, and the cotangent weights would divide by it
+    sphere = icosphere(2)
+    with pytest.raises(ValueError, match="^face 0 has zero area$"):
+        TriangleMesh(sphere.vertices * 1e-160, sphere.faces)
+    with pytest.raises(ValueError, match="^face 0 has zero area$"):
+        flat_torus(1e-300, 1e-300, 8)
+    assert TriangleMesh(sphere.vertices * 1e-70, sphere.faces).area > 0.0
 
 
 def test_off_with_overflowing_edges_rejected(tmp_path):

@@ -12,6 +12,7 @@ from eigenvol import packing
 from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
+    AnnulusFamily,
     DiscreteMeasure,
     PackingError,
     _candidate_centers,
@@ -244,6 +245,16 @@ def test_select_light_validation():
     fam = gny_decompose(mu, 2, seed=0)
     with pytest.raises(ValueError):
         select_light(mu, fam, 5)
+
+
+def test_select_light_refuses_overlapping_doubles():
+    # two annuli about one centre whose doubles each hold over half the mass
+    mu = _uniform_measure(400)
+    north = np.array([0.0, 0.0, 1.0])
+    fam = AnnulusFamily([Annulus(north, 0.0, 1.0), Annulus(north, 0.0, 1.1)], 0.5, 0.0)
+    assert not verify_family(mu, fam).ok
+    with pytest.raises(PackingError, match="are the doubles really disjoint"):
+        select_light(mu, fam, 2)
 
 
 # ---------------------------------------------------------------------- #
