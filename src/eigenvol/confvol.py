@@ -41,6 +41,7 @@ from .moebius import (
     ball_dilation,
     dilation_gradient,
     fold_map,
+    sphere_point,
     stereographic,
     stereographic_inverse,
     xi_map,
@@ -245,9 +246,7 @@ class SphereImmersion:
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
         if self.images.shape[0] != self.mesh.nv or self.images.ndim != 2:
             raise ValueError("need one image point per vertex")
-        norms = np.linalg.norm(self.images, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("image points must lie on the unit sphere")
+        sphere_point(self.images)
         self.singular_faces = np.asarray(self.singular_faces, dtype=np.int64)
         if self.singular_faces.size and (
             self.singular_faces.min() < 0 or self.singular_faces.max() >= self.mesh.nf
@@ -296,7 +295,8 @@ class SphereImmersion:
 
     @classmethod
     def power(cls, mesh: TriangleMesh, d: int) -> "SphereImmersion":
-        """Degree-d power map z -> z^d in stereographic coordinates.
+        """Degree-d power map z -> z^d in stereographic coordinates of S^2,
+        for a mesh on the unit sphere of R^3.
 
         The projection axis is a fixed generic direction, so that no
         vertex of a symmetric mesh sits at either projection pole (such
@@ -304,8 +304,8 @@ class SphereImmersion:
         vertex there is refused.  Vertices map through polar coordinates,
         so the result covers the sphere |d| times.
         """
-        if mesh.ambient != "unit_sphere":
-            raise ValueError("power map needs a unit_sphere mesh")
+        if mesh.ambient != "unit_sphere" or mesh.dim != 3:
+            raise ValueError("power map needs a unit_sphere mesh in R^3")
         if d == 0:
             raise ValueError("degree must be nonzero")
         p = _GENERIC_POLE

@@ -214,25 +214,22 @@ def _veronese_map(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _antipodal_quotient(verts: np.ndarray, faces: np.ndarray):
-    """Identify exact antipodal vertex pairs of a symmetric sphere mesh."""
-    # adding 0.0 maps -0.0 to +0.0 so hashing is insensitive to zero signs
-    canon = verts + 0.0
-    index = {v.tobytes(): i for i, v in enumerate(canon)}
-    rep = np.empty(verts.shape[0], dtype=np.int64)
-    for i, v in enumerate(verts):
-        j = index.get((-v + 0.0).tobytes())
-        if j is None:
-            raise ValueError("vertex set is not antipodally symmetric")
-        # canonical representative: first clearly nonzero coordinate positive
-        lead = v[np.argmax(np.abs(v) > 1e-9)]
-        rep[i] = i if lead > 0 else j
-    reps, new_id = np.unique(rep, return_inverse=True)
-    qfaces = new_id[rep[faces]]
+def _projective_quotient(verts: np.ndarray, faces: np.ndarray):
+    """Veronese images of a sphere mesh, one per antipodal vertex pair, and
+    its faces on them.  V(-q) equals V(q) bit for bit, so equal images pair
+    antipodes; each pair keeps the vertex whose first clearly nonzero
+    coordinate is positive."""
+    images = _veronese_map(verts)
+    _, pair = np.unique(images, axis=0, return_inverse=True)
+    lead = verts[np.arange(verts.shape[0]), np.argmax(np.abs(verts) > 1e-9, axis=1)]
+    reps = np.flatnonzero(lead > 0)
+    new_id = np.empty(reps.size, dtype=np.int64)
+    new_id[pair[reps]] = np.arange(reps.size)
+    qfaces = new_id[pair[faces]]
     # distinct faces only (each original face meets its antipode's copy)
     key = np.sort(qfaces, axis=1)
     _, keep = np.unique(key, axis=0, return_index=True)
-    return reps, qfaces[np.sort(keep)]
+    return images[reps], qfaces[np.sort(keep)]
 
 
 def veronese(level: int = 3) -> TriangleMesh:
@@ -246,8 +243,7 @@ def veronese(level: int = 3) -> TriangleMesh:
     if level < 2:
         raise ValueError("need level >= 2: coarser meshes have antipodal faces")
     sphere = icosphere(level)
-    reps, qfaces = _antipodal_quotient(sphere.vertices, sphere.faces)
-    qverts = _veronese_map(sphere.vertices[reps])
+    qverts, qfaces = _projective_quotient(sphere.vertices, sphere.faces)
     qverts /= np.linalg.norm(qverts, axis=1, keepdims=True)
     return TriangleMesh(qverts, qfaces, ambient="unit_sphere")
 

@@ -19,6 +19,7 @@ and returns a deterministic report (fixed seed in, identical bytes out).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -69,6 +70,10 @@ class VerificationError(RuntimeError):
 # constants
 
 
+# Python's default sys.get_int_max_str_digits(): str() refuses longer integers
+_INT_DIGITS = 4300
+
+
 @dataclass(frozen=True)
 class ProofConstants:
     """The explicit constants of the eigenvalue and counting bounds.
@@ -112,7 +117,10 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
 
     Even n keeps every constant rational; odd n would put a square root
     into ``count_conformal``, which nothing here needs.  Constants that
-    overflow a float, from m = 27 at n = 2, are refused.
+    overflow a float, from m = 27 at n = 2, are refused, and so are those
+    whose ``count_conformal`` has a denominator of more digits than
+    Python's default limit for printing an integer, 4300: from n = 300 at
+    m = 2 and n = 216 at m = 3.
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
@@ -123,6 +131,13 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
     higher = Fraction(10000 * n, 81) / c  # the largest; the rest fit when it does
     if higher > np.finfo(float).max:
         raise ValueError(f"the proof constants for n = {n}, m = {m} overflow a float")
+    # count_conformal is 1/(20000 n 9^(12 m - 1))^(n/2): its digits, before it is formed
+    digits = int(n // 2 * math.log10(20000 * n * 9 ** (12 * m - 1))) + 1
+    if digits > _INT_DIGITS:
+        raise ValueError(
+            f"the proof constants for n = {n}, m = {m} have {digits} digits, "
+            f"past Python's limit of {_INT_DIGITS} for printing an integer"
+        )
     return ProofConstants(
         n=n,
         m=m,

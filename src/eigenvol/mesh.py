@@ -11,7 +11,8 @@ stiffness K is :attr:`TriangleMesh.stiffness` and the lumped mass M is
 
 Only closed connected surfaces are accepted: every edge must belong to
 exactly two faces and the edge graph must be connected.  Meshes with
-boundary raise at construction time.
+boundary raise at construction time; a vertex whose faces form more than
+one fan raises when the topology (orientability, genus) is first read.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+
+from .moebius import sphere_point
 
 __all__ = [
     "TriangleMesh",
@@ -53,6 +56,12 @@ def unique_edges(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, inverse.reshape(faces.shape[0], 3)
 
 
+def _turn(corner, step):
+    """The corner `step` places on from `corner` in its face; corner i of
+    face j has index 3 j + i."""
+    return corner - corner % 3 + (corner % 3 + step) % 3
+
+
 class TriangleMesh:
     """A closed connected triangle mesh.
 
@@ -65,8 +74,8 @@ class TriangleMesh:
         Vertex indices of each triangle.
     ambient : {"euclidean", "unit_sphere", None}
         Geometric context of the coordinates.  ``"unit_sphere"`` asserts
-        every vertex has unit norm (within 1e-12) and enables intrinsic
-        sphere operations.  Must be ``None`` for abstract meshes.
+        every vertex is a :func:`~eigenvol.moebius.sphere_point` and enables
+        intrinsic sphere operations.  Must be ``None`` for abstract meshes.
     edge_lengths : array_like of shape (ne,), optional
         One positive length per edge, aligned with :attr:`edges` (the
         lexicographically sorted unique vertex pairs).  Required when
@@ -128,12 +137,7 @@ class TriangleMesh:
                 diffs = vertices[self._edges[:, 0]] - vertices[self._edges[:, 1]]
                 self.edge_lengths = np.linalg.norm(diffs, axis=1)
             if ambient == "unit_sphere":
-                norms = np.linalg.norm(vertices, axis=1)
-                err = np.max(np.abs(norms - 1.0))
-                if err > 1e-12:
-                    raise ValueError(
-                        f"unit_sphere ambient but max |norm - 1| = {err:.3e}"
-                    )
+                sphere_point(vertices)
 
         # per face: edge lengths, column i opposite corner i, and areas
         self.face_edge_lengths, self.face_areas = self._face_metric()
@@ -312,22 +316,42 @@ class TriangleMesh:
 
     @cached_property
     def orientable(self) -> bool:
-        """Whether the faces admit a consistent orientation."""
+        """Whether the faces admit a consistent orientation.
+
+        Raises ValueError if the faces about some vertex form more than one
+        fan, as where two spheres touch: such a mesh is not a surface.
+        """
         return self._check_orientable()
 
     def _check_orientable(self) -> bool:
-        # The orientation double cover has two sheets per face.  Two faces
-        # traversing their shared edge in the same direction need opposite
-        # orientations, so they join opposite sheets; otherwise the same
-        # sheet.  The surface is orientable iff the cover splits: the two
-        # sheets of face 0 lie in different components.
         f, nf = self.faces, self.nf
         forward = np.column_stack(
             [f[:, (c + 1) % 3] < f[:, (c + 2) % 3] for c in range(3)]
         ).ravel()
         corners = np.argsort(self._face_edge_idx.ravel(), kind="stable")
         a, b = corners[0::2], corners[1::2]  # the two corners facing each edge
-        flip = (forward[a] == forward[b]) * nf
+        same = forward[a] == forward[b]  # both faces traverse it one way
+        # Each edge joins the two faces' corners at either end of it: the
+        # corners after a and after b when both traverse it one way.  The
+        # corners about a vertex so joined form its fans; a surface has one.
+        rows = np.concatenate([_turn(a, 1), _turn(a, 2)])
+        cols = np.concatenate([_turn(b, 2 - same), _turn(b, 1 + same)])
+        links = sparse.coo_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(3 * nf, 3 * nf)
+        )
+        count, fan = connected_components(links, directed=False)
+        if count > self._nv:
+            fan_vertex = np.empty(count, dtype=np.int64)
+            fan_vertex[fan] = f.ravel()
+            fans = np.bincount(fan_vertex, minlength=self._nv)
+            bad = int(np.argmax(fans > 1))
+            raise ValueError(f"the faces about vertex {bad} form {fans[bad]} fans, not one")
+        # The orientation double cover has two sheets per face.  Two faces
+        # traversing their shared edge in the same direction need opposite
+        # orientations, so they join opposite sheets; otherwise the same
+        # sheet.  The surface is orientable iff the cover splits: the two
+        # sheets of face 0 lie in different components.
+        flip = same * nf
         rows = np.concatenate([a // 3, a // 3 + nf])
         cols = np.concatenate([b // 3 + flip, b // 3 + nf - flip])
         cover = sparse.coo_matrix(
@@ -341,8 +365,6 @@ class TriangleMesh:
         """Genus for orientable meshes; genus of the orientable double cover otherwise."""
         chi = self.euler_characteristic
         if self.orientable:
-            if chi % 2:
-                raise ValueError(f"orientable surface with odd Euler characteristic {chi}")
             return (2 - chi) // 2
         return 1 - chi
 

@@ -43,7 +43,12 @@ _UNIT_TOL = 1e-12
 
 
 def sphere_point(coords) -> np.ndarray:
-    """Validate and return a unit vector (norm 1 within 1e-12)."""
+    """Validate and return points of the unit sphere, shape (..., m+1).
+
+    The package's one unit-sphere rule: every norm within 1e-12 of 1, which
+    a NaN coordinate fails.  Mesh vertices, immersion images, measure atoms,
+    annulus centres and dilation poles are all checked here.
+    """
     q = np.asarray(coords, dtype=float)
     norms = np.linalg.norm(q, axis=-1)
     if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
@@ -111,8 +116,8 @@ def xi_map(p, t, q) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("dilation parameter t must be positive")
+    if not np.all((0.0 < t) & (t < np.inf)):
+        raise ValueError("dilation parameter t must be positive and finite")
     q = np.asarray(q, dtype=float)
     c = _dot(q, p)
     t2 = t * t
@@ -289,8 +294,8 @@ class MoebiusMap:
 
     def __post_init__(self):
         object.__setattr__(self, "pole", sphere_point(self.pole))
-        if self.t <= 0.0:
-            raise ValueError("dilation parameter t must be positive")
+        if not 0.0 < self.t < np.inf:
+            raise ValueError("dilation parameter t must be positive and finite")
 
     def __call__(self, q) -> np.ndarray:
         return xi_map(self.pole, self.t, q)

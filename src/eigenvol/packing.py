@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moebius import Annulus, geodesic_distance
+from .moebius import Annulus, geodesic_distance, sphere_point
 
 __all__ = [
     "AnnulusFamily",
@@ -72,9 +72,7 @@ class DiscreteMeasure:
         with np.errstate(over="ignore"):
             if not np.isfinite(weights.sum()):
                 raise ValueError("measure weights must have a finite total")
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("measure atoms must lie on the unit sphere")
+        sphere_point(points)
 
         rounded = np.round(points, 12)
         _, first, inverse = np.unique(
@@ -380,7 +378,9 @@ def gny_decompose(
     and is rebuilt complete, once, when a round cannot be decided without
     it.  The table is kept on `mu` and reused by the next call with the
     same seed and reach; as its rows are exact prefixes of the full rows,
-    the result does not depend on it.
+    the result does not depend on it.  Each call logs one DEBUG record on
+    the ``eigenvol.packing`` logger: table built or reused, its size
+    against the full one, rows extended and the beta trail.
 
     Parameters
     ----------
@@ -400,8 +400,8 @@ def gny_decompose(
         raise ValueError("need k >= 1 annuli")
     if not 0.0 < r_max <= np.pi:
         raise ValueError("r_max must lie in (0, pi]")
-    if gap < 0.0:
-        raise ValueError("gap must be nonnegative")
+    if not 0.0 <= gap < np.inf:
+        raise ValueError("gap must be finite and nonnegative")
     total = mu.total
     if total <= 0.0:
         raise ValueError("measure has no mass")

@@ -42,6 +42,18 @@ def test_constants_that_overflow_a_float_are_one_line(runner):
     assert json.loads(result.output)["floats"]["higher_eigenvalue"] > 1e300
 
 
+def test_constants_past_the_integer_digit_limit_are_one_line(runner):
+    result = runner.invoke(main, ["constants", "-n", "300"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: the proof constants for n = 300, m = 2 have 4309 digits, "
+        "past Python's limit of 4300 for printing an integer"
+    ]
+    result = runner.invoke(main, ["constants", "-n", "298"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["count_conformal"]) == len("1/") + 4280
+
+
 def test_constants_reject_odd_dimension(runner):
     result = runner.invoke(main, ["constants", "-n", "3"])
     assert result.exit_code != 0
@@ -156,6 +168,12 @@ def test_confvol_power_map(runner):
     # the degree-2 map covers the sphere twice
     assert data["base_area"] == pytest.approx(8 * np.pi, rel=0.01)
     assert data["value"] >= data["base_area"]
+
+
+def test_power_map_of_a_mesh_outside_r3_is_one_line(runner):
+    result = runner.invoke(main, ["confvol", "--fixture", "clifford:16", "--map", "power:2"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: power map needs a unit_sphere mesh in R^3"]
 
 
 def test_confvol_unknown_map_is_one_line(runner):
@@ -390,3 +408,18 @@ def test_unreservable_packing_table_is_one_line(runner, packing_without_room):
     assert result.output.splitlines() == [
         "Error: cannot reserve the distance table of 162 atoms and 194 candidates: 676672 bytes"
     ]
+
+
+def test_octahedra_sharing_their_poles_are_one_line(runner, tmp_path):
+    path = tmp_path / "octahedra.off"
+    s = np.sqrt(0.5)
+    equators = "1 0 0\n0 1 0\n-1 0 0\n0 -1 0\n" + f"{s} {s} 0\n{-s} {s} 0\n{-s} {-s} 0\n{s} {-s} 0\n"
+    faces = "".join(
+        f"3 0 {u} {w}\n3 1 {w} {u}\n"
+        for ring in ([2, 3, 4, 5], [6, 7, 8, 9])
+        for u, w in zip(ring, ring[1:] + ring[:1])
+    )
+    path.write_text("OFF\n10 16 0\n0 0 1\n0 0 -1\n" + equators + faces)
+    result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: the faces about vertex 0 form 2 fans, not one"]

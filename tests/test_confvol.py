@@ -460,3 +460,34 @@ def test_hersch_center_is_pinned(name, immersion):
     got = ([float(x).hex() for x in res.map.pole], float(res.map.t).hex(),
            res.iterations, float(res.moment_norm).hex())
     assert got == _HERSCH_PINNED[name]
+
+
+@pytest.mark.parametrize("row, scale, worst", [(7, np.nan, "nan"), (None, 1.0 + 5e-10, "5.0")])
+def test_immersion_images_follow_the_unit_sphere_rule(row, scale, worst):
+    # a NaN row used to build an immersion whose search died with KeyError,
+    # and images off by 5e-10 one that no annulus could be centred on
+    sphere = icosphere(2)
+    images = sphere.vertices.copy()
+    images[row if row is not None else slice(None)] *= scale
+    with pytest.raises(ValueError, match=rf"^point not on the unit sphere \(\|norm - 1\| = {worst}"):
+        SphereImmersion(sphere, images)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: inverse_stereographic(np.array([[1e9, 0.0, 0.0]])),
+     "vertex too far from the origin for a stable lift; recenter first"),
+    (lambda: SphereImmersion(icosphere(1), icosphere(1).vertices, [80]),
+     "singular face index out of range"),
+    (lambda: SphereImmersion.identity(revolution_torus()),
+     "identity immersion needs a unit_sphere mesh"),
+    (lambda: SphereImmersion.fold(revolution_torus(), [0.0, 0.0, 1.0]),
+     "fold needs a unit_sphere mesh"),
+    (lambda: SphereImmersion.power(revolution_torus(), 2),
+     r"power map needs a unit_sphere mesh in R\^3"),
+    (lambda: SphereImmersion.power(clifford_torus(8), 2),
+     r"power map needs a unit_sphere mesh in R\^3"),
+    (lambda: SphereImmersion.power(icosphere(1), 0), "degree must be nonzero"),
+])
+def test_immersion_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigenvol.fixtures import (
+    _veronese_map,
     clifford_torus,
     flat_torus,
     flat_torus_spectrum,
@@ -142,3 +143,29 @@ def test_fixture_input_validation():
         revolution_torus(1.0, 2.0)
     with pytest.raises(ValueError):
         icosphere(-1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: flat_torus(0.0, 1.0, 8), "torus side lengths must be positive"),
+    (lambda: clifford_torus(7), "need n >= 8 for a sane Clifford torus"),
+    (lambda: revolution_torus(2.0, 1.0, 7), "need n >= 8 segments"),
+])
+def test_fixture_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_veronese_identifies_exactly_the_antipodal_pairs(level):
+    # against a pairing that searches each vertex's negation directly
+    sphere, rp2 = icosphere(level), veronese(level)
+    verts = sphere.vertices
+    antipode = np.array([np.flatnonzero(np.all(verts == -v, axis=1))[0] for v in verts])
+    lead = verts[np.arange(len(verts)), np.argmax(np.abs(verts) > 1e-9, axis=1)]
+    rep = np.where(lead > 0, np.arange(len(verts)), antipode)
+    reps, new_id = np.unique(rep, return_inverse=True)
+    faces = new_id[rep[sphere.faces]]
+    _, first = np.unique(np.sort(faces, axis=1), axis=0, return_index=True)
+    assert np.array_equal(rp2.faces, faces[np.sort(first)])
+    images = _veronese_map(verts[reps])
+    assert np.array_equal(rp2.vertices, images / np.linalg.norm(images, axis=1, keepdims=True))

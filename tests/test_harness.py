@@ -74,6 +74,19 @@ def test_constants_that_overflow_a_float_are_refused(sphere3, sphere3_spec):
         check_higher_eigenvalues(sphere3, vc_reference=12.0, m=27, spectrum=sphere3_spec)
 
 
+@pytest.mark.parametrize("m, n", [(2, 300), (3, 216), (4, 168), (26, 30)])
+def test_constants_past_the_integer_digit_limit_are_refused(m, n):
+    # the last n below the limit still gives a constant Python can print
+    assert len(str(proof_constants(n - 2, m).count_conformal.denominator)) <= 4300
+    with pytest.raises(ValueError, match=f"^the proof constants for n = {n}, m = {m} have 4"):
+        proof_constants(n, m)
+
+
+def test_constants_for_a_huge_dimension_are_refused_before_they_are_formed():
+    with pytest.raises(ValueError, match="have 3154964 digits, past Python's limit of 4300"):
+        proof_constants(200000, 2)
+
+
 def test_constants_reject_bad_dimensions():
     with pytest.raises(ValueError):
         proof_constants(3, 2)

@@ -569,3 +569,69 @@ def test_orientability_survives_reversed_faces():
     faces = mesh.faces.copy()
     faces[::3] = faces[::3, ::-1]
     assert TriangleMesh(mesh.vertices, faces).orientable
+
+
+def _two_octahedra():
+    # two octahedra on the same poles, the second's equator turned by 45 degrees
+    s = np.sqrt(0.5)
+    verts = np.array([
+        [0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0],
+        [s, s, 0], [-s, s, 0], [-s, -s, 0], [s, -s, 0],
+    ], dtype=float)
+    faces = []
+    for ring in ([2, 3, 4, 5], [6, 7, 8, 9]):
+        for u, w in zip(ring, ring[1:] + ring[:1]):
+            faces += [[0, u, w], [1, w, u]]
+    return verts, np.array(faces)
+
+
+def _two_tetrahedra():
+    # two tetrahedra sharing vertex 0, the second the first's reflection through it
+    verts, faces = _tetrahedron()
+    verts = np.vstack([verts, 2.0 * verts[0] - verts[1:]])
+    return verts, np.vstack([faces, np.where(faces == 0, 0, faces + 3)])
+
+
+@pytest.mark.parametrize("build, chi", [(_two_octahedra, 2), (_two_tetrahedra, 3)])
+def test_vertex_with_two_fans_is_refused_when_topology_is_read(build, chi):
+    mesh = TriangleMesh(*build())  # each edge lies in two faces: it builds
+    assert mesh.euler_characteristic == chi
+    for read in ("orientable", "genus"):
+        with pytest.raises(ValueError, match="^the faces about vertex 0 form 2 fans, not one$"):
+            getattr(mesh, read)
+
+
+def test_sphere_vertices_follow_the_unit_sphere_rule():
+    verts, faces = _tetrahedron()
+    TriangleMesh(verts * (1.0 + 5e-13), faces, ambient="unit_sphere")
+    with pytest.raises(ValueError, match=r"^point not on the unit sphere \(\|norm - 1\| = 2\.0"):
+        TriangleMesh(verts * (1.0 + 2e-12), faces, ambient="unit_sphere")
+
+
+def _bad_mesh(vertices=None, faces=None, **kwargs):
+    verts, tetra = _tetrahedron()
+    return TriangleMesh(verts if vertices is None else vertices,
+                        tetra if faces is None else faces, **kwargs)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _bad_mesh(faces=np.zeros((2, 4))), r"faces must have shape \(nf, 3\), got \(2, 4\)"),
+    (lambda: TriangleMesh(None, _tetrahedron()[1], ambient="euclidean", edge_lengths=np.ones(6)),
+     "abstract meshes cannot declare an ambient space"),
+    (lambda: _bad_mesh(edge_lengths=np.ones(6)), "edge_lengths is only for abstract meshes"),
+    (lambda: _bad_mesh(vertices=np.ones(4)), r"vertices must have shape \(nv, d\)"),
+    (lambda: _bad_mesh(ambient="sphere"), "unknown ambient 'sphere'"),
+    (lambda: TriangleMesh(None, _tetrahedron()[1], edge_lengths=np.ones(5)),
+     r"edge_lengths must have shape \(6,\), one per edge, got \(5,\)"),
+    (lambda: _bad_mesh(faces=np.zeros((0, 3))), "mesh has no faces"),
+    (lambda: mean_curvature(_bad_mesh(), component="sphere"),
+     'component="sphere" requires unit_sphere ambient'),
+    (lambda: mean_curvature(_bad_mesh(), component="normal"), "unknown component 'normal'"),
+])
+def test_mesh_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_off_without_counts_line_is_refused(tmp_path):
+    assert _off_error(tmp_path, ["OFF", "# nothing else"]) == "bad.off: missing counts line"

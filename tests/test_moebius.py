@@ -232,3 +232,23 @@ def test_covering_witness_stays_under_bound():
     # number behind the packing floor 1/(8 9^(12 m))
     assert max(_half_radius_cover_counts(1, trials=10, seed=2, samples=800)) <= 9
     assert max(_half_radius_cover_counts(2, trials=4, seed=3, samples=1500)) <= 81
+
+
+_POLE = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: stereographic(_POLE, _POLE), "stereographic projection undefined at the pole itself"),
+    (lambda: bar_phi(np.pi, _POLE, _POLE), r"inner radius must lie in \(0, pi\), got 3\.14"),
+    (lambda: sphere_point([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]),
+     r"point not on the unit sphere \(\|norm - 1\| = nan\)"),
+] + [
+    (lambda t=t: xi_map(_POLE, t, _POLE), "dilation parameter t must be positive and finite")
+    for t in (0.0, -1.0, np.nan, np.inf, np.array([2.0, np.nan]))
+] + [
+    (lambda t=t: MoebiusMap(_POLE, t), "dilation parameter t must be positive and finite")
+    for t in (np.nan, np.inf)
+])
+def test_moebius_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()

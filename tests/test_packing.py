@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenvol import packing
+from eigenvol.fixtures import icosphere
 from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
@@ -606,3 +607,26 @@ def test_unreservable_table_is_a_packing_error(sphere3, packing_without_room):
         r"^cannot reserve the distance table of 642 atoms and 674 candidates: 7818400 bytes$"
     )):
         gny_decompose(mu, 8)
+
+
+def test_measure_atoms_follow_the_unit_sphere_rule():
+    # atoms off the sphere by 5e-10 were accepted, and then no annulus
+    # could be centred at them
+    sphere = icosphere(2)
+    with pytest.raises(ValueError, match=r"^point not on the unit sphere \(\|norm - 1\| = 5\.0"):
+        DiscreteMeasure(sphere.vertices * (1.0 + 5e-10), sphere.vertex_areas)
+    DiscreteMeasure(sphere.vertices * (1.0 + 5e-13), sphere.vertex_areas)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda mu: DiscreteMeasure(np.eye(3), np.ones(2)),
+     r"points and weights must align, shapes \(3, 3\) / \(2,\)"),
+    (lambda mu: pushforward_measure(icosphere(1), np.eye(3)), "need one image point per vertex"),
+    (lambda mu: gny_decompose(DiscreteMeasure(np.eye(3), np.zeros(3)), 1), "measure has no mass"),
+] + [
+    (lambda mu, gap=gap: gny_decompose(mu, 2, gap=gap), "gap must be finite and nonnegative")
+    for gap in (-0.1, np.nan, np.inf)
+])
+def test_packing_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(_uniform_measure(50))
