@@ -146,6 +146,8 @@ class _Group(click.Group):
             raise click.ClickException(f"verification aborted: {exc}") from exc
         except (ValueError, PackingError, SolverError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:  # numpy's names the allocation it was refused
+            raise click.ClickException(f"out of memory: {exc}".rstrip(": ")) from exc
 
 
 @click.group(cls=_Group)
@@ -214,7 +216,7 @@ def confvol(fixture, mesh, map_kind, starts, seed, out) -> None:
         "diverged": result.diverged,
         "evaluations": result.evaluations,
         "base_area": base.value,
-        "singular_faces": base.singular_count,
+        "singular_faces": imm.singular_faces.size,
         "map": result.map.as_dict(),
         "surface_volume": surface.area,
     }
@@ -232,7 +234,7 @@ def gny(fixture, mesh, k, seed, out) -> None:
     """Pack k annuli of comparable mass in the image sphere."""
     surface = _get_mesh(fixture, mesh)
     imm = _immersion(surface, "auto")
-    mu = pushforward_measure(surface, imm.images)
+    mu = pushforward_measure(imm)
     family = gny_decompose(mu, k, seed=seed)
     report = verify_family(mu, family)
     payload = {
@@ -298,7 +300,7 @@ def plot_data(fixture, mesh, count, k_range, seed, out) -> None:
     """Eigenvalue staircase and the volume-law line, as CSV."""
     surface = _get_mesh(fixture, mesh)
     spec = eigensolve(surface, count=count, seed=seed)
-    fit = weyl_fit(spec.eigenvalues, surface.area, k_range=tuple(k_range))
+    fit = weyl_fit(spec, k_range=tuple(k_range))
     rows = (
         ["k", "eigenvalue", "weyl_line", "fit_line"],
         [

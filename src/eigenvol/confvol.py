@@ -151,7 +151,7 @@ class DistortionReport:
     the intrinsic layout of face f to the (chordal) layout of its image;
     zero means conformal.  Faces whose image triangle is numerically
     degenerate are listed in ``singular`` and excluded from the maximum,
-    as are the faces listed in `exclude`.
+    as are the immersion's own singular faces.
     """
 
     values: np.ndarray
@@ -179,9 +179,7 @@ def _layout(lens: np.ndarray) -> np.ndarray:
     return P
 
 
-def conformal_distortion(
-    mesh: TriangleMesh, images: np.ndarray, exclude=()
-) -> DistortionReport:
+def conformal_distortion(immersion: SphereImmersion) -> DistortionReport:
     """How far each face's image is from a conformal copy of the face.
 
     Source geometry comes from the mesh's own edge lengths (embedded or
@@ -189,7 +187,7 @@ def conformal_distortion(
     points, which agree with geodesic lengths to second order for the
     small triangles this is used on.
     """
-    images = np.asarray(images, dtype=float)
+    mesh, images = immersion.mesh, immersion.images
     f = mesh.faces
     chord = lambda i, j: np.linalg.norm(images[f[:, i]] - images[f[:, j]], axis=1)
     img_lens = np.column_stack([chord(1, 2), chord(2, 0), chord(0, 1)])
@@ -213,7 +211,7 @@ def conformal_distortion(
 
     singular_mask = smin <= 1e-12 + 1e-8 * smax
     active = ~singular_mask
-    active[np.asarray(exclude, dtype=np.intp)] = False
+    active[immersion.singular_faces] = False
 
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(singular_mask, np.inf, np.log(smax / smin))
@@ -260,7 +258,7 @@ class SphereImmersion:
 
     @cached_property
     def distortion(self) -> DistortionReport:
-        return conformal_distortion(self.mesh, self.images, exclude=self.singular_faces)
+        return conformal_distortion(self)
 
     # -------------------------------------------------------------- #
     # constructors
@@ -301,8 +299,9 @@ class SphereImmersion:
         The projection axis is a fixed generic direction, so that no
         vertex of a symmetric mesh sits at either projection pole (such
         meshes do have vertices on every coordinate axis); a mesh with a
-        vertex there is refused.  Vertices map through polar coordinates,
-        so the result covers the sphere |d| times.
+        vertex there is refused, and so is a degree whose z^d overflows.
+        Vertices map through polar coordinates, so the result covers the
+        sphere |d| times.
         """
         if mesh.ambient != "unit_sphere" or mesh.dim != 3:
             raise ValueError("power map needs a unit_sphere mesh in R^3")
@@ -320,9 +319,13 @@ class SphereImmersion:
         e2 = np.cross(p, e1)
         w = stereographic(p, mesh.vertices)
         z = w @ e1 + 1j * (w @ e2)
-        zd = z**d
-        w_img = np.real(zd)[:, None] * e1 + np.imag(zd)[:, None] * e2
-        return cls(mesh, stereographic_inverse(p, w_img))
+        with np.errstate(over="ignore", invalid="ignore"):
+            zd = z**d
+            w_img = np.real(zd)[:, None] * e1 + np.imag(zd)[:, None] * e2
+            images = stereographic_inverse(p, w_img)
+        if not np.isfinite(images).all():
+            raise ValueError(f"degree {d} sends a vertex image past the float range")
+        return cls(mesh, images)
 
 
 @dataclass
@@ -331,7 +334,6 @@ class PullbackVolume:
 
     value: float
     error_bar: float
-    singular_count: int
 
 
 def pullback_volume(immersion: SphereImmersion) -> PullbackVolume:
@@ -347,7 +349,6 @@ def pullback_volume(immersion: SphereImmersion) -> PullbackVolume:
     return PullbackVolume(
         value=float(areas[~mask].sum()),
         error_bar=float(areas[mask].sum()),
-        singular_count=int(mask.sum()),
     )
 
 

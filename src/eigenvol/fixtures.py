@@ -175,6 +175,9 @@ def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> Tr
     R = sqrt(2), r = 1 is the stereographic image of the Clifford torus
     and minimizes that energy at 2 pi^2.
     """
+    for name, value in (("R", R), ("r", r)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0 < r < R:
         raise ValueError("need 0 < r < R for an embedded torus")
     if n < 8:

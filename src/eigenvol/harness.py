@@ -126,10 +126,10 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
         raise ValueError("need n >= 2 and m >= 2")
     if n % 2:
         raise ValueError("odd n makes the counting constant irrational")
-    N = 9**m
-    c = Fraction(1, 8 * N**12)
-    higher = Fraction(10000 * n, 81) / c  # the largest; the rest fit when it does
-    if higher > np.finfo(float).max:
+    # the largest constant is 80000 n 9^(12 m) / 81, and the rest fit when
+    # it does: its log, before it is formed
+    log_higher = math.log10(80000 * n) - math.log10(81) + 12 * m * math.log10(9)
+    if log_higher > math.log10(np.finfo(float).max):
         raise ValueError(f"the proof constants for n = {n}, m = {m} overflow a float")
     # count_conformal is 1/(20000 n 9^(12 m - 1))^(n/2): its digits, before it is formed
     digits = int(n // 2 * math.log10(20000 * n * 9 ** (12 * m - 1))) + 1
@@ -138,12 +138,14 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
             f"the proof constants for n = {n}, m = {m} have {digits} digits, "
             f"past Python's limit of {_INT_DIGITS} for printing an integer"
         )
+    N = 9**m
+    c = Fraction(1, 8 * N**12)
     return ProofConstants(
         n=n,
         m=m,
         covering_number=N,
         mass_fraction=c,
-        higher_eigenvalue=higher,
+        higher_eigenvalue=Fraction(10000 * n, 81) / c,
         curvature_eigenvalue=Fraction(5000 * n, 81) / c,
         count_conformal=(Fraction(9, 2500) * c / n) ** (n // 2),
         count_curvature=Fraction(9, 1250) * c / n,
@@ -249,10 +251,10 @@ def _ineq(
 # what the checks read of a mesh
 
 
-def _own_immersion(mesh: TriangleMesh, immersion) -> None:
-    """Refuse an immersion of another mesh than `mesh`, a copy too."""
-    if immersion is not None and immersion.mesh is not mesh:
-        raise ValueError("the immersion maps another mesh than the one checked")
+def _own(mesh: TriangleMesh, thing, what: str) -> None:
+    """Refuse an immersion or a spectrum of another mesh than `mesh`, a copy too."""
+    if thing is not None and thing.mesh is not mesh:
+        raise ValueError(f"the {what} belongs to another mesh than the one checked")
 
 
 def _vc(vc_reference) -> float | None:
@@ -270,9 +272,7 @@ def _lowest(mesh: TriangleMesh, spectrum: SpectrumResult | None, count: int, see
     `mesh`, or of a fresh solve when it is None."""
     if spectrum is None:
         return eigensolve(mesh, count=count, seed=seed)
-    rows = spectrum.eigenvectors.shape[0]
-    if rows != mesh.nv:
-        raise ValueError(f"the spectrum has {rows} eigenvector rows, the mesh {mesh.nv} vertices")
+    _own(mesh, spectrum, "spectrum")
     return spectrum.head(count)
 
 
@@ -324,7 +324,7 @@ def check_first_eigenvalue(
     lambda_1 * sum ||u_i||^2 <= sum E(u_i) exactly; a violation beyond
     rounding aborts.
     """
-    _own_immersion(mesh, immersion)
+    _own(mesh, immersion, "immersion")
     vc = _vc(vc_reference)
     spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
     lam1 = float(_nonzero(spec, 1)[0])
@@ -526,11 +526,11 @@ def _exact_orthogonality(K, U) -> None:
         )
 
 
-def _replay_family(mesh, images, nu, pieces, seed, weight, light=None):
+def _replay_family(immersion, nu, pieces, seed, weight, light=None):
     """The annulus replay of the counting and eigenvalue proofs, whole.
 
-    Takes as gap 1.02 times the longest geodesic edge of the vertex
-    `images` of `mesh`; packs `pieces` annuli against `nu` with that gap
+    Takes as gap 1.02 times the longest geodesic image edge of
+    `immersion`; packs `pieces` annuli against `nu` with that gap
     between doubled shells and re-verifies them; keeps, with
     `light = (mu, count)`, the `count` of lightest doubled `mu`-mass;
     and pulls their test functions back.  Disjoint supports, bitwise-zero
@@ -540,8 +540,9 @@ def _replay_family(mesh, images, nu, pieces, seed, weight, light=None):
     kept indices with their verified `nu`-masses, and the test functions'
     energies and L^2 masses weighted by `weight` (V or 1.0).
     """
-    K, areas = assemble_laplacian(mesh)
-    ends = mesh.edges
+    images = immersion.images
+    K, areas = assemble_laplacian(immersion.mesh)
+    ends = immersion.mesh.edges
     chords = np.linalg.norm(images[ends[:, 0]] - images[ends[:, 1]], axis=1)
     gap = 1.02 * float(2.0 * np.arcsin(np.clip(chords.max() / 2.0, 0.0, 1.0)))
 
@@ -595,7 +596,7 @@ def check_eigenvalue_counts(
     guaranteed count zero the constant function is the witness: its
     form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
-    _own_immersion(mesh, immersion)
+    _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,)).copy()
     if np.any(V < 0.0):
@@ -656,9 +657,8 @@ def check_eigenvalue_counts(
                 f"({rayleigh_const:.3e}) yet the count is zero"
             )
         replay: dict = {"constant_witness_value": rayleigh_const}
-        images = immersion.images
-        nu = pushforward_measure(mesh, images, density=V)
-        mu = pushforward_measure(mesh, images)
+        nu = pushforward_measure(immersion, density=V)
+        mu = pushforward_measure(immersion)
 
         # the conformal form packs twice the annuli it needs and keeps the
         # lightest; the curvature form uses every annulus it packs
@@ -671,7 +671,7 @@ def check_eigenvalue_counts(
             kk = max(guaranteed, 0)
             pieces = 2 * (kk + 1) if doubled else kk + 1
             _, beta, chosen, _, energies, pot_masses = _replay_family(
-                mesh, images, nu, pieces, seed, V, light=(mu, kk + 1) if doubled else None
+                immersion, nu, pieces, seed, V, light=(mu, kk + 1) if doubled else None
             )
             strict = energies < pot_masses
             replay[key] = {
@@ -960,7 +960,7 @@ def build_witness_chain(
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    _own_immersion(mesh, immersion)
+    _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     if vc_reference is None:
         raise ValueError("the witness chain needs vc_reference")
@@ -968,10 +968,10 @@ def build_witness_chain(
     spec = _lowest(mesh, spectrum, pairs, seed)
     lam_k = float(_nonzero(spec, k)[k - 1])
     vol = mesh.area
-    mu = pushforward_measure(mesh, immersion.images)
+    mu = pushforward_measure(immersion)
 
     gap, beta, chosen, shell_masses, energies, sq_masses = _replay_family(
-        mesh, immersion.images, mu, 2 * (k + 1), seed, 1.0, light=(mu, k + 1)
+        immersion, mu, 2 * (k + 1), seed, 1.0, light=(mu, k + 1)
     )
     floor = (81.0 / 625.0) * shell_masses
     if np.any(sq_masses < floor * (1.0 - 1e-9)):
@@ -1187,7 +1187,7 @@ def _balance_integral_check(ref: _Reference) -> CheckResult:
 def _weyl_check(ref: _Reference) -> CheckResult:
     # the battery sticks to meshes small enough for the dense solver,
     # so the fit window sits below the discretization-dominated tail
-    fit = weyl_fit(ref.spectrum.eigenvalues, ref.mesh.area, k_range=(15, 55))
+    fit = weyl_fit(ref.spectrum, k_range=(15, 55))
     return _ineq(
         f"weyl-{ref.name}",
         f"slope {fit.slope:.4f} vs 4 pi = {fit.target:.4f} "

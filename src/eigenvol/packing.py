@@ -108,24 +108,21 @@ class DiscreteMeasure:
                 f"total={self.total:.6g})")
 
 
-def pushforward_measure(mesh, images, density=None) -> DiscreteMeasure:
-    """Pushforward of the mesh area measure under a sphere-valued map.
+def pushforward_measure(immersion, density=None) -> DiscreteMeasure:
+    """Pushforward of the mesh area measure under a `SphereImmersion`.
 
     Each vertex becomes an atom at its image point carrying its lumped
     area, optionally multiplied by a finite nonnegative per-vertex `density`.
     """
-    images = np.asarray(images, dtype=float)
-    if images.shape[0] != mesh.nv:
-        raise ValueError("need one image point per vertex")
-    weights = mesh.vertex_areas
+    weights = immersion.mesh.vertex_areas
     if density is not None:
-        density = np.broadcast_to(np.asarray(density, dtype=float), (mesh.nv,))
+        density = np.broadcast_to(np.asarray(density, dtype=float), weights.shape)
         if not np.isfinite(density).all():
             raise ValueError("density must be finite")
         if np.any(density < 0.0):
             raise ValueError("density must be nonnegative")
         weights = weights * density
-    return DiscreteMeasure(images, weights)
+    return DiscreteMeasure(immersion.images, weights)
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ read off the pivot signs of one sparse symmetric factorization
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +62,7 @@ def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarra
 
 @dataclass
 class SpectrumResult:
-    """Sorted eigenvalues with M-orthonormal eigenvectors and diagnostics.
+    """Sorted eigenvalues of the pencil of ``mesh``, M-orthonormal eigenvectors, diagnostics.
 
     ``residuals[i] = ||K v_i - lambda_i M v_i|| / ||M v_i||`` measures how
     well each pair solves the pencil.  ``zero_tol`` is the scale-aware
@@ -74,6 +74,7 @@ class SpectrumResult:
     residuals: np.ndarray
     zero_tol: float
     method: str
+    mesh: TriangleMesh
 
     @property
     def num_zero(self) -> int:
@@ -89,12 +90,11 @@ class SpectrumResult:
 
     def head(self, count: int) -> "SpectrumResult":
         """The lowest `count` pairs, with their residuals."""
-        return SpectrumResult(
+        return replace(
+            self,
             eigenvalues=self.eigenvalues[:count],
             eigenvectors=self.eigenvectors[:, :count],
             residuals=self.residuals[:count],
-            zero_tol=self.zero_tol,
-            method=self.method,
         )
 
 
@@ -157,6 +157,7 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
         residuals=_residuals(K, areas, lam, vecs),
         zero_tol=_zero_tol(K, areas),
         method=method,
+        mesh=mesh,
     )
 
 
@@ -279,21 +280,17 @@ class WeylFit:
         return abs(self.slope - self.target) / self.target
 
 
-def weyl_fit(
-    eigenvalues: np.ndarray,
-    volume: float,
-    k_range: tuple[int, int] = (20, 60),
-) -> WeylFit:
-    """Fit the Weyl growth law of a surface over the index window ``k_range``.
+def weyl_fit(spectrum: SpectrumResult, k_range: tuple[int, int] = (20, 60)) -> WeylFit:
+    """Fit the Weyl growth law of the spectrum's mesh over the index window ``k_range``.
 
     On a surface  lambda_k ~ 4 pi k / Vol, so the slope of lambda_k Vol
     against k should approach 4 pi.  Eigenvalues are indexed from 0 (the
     constant mode) and an intercept absorbs the low-order term.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = spectrum.eigenvalues
     lo, hi = k_range
     if not 0 < lo < hi < lam.shape[0]:
         raise ValueError(f"k_range {k_range} out of bounds for {lam.shape[0]} eigenvalues")
     k = np.arange(lo, hi + 1)
-    slope, intercept = np.polyfit(k, lam[lo : hi + 1] * volume, 1)
+    slope, intercept = np.polyfit(k, lam[lo : hi + 1] * spectrum.mesh.area, 1)
     return WeylFit(slope=float(slope), intercept=float(intercept), target=4.0 * np.pi)

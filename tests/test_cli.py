@@ -392,6 +392,33 @@ def test_zero_area_fixture_is_one_line(runner):
     assert result.output.splitlines() == ["Error: face 0 has zero area"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--fixture", "revolution:inf,1,8"], "R must be finite, got inf"),
+    (["spectrum", "--fixture", "revolution:3,-inf,8"], "r must be finite, got -inf"),
+    (["confvol", "--fixture", "icosphere:1", "--map", "power:100000"],
+     "degree 100000 sends a vertex image past the float range"),
+])
+def test_parameters_past_the_float_range_are_one_line(runner, args, message):
+    # no RuntimeWarning either: the suite turns them into errors
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {message}"]
+
+
+def test_fixture_out_of_memory_is_one_line(runner, monkeypatch):
+    # a real allocation of this size is not refused at once where memory
+    # is overcommitted, so the builder raises what numpy would
+    def too_large(n):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setitem(cli._FIXTURES, "clifford", (too_large, (int,)))
+    result = runner.invoke(main, ["spectrum", "--fixture", "clifford:1000000"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: out of memory: Unable to allocate 7.28 TiB for an array with shape (10**12,)"
+    ]
+
+
 def test_solver_error_is_one_line(runner, monkeypatch):
     def stalls(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((2562, 1)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -70,6 +71,11 @@ def test_constants_that_overflow_a_float_are_refused(sphere3, sphere3_spec):
     assert np.isfinite(float(proof_constants(2, 26).higher_eigenvalue))
     with pytest.raises(ValueError, match="^the proof constants for n = 2, m = 27 overflow a float$"):
         proof_constants(2, 27)
+    # refused before 9^(12 m), a 38-Mbit integer at this m, is formed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^the proof constants for n = 2, m = 1000000 overflow"):
+        proof_constants(2, 10**6)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="m = 27 overflow a float$"):
         check_higher_eigenvalues(sphere3, vc_reference=12.0, m=27, spectrum=sphere3_spec)
 
@@ -202,18 +208,24 @@ def test_checks_given_a_spectrum_match_their_own_solve(sphere3, assert_report_cl
 
 
 def test_checks_refuse_a_spectrum_of_another_mesh(sphere3):
-    other = eigensolve(icosphere(2), 12)
-    immersion = SphereImmersion.identity(sphere3)
-    match = "^the spectrum has 162 eigenvector rows, the mesh 642 vertices$"
-    checks = [
-        lambda: check_first_eigenvalue(sphere3, immersion, SPHERE_AREA, spectrum=other),
-        lambda: check_curvature_first_eigenvalue(sphere3, spectrum=other),
-        lambda: check_higher_eigenvalues(sphere3, kmax=2, kappa=0.0, spectrum=other),
-        lambda: build_witness_chain(sphere3, immersion, 2, SPHERE_AREA, spectrum=other),
+    # clifford_torus(32) and revolution_torus(3, 1, 32) have 1024 vertices
+    # each, so only the spectrum's own mesh tells them apart
+    revolution = revolution_torus(3.0, 1.0, 32)
+    pairs = [
+        (sphere3, SphereImmersion.identity(sphere3), eigensolve(icosphere(2), 12)),
+        (revolution, SphereImmersion.lifted(revolution), eigensolve(clifford_torus(32), 12)),
     ]
-    for check in checks:
-        with pytest.raises(ValueError, match=match):
-            check()
+    match = "^the spectrum belongs to another mesh than the one checked$"
+    for mesh, immersion, other in pairs:
+        checks = [
+            lambda: check_first_eigenvalue(mesh, immersion, SPHERE_AREA, spectrum=other),
+            lambda: check_curvature_first_eigenvalue(mesh, spectrum=other),
+            lambda: check_higher_eigenvalues(mesh, kmax=2, kappa=0.0, spectrum=other),
+            lambda: build_witness_chain(mesh, immersion, 2, SPHERE_AREA, spectrum=other),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match=match):
+                check()
 
 
 def test_checks_refuse_a_spectrum_shorter_than_they_read(sphere3, sphere3_spec):
@@ -284,7 +296,7 @@ def test_checks_refuse_an_immersion_of_another_mesh(sphere3):
         sphere3.vertices[perm], np.argsort(perm)[sphere3.faces], ambient="unit_sphere"
     )
     immersion = SphereImmersion.identity(copy)
-    match = "^the immersion maps another mesh than the one checked$"
+    match = "^the immersion belongs to another mesh than the one checked$"
     with pytest.raises(ValueError, match=match):
         check_first_eigenvalue(sphere3, immersion=immersion, vc_reference=SPHERE_AREA)
     with pytest.raises(ValueError, match=match):
@@ -661,8 +673,8 @@ def _replay(mesh, monkeypatch, annuli=None):
     if annuli is not None:
         family = AnnulusFamily(annuli, 0.5, 1e-3)
         monkeypatch.setattr(harness, "gny_decompose", lambda *args, **kwargs: family)
-    images = SphereImmersion.identity(mesh).images
-    return harness._replay_family(mesh, images, pushforward_measure(mesh, images), 2, 0, 1.0)
+    immersion = SphereImmersion.identity(mesh)
+    return harness._replay_family(immersion, pushforward_measure(immersion), 2, 0, 1.0)
 
 
 def test_replay_refuses_a_family_failing_re_verification(sphere3, monkeypatch):

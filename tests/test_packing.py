@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenvol import packing
+from eigenvol.confvol import SphereImmersion
 from eigenvol.fixtures import icosphere
 from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
@@ -93,11 +94,11 @@ def test_measure_rejects_overflowing_total(sphere3):
     with pytest.raises(ValueError, match="finite total"):
         DiscreteMeasure(np.eye(3), np.full(3, 1e308))
     with pytest.raises(ValueError, match="finite total"):
-        pushforward_measure(sphere3, sphere3.vertices, density=1e308)
+        pushforward_measure(SphereImmersion.identity(sphere3), density=1e308)
 
 
 def test_pushforward_identity(sphere3):
-    mu = pushforward_measure(sphere3, sphere3.vertices)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
     assert mu.total == pytest.approx(sphere3.area, rel=1e-12)
     assert mu.size == sphere3.nv
 
@@ -105,14 +106,14 @@ def test_pushforward_identity(sphere3):
 def test_pushforward_density(sphere3):
     dens = np.zeros(sphere3.nv)
     dens[:10] = 2.0
-    mu = pushforward_measure(sphere3, sphere3.vertices, density=dens)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3), density=dens)
     assert mu.size == 10
     assert mu.total == pytest.approx(2.0 * sphere3.vertex_areas[:10].sum())
     with pytest.raises(ValueError, match="nonnegative"):
-        pushforward_measure(sphere3, sphere3.vertices, density=-1.0)
+        pushforward_measure(SphereImmersion.identity(sphere3), density=-1.0)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="density must be finite"):
-            pushforward_measure(sphere3, sphere3.vertices, density=bad)
+            pushforward_measure(SphereImmersion.identity(sphere3), density=bad)
 
 
 # ---------------------------------------------------------------------- #
@@ -529,7 +530,8 @@ def test_gny_failure_matches_scalar_reference():
 )
 def test_gny_matches_scalar_reference_on_a_mesh(sphere3, r_max, gap):
     # icosphere atoms: thousands of exactly tied distances
-    _assert_same_packing(pushforward_measure(sphere3, sphere3.vertices), 8, r_max=r_max, gap=gap)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
+    _assert_same_packing(mu, 8, r_max=r_max, gap=gap)
 
 
 def test_gny_matches_scalar_reference_with_holes():
@@ -543,7 +545,7 @@ def test_gny_matches_scalar_reference_with_holes():
 def test_gny_table_stays_short(sphere4, caplog):
     # the table the greedy ends with, read from the one DEBUG record of
     # the decomposition; the full table holds (n + 32)(n + 1) entries
-    mu = pushforward_measure(sphere4, sphere4.vertices)
+    mu = pushforward_measure(SphereImmersion.identity(sphere4))
     with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
         fam = gny_decompose(mu, 8, r_max=R_MAX_TEST)
     (record,) = caplog.records
@@ -557,14 +559,16 @@ def test_gny_table_stays_short(sphere4, caplog):
 def test_gny_reuses_its_table_for_the_same_seed_and_reach(sphere3, caplog):
     # a second decomposition of the same measure grows the first one's
     # table instead of building its own, and packs what a fresh one packs
-    mu = pushforward_measure(sphere3, sphere3.vertices)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
     with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
         gny_decompose(mu, 6, r_max=R_MAX_TEST)
         again = gny_decompose(mu, 3, r_max=R_MAX_TEST)
         gny_decompose(mu, 3, seed=1, r_max=R_MAX_TEST)
         gny_decompose(mu, 3)
     assert [r.args["table"] for r in caplog.records] == ["built", "reused", "built", "built"]
-    fresh = gny_decompose(pushforward_measure(sphere3, sphere3.vertices), 3, r_max=R_MAX_TEST)
+    fresh = gny_decompose(
+        pushforward_measure(SphereImmersion.identity(sphere3)), 3, r_max=R_MAX_TEST
+    )
     assert [a.as_dict() for a in again.annuli] == [a.as_dict() for a in fresh.annuli]
     assert (again.beta, again.target) == (fresh.beta, fresh.target)
 
@@ -573,7 +577,7 @@ def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, 
     # every row starts at its nearest atom; two decompositions share one
     # table, and each short row is rebuilt complete after the table's last
     # entry, into room reserved with the table, at most once
-    mu = pushforward_measure(sphere3, sphere3.vertices)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_start_length", lambda n, k: 1)
         with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
@@ -602,7 +606,7 @@ def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, 
 
 
 def test_unreservable_table_is_a_packing_error(sphere3, packing_without_room):
-    mu = pushforward_measure(sphere3, sphere3.vertices)
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
     with pytest.raises(PackingError, match=(
         r"^cannot reserve the distance table of 642 atoms and 674 candidates: 7818400 bytes$"
     )):
@@ -621,7 +625,6 @@ def test_measure_atoms_follow_the_unit_sphere_rule():
 @pytest.mark.parametrize("make, message", [
     (lambda mu: DiscreteMeasure(np.eye(3), np.ones(2)),
      r"points and weights must align, shapes \(3, 3\) / \(2,\)"),
-    (lambda mu: pushforward_measure(icosphere(1), np.eye(3)), "need one image point per vertex"),
     (lambda mu: gny_decompose(DiscreteMeasure(np.eye(3), np.zeros(3)), 1), "measure has no mass"),
 ] + [
     (lambda mu, gap=gap: gny_decompose(mu, 2, gap=gap), "gap must be finite and nonnegative")

@@ -74,7 +74,7 @@ def test_every_counter_reads_what_its_layer_returns(tmp_path):
     tracer.install()
     try:
         counted = spectral.negative_count(sphere, 2.5, seed=0)
-        mu = packing.pushforward_measure(sphere, sphere.vertices)
+        mu = packing.pushforward_measure(confvol.SphereImmersion.identity(sphere))
         family = packing.gny_decompose(mu, 3)
         search = confvol.conformal_volume(confvol.SphereImmersion.identity(sphere), starts=1)
         mesh.load_off(path)

@@ -230,8 +230,8 @@ def test_stability_index_clifford(clifford32):
     assert res.boundary_count == 4
 
 
-def test_weyl_fit_flat_torus(torus48, torus48_spec):
-    fit = weyl_fit(torus48_spec.eigenvalues, torus48.area, k_range=(20, 60))
+def test_weyl_fit_flat_torus(torus48_spec):
+    fit = weyl_fit(torus48_spec, k_range=(20, 60))
     assert fit.target == pytest.approx(4 * np.pi)
     # the target is 4 pi^2 / omega_2 with the unit disc's area omega_2 = pi
     # to the bit
@@ -257,14 +257,14 @@ def test_import_leaves_scipy_special_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_weyl_fit_sphere(sphere4, sphere4_spec):
-    fit = weyl_fit(sphere4_spec.eigenvalues, sphere4.area, k_range=(20, 60))
+def test_weyl_fit_sphere(sphere4_spec):
+    fit = weyl_fit(sphere4_spec, k_range=(20, 60))
     assert fit.relative_error < 0.10
 
 
 def test_weyl_fit_range_validation(sphere3_spec):
     with pytest.raises(ValueError):
-        weyl_fit(sphere3_spec.eigenvalues, 4 * np.pi, k_range=(20, 60))
+        weyl_fit(sphere3_spec, k_range=(20, 60))
 
 
 def test_eigensolve_count_validation(sphere3):
