@@ -151,7 +151,8 @@ class DistortionReport:
     the intrinsic layout of face f to the (chordal) layout of its image;
     zero means conformal.  Faces whose image triangle is numerically
     degenerate are listed in ``singular`` and excluded from the maximum,
-    as are the immersion's own singular faces.
+    as are the immersion's own singular faces; ``singular_area`` is the
+    spherical image area of every face so excluded.
     """
 
     values: np.ndarray
@@ -220,7 +221,7 @@ def conformal_distortion(immersion: SphereImmersion) -> DistortionReport:
         values=values,
         singular=np.flatnonzero(singular_mask),
         max_log_distortion=max_log,
-        singular_area=float(spherical_face_areas(images, f[singular_mask]).sum()),
+        singular_area=float(spherical_face_areas(images, f[~active]).sum()),
     )
 
 

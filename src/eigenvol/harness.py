@@ -40,7 +40,7 @@ from .fixtures import (
     revolution_torus,
     veronese,
 )
-from .mesh import TriangleMesh, mean_curvature, willmore_energy
+from .mesh import TriangleMesh, mean_curvature, vertex_values, willmore_energy
 from .moebius import u_annulus
 from .packing import (
     gny_decompose,
@@ -598,11 +598,13 @@ def check_eigenvalue_counts(
     """
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,)).copy()
-    if np.any(V < 0.0):
-        raise ValueError("potential must be nonnegative")
+    # a contiguous copy: vertex_areas @ V rounds otherwise on a broadcast view
+    V = vertex_values(mesh, potential, "potential").copy()
     vol = mesh.area
-    intV = float(mesh.vertex_areas @ V)
+    with np.errstate(over="ignore"):
+        intV = float(mesh.vertex_areas @ V)
+    if not np.isfinite(intV):
+        raise ValueError(f"int V must be finite, got {intV}")
     counted = negative_count(mesh, V)
     N = counted.count
     consts = proof_constants(2, m)
@@ -710,7 +712,7 @@ def check_index(
     int|S|^2 bounds known in two dimensions are noted for context; this
     check evaluates the explicit-constant form only.
     """
-    S2 = np.broadcast_to(np.asarray(shape_squared, dtype=float), (mesh.nv,))
+    S2 = vertex_values(mesh, shape_squared, "shape_squared")
     idx = stability_index(mesh, S2)
     avg = float(mesh.vertex_areas @ S2) / mesh.area
     constant = proof_constants(2, 3).count_conformal

@@ -37,6 +37,7 @@ __all__ = [
     "load_off",
     "mean_curvature",
     "save_off",
+    "vertex_values",
     "willmore_energy",
 ]
 
@@ -406,6 +407,19 @@ def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray
         radial = np.sum(H * mesh.vertices, axis=1, keepdims=True)
         return H - radial * mesh.vertices
     raise ValueError(f"unknown component {component!r}")
+
+
+def vertex_values(mesh: TriangleMesh, values, name: str, nonnegative: bool = True) -> np.ndarray:
+    """One value per vertex: the (nv,) broadcast view of a scalar, a length-1 array or an
+    (nv,) array, whose values are finite, and nonnegative when `nonnegative` is set."""
+    values = np.asarray(values, dtype=float)
+    if values.shape not in ((), (1,), (mesh.nv,)):
+        raise ValueError(f"{name} must be a scalar or one value per vertex "
+                         f"({mesh.nv}), got shape {values.shape}")
+    ok = np.isfinite(values) & (values >= 0.0) if nonnegative else np.isfinite(values)
+    if not np.all(ok):
+        raise ValueError(f"{name} must be finite" + (" and nonnegative" if nonnegative else ""))
+    return np.broadcast_to(values, (mesh.nv,))
 
 
 def willmore_energy(mesh: TriangleMesh, component: str = "ambient") -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import vertex_values
 from .moebius import Annulus, geodesic_distance, sphere_point
 
 __all__ = [
@@ -112,16 +113,11 @@ def pushforward_measure(immersion, density=None) -> DiscreteMeasure:
     """Pushforward of the mesh area measure under a `SphereImmersion`.
 
     Each vertex becomes an atom at its image point carrying its lumped
-    area, optionally multiplied by a finite nonnegative per-vertex `density`.
+    area, optionally multiplied by a per-vertex `density` (``vertex_values``).
     """
     weights = immersion.mesh.vertex_areas
     if density is not None:
-        density = np.broadcast_to(np.asarray(density, dtype=float), weights.shape)
-        if not np.isfinite(density).all():
-            raise ValueError("density must be finite")
-        if np.any(density < 0.0):
-            raise ValueError("density must be nonnegative")
-        weights = weights * density
+        weights = weights * vertex_values(immersion.mesh, density, "density")
     return DiscreteMeasure(immersion.images, weights)
 
 
@@ -390,8 +386,11 @@ def gny_decompose(
     Raises
     ------
     PackingError
-        If even the theoretical floor cannot be packed with these
-        candidate centers, or the distance table cannot be reserved.
+        If `k` exceeds the atom count, at once: each annulus holds mass
+        >= tau > 0, hence an atom, and the annuli are disjoint, so k of
+        them hold k distinct atoms.  Also if even the theoretical floor
+        cannot be packed with these candidate centers, or the distance
+        table cannot be reserved.
     """
     if k < 1:
         raise ValueError("need k >= 1 annuli")
@@ -402,6 +401,10 @@ def gny_decompose(
     total = mu.total
     if total <= 0.0:
         raise ValueError("measure has no mass")
+    if k > mu.size:
+        raise PackingError(
+            f"cannot pack {k} disjoint annuli of positive mass around {mu.size} atoms"
+        )
 
     centers = _candidate_centers(mu, seed)
     # every admissible outer radius is at most min(g_hi / 2, r_max) <= pi / 2

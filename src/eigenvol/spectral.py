@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, vertex_values
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -224,17 +224,15 @@ def negative_count(
     Raises
     ------
     ValueError
-        If `tol` is negative or not finite, or V is not finite.
+        If `tol` is negative or not finite, or V fails ``vertex_values``.
     SolverError
         If a factorization is singular (an eigenvalue sits exactly at
         -tol or tol) or its elimination was not symmetric.
     """
     K, areas = assemble_laplacian(mesh)
-    V = np.broadcast_to(np.asarray(potential, dtype=float), (mesh.nv,))
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("potential must be finite")
+    V = vertex_values(mesh, potential, "potential", nonnegative=False)
 
     def below(shift):  # eigenvalues of the pencil below `shift`
         A = K - sparse.diags(areas * (V + shift))
@@ -251,18 +249,15 @@ def stability_index(mesh: TriangleMesh, shape_squared) -> NegativeCountResult:
 
     The second variation operator is  Delta - (2 + |A|^2)  acting on
     normal variations; its number of negative eigenvalues is the index.
-    `shape_squared` is |A|^2, scalar or per vertex; a negative or
-    non-finite value raises ValueError.
+    `shape_squared` is |A|^2, scalar or per vertex (see ``vertex_values``);
+    a negative or non-finite value raises ValueError.
 
     Discretization scatters exact kernel eigenvalues by O(h^2), so the
     boundary band is taken proportional to the potential scale
     (0.02 * (1 + max V)) rather than at machine precision; genuine
     negative eigenvalues of the reference surfaces sit far below it.
     """
-    S2 = np.asarray(shape_squared, dtype=float)
-    if not np.all(np.isfinite(S2) & (S2 >= 0.0)):
-        raise ValueError("shape_squared must be finite and nonnegative")
-    V = 2.0 + S2
+    V = 2.0 + vertex_values(mesh, shape_squared, "shape_squared")
     tol = 0.02 * (1.0 + float(np.max(V)))
     return negative_count(mesh, V, tol=tol)
 

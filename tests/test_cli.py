@@ -437,6 +437,15 @@ def test_unreservable_packing_table_is_one_line(runner, packing_without_room):
     ]
 
 
+def test_gny_with_more_annuli_than_atoms_is_one_line(runner):
+    # 163 annuli around 162 atoms cannot exist: refused before any round
+    result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "-k", "163"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: cannot pack 163 disjoint annuli of positive mass around 162 atoms"
+    ]
+
+
 def test_octahedra_sharing_their_poles_are_one_line(runner, tmp_path):
     path = tmp_path / "octahedra.off"
     s = np.sqrt(0.5)

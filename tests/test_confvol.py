@@ -102,6 +102,15 @@ def test_distortion_flags_collapsed_faces(sphere3):
     assert rep.max_log_distortion > 0.5
 
 
+def test_distortion_singular_area_counts_the_immersions_singular_faces(sphere3):
+    # the crease faces of a fold are left out of the maximum though their
+    # images are not degenerate; the area they hide is the pullback's error bar
+    imm = SphereImmersion.fold(sphere3, np.array([0.0, 0.6, 0.8]))
+    rep = conformal_distortion(imm)
+    assert rep.singular.size == 0 and imm.singular_faces.size > 0
+    assert rep.singular_area == pullback_volume(imm).error_bar > 0.25
+
+
 def test_distortion_of_moebius_dilation_is_positive_but_finite(sphere3):
     g = MoebiusMap(np.array([0.0, 0.0, 1.0]), 2.0)
     rep = conformal_distortion(SphereImmersion(sphere3, g(sphere3.vertices)))

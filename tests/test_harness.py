@@ -36,7 +36,7 @@ from eigenvol.harness import (
 from eigenvol.mesh import TriangleMesh, willmore_energy
 from eigenvol.moebius import Annulus
 from eigenvol.packing import AnnulusFamily, pushforward_measure
-from eigenvol.spectral import assemble_laplacian, eigensolve
+from eigenvol.spectral import assemble_laplacian, eigensolve, negative_count, stability_index
 
 SPHERE_AREA = 4.0 * np.pi
 CLIFFORD_AREA = 2.0 * np.pi**2
@@ -459,6 +459,37 @@ def test_count_replay_refuses_a_guarantee_its_annuli_do_not_meet(sphere3, monkey
 def test_counts_reject_signed_potential(sphere3):
     with pytest.raises(ValueError):
         check_eigenvalue_counts(sphere3, -1.0, vc_reference=SPHERE_AREA)
+
+
+def test_counts_refuse_an_integral_past_the_float_range(sphere3):
+    # each value is finite, their area-weighted sum is not; no overflow warning either
+    with pytest.raises(ValueError, match="^int V must be finite, got inf$"):
+        check_eigenvalue_counts(sphere3, 1e308, vc_reference=SPHERE_AREA)
+
+
+# every entry point that reads a per-vertex field, with the name it gives it
+_FIELD_READERS = {
+    "negative_count": ("potential", negative_count),
+    "stability_index": ("shape_squared", stability_index),
+    "check_eigenvalue_counts": ("potential", check_eigenvalue_counts),
+    "check_index": ("shape_squared", check_index),
+    "pushforward_measure": (
+        "density", lambda mesh, v: pushforward_measure(SphereImmersion.identity(mesh), v)
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_FIELD_READERS))
+@pytest.mark.parametrize("shape", ["nv-1", "nv,1", "0"])
+def test_field_readers_refuse_a_shape_that_is_not_one_value_per_vertex(sphere3, reader, shape):
+    name, read = _FIELD_READERS[reader]
+    values = {
+        "nv-1": np.ones(sphere3.nv - 1), "nv,1": np.ones((sphere3.nv, 1)), "0": np.ones(0)
+    }[shape]
+    match = f"^{name} must be a scalar or one value per vertex"
+    with pytest.raises(ValueError, match=match) as got:
+        read(sphere3, values)
+    assert len(str(got.value).splitlines()) == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -447,7 +447,15 @@ def _assert_same_packing(mu, k, **kw):
     except PackingError as exc:
         with pytest.raises(PackingError) as got:
             gny_decompose(mu, k, **kw)
-        assert got.value.attempts == exc.attempts
+        if k > mu.size:
+            # the scalar reference walks every round and fails too; the
+            # decomposition refuses at once, as k disjoint annuli of
+            # positive mass hold k distinct atoms
+            assert str(got.value) == (
+                f"cannot pack {k} disjoint annuli of positive mass around {mu.size} atoms"
+            )
+        else:
+            assert got.value.attempts == exc.attempts
         return
     fam = gny_decompose(mu, k, **kw)
     annuli, beta, tau = ref
@@ -523,6 +531,16 @@ def test_gny_failure_matches_scalar_reference():
     with pytest.raises(PackingError):
         gny_decompose(mu, 9, seed=0)
     _assert_same_packing(mu, 9, seed=0)
+
+
+def test_gny_failure_at_the_atom_count_walks_every_round_like_the_reference():
+    # k equal to the atom count is not refused up front: on three atoms of
+    # the coordinate axes the greedy fails in every round, as the reference does
+    mu = DiscreteMeasure(_symmetric_points(2)[:3], np.ones(3))
+    with pytest.raises(PackingError, match="^could not pack 3 annuli") as got:
+        gny_decompose(mu, 3, seed=0)
+    assert len(got.value.attempts) == 80
+    _assert_same_packing(mu, 3, seed=0)
 
 
 @pytest.mark.parametrize(
