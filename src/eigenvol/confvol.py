@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, integer
 from .moebius import (
     MoebiusMap,
     _dot,
@@ -246,7 +246,10 @@ class SphereImmersion:
         if self.images.shape[0] != self.mesh.nv or self.images.ndim != 2:
             raise ValueError("need one image point per vertex")
         sphere_point(self.images)
-        self.singular_faces = np.asarray(self.singular_faces, dtype=np.int64)
+        faces = np.asarray(self.singular_faces)
+        if faces.size and faces.dtype.kind not in "iu":
+            raise ValueError(f"singular_faces must be face indices, got dtype {faces.dtype}")
+        self.singular_faces = faces.astype(np.int64, copy=False)
         if self.singular_faces.size and (
             self.singular_faces.min() < 0 or self.singular_faces.max() >= self.mesh.nf
         ):
@@ -306,6 +309,7 @@ class SphereImmersion:
         """
         if mesh.ambient != "unit_sphere" or mesh.dim != 3:
             raise ValueError("power map needs a unit_sphere mesh in R^3")
+        d = integer(d, "degree", None)
         if d == 0:
             raise ValueError("degree must be nonzero")
         p = _GENERIC_POLE
@@ -456,8 +460,7 @@ def conformal_volume(
     TIE_TOL relative, so the flat landscape of a round sphere reports the
     identity map.  Deterministic for fixed seed.
     """
-    if starts < 1:
-        raise ValueError(f"need at least one start, got starts={starts}")
+    starts = integer(starts, "starts", 1)
     mesh, images = immersion.mesh, immersion.images
     faces = mesh.faces
     sing = np.zeros(mesh.nf, dtype=bool)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh, unique_edges
+from .mesh import TriangleMesh, integer, unique_edges
 
 __all__ = [
     "clifford_torus",
@@ -81,8 +81,7 @@ def icosphere(level: int = 3) -> TriangleMesh:
     vertex (bitwise) whenever v is, which the projective quotient in
     :func:`veronese` relies on.
     """
-    if level < 0:
-        raise ValueError("subdivision level must be nonnegative")
+    level = integer(level, "level", 0)
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
@@ -115,10 +114,10 @@ def flat_torus(a: float = 2 * np.pi, b: float = 2 * np.pi, n: int = 32) -> Trian
     Laplace spectrum of the continuum torus is
     ``(2 pi j / a)^2 + (2 pi k / b)^2`` and the discrete operator on this
     mesh is the exact five-point stencil (the diagonal contributes
-    cotangent zero), so eigenvalues converge at rate O(h^2).
+    cotangent zero), so eigenvalues converge at rate O(h^2).  Needs
+    ``n >= 3``: a coarser grid has faces that repeat vertices.
     """
-    if n < 3:
-        raise ValueError("need at least a 3 x 3 grid")
+    n = integer(n, "n", 3)
     if a <= 0 or b <= 0:
         raise ValueError("torus side lengths must be positive")
     hx, hy = a / n, b / n
@@ -154,10 +153,9 @@ def clifford_torus(n: int = 24) -> TriangleMesh:
     grid.  Intrinsically a flat square torus of side sqrt(2) pi and area
     2 pi^2; minimal in S^3 with |second fundamental form|^2 = 2, first
     eigenvalue 2 with multiplicity 4, and Morse index 5 as a minimal
-    surface.
+    surface.  Needs ``n >= 8``: coarser grids lose over 6.5% of the area.
     """
-    if n < 8:
-        raise ValueError("need n >= 8 for a sane Clifford torus")
+    n = integer(n, "n", 8)
     u = 2.0 * np.pi * np.arange(n) / n
     uu, vv = np.meshgrid(u, u, indexing="ij")
     verts = np.column_stack(
@@ -180,8 +178,7 @@ def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> Tr
             raise ValueError(f"{name} must be finite, got {value}")
     if not 0 < r < R:
         raise ValueError("need 0 < r < R for an embedded torus")
-    if n < 8:
-        raise ValueError("need n >= 8 segments")
+    n = integer(n, "n", 8)
     th = 2.0 * np.pi * np.arange(n) / n  # tube angle
     ph = 2.0 * np.pi * np.arange(n) / n  # revolution angle
     tt, pp = np.meshgrid(th, ph, indexing="ij")
@@ -243,9 +240,7 @@ def veronese(level: int = 3) -> TriangleMesh:
     eigenvalue converging to 2 with multiplicity 5.  Needs ``level >= 2``
     so that no face contains an antipodal vertex pair.
     """
-    if level < 2:
-        raise ValueError("need level >= 2: coarser meshes have antipodal faces")
-    sphere = icosphere(level)
+    sphere = icosphere(integer(level, "level", 2))
     qverts, qfaces = _projective_quotient(sphere.vertices, sphere.faces)
     qverts /= np.linalg.norm(qverts, axis=1, keepdims=True)
     return TriangleMesh(qverts, qfaces, ambient="unit_sphere")

@@ -40,7 +40,7 @@ from .fixtures import (
     revolution_torus,
     veronese,
 )
-from .mesh import TriangleMesh, mean_curvature, vertex_values, willmore_energy
+from .mesh import TriangleMesh, integer, mean_curvature, vertex_values, willmore_energy
 from .moebius import u_annulus
 from .packing import (
     gny_decompose,
@@ -122,8 +122,7 @@ def proof_constants(n: int = 2, m: int = 2) -> ProofConstants:
     Python's default limit for printing an integer, 4300: from n = 300 at
     m = 2 and n = 216 at m = 3.
     """
-    if n < 2 or m < 2:
-        raise ValueError("need n >= 2 and m >= 2")
+    n, m = integer(n, "n", 2), integer(m, "m", 2)
     if n % 2:
         raise ValueError("odd n makes the counting constant irrational")
     # the largest constant is 80000 n 9^(12 m) / 81, and the rest fit when
@@ -158,9 +157,7 @@ def genus_conformal_volume_bound(genus: int, orientable: bool) -> float:
     For non-orientable surfaces `genus` means the genus of the orienting
     double cover, and the bound doubles.
     """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    deg = (genus + 3) // 2
+    deg = (integer(genus, "genus", 0) + 3) // 2
     return (4.0 if orientable else 8.0) * np.pi * deg
 
 
@@ -430,11 +427,6 @@ def check_curvature_first_eigenvalue(
 # all eigenvalues
 
 
-def _check_kmax(kmax: int) -> None:
-    if kmax < 1:
-        raise ValueError(f"need kmax >= 1, got {kmax}")
-
-
 def check_higher_eigenvalues(
     mesh: TriangleMesh,
     kmax: int = 8,
@@ -457,7 +449,7 @@ def check_higher_eigenvalues(
     `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
     its kmax + 4 lowest pairs.
     """
-    _check_kmax(kmax)
+    kmax = integer(kmax, "kmax", 1)
     vc = _vc(vc_reference)
     spec = _lowest(mesh, spectrum, kmax + 4)
     lams = _nonzero(spec, kmax)
@@ -713,8 +705,11 @@ def check_index(
     check evaluates the explicit-constant form only.
     """
     S2 = vertex_values(mesh, shape_squared, "shape_squared")
+    with np.errstate(over="ignore"):
+        avg = float(mesh.vertex_areas @ S2) / mesh.area
+    if not np.isfinite(avg):
+        raise ValueError(f"avg shape_squared must be finite, got {avg}")
     idx = stability_index(mesh, S2)
-    avg = float(mesh.vertex_areas @ S2) / mesh.area
     constant = proof_constants(2, 3).count_conformal
     lhs = float(constant) * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
     detail = {
@@ -960,8 +955,7 @@ def build_witness_chain(
     its k + 4 lowest pairs; every pair it holds counts towards the
     spectral error bar.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    k = integer(k, "k", 1)
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     if vc_reference is None:
@@ -1275,7 +1269,7 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     balance, witness, weyl.  Each reference surface is built and solved
     once, when a check first reads it, for every check that reads it.
     """
-    _check_kmax(kmax)
+    kmax = integer(kmax, "kmax", 1)
     battery = _battery(kmax, seed)
     valid = ["all"] + [section for section, _, _ in battery]
     if which not in valid:

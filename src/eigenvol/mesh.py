@@ -21,6 +21,7 @@ import contextlib
 import io
 import itertools
 import logging
+import operator
 import os
 import time
 import warnings
@@ -34,6 +35,7 @@ from .moebius import sphere_point
 
 __all__ = [
     "TriangleMesh",
+    "integer",
     "load_off",
     "mean_curvature",
     "save_off",
@@ -420,6 +422,21 @@ def vertex_values(mesh: TriangleMesh, values, name: str, nonnegative: bool = Tru
     if not np.all(ok):
         raise ValueError(f"{name} must be finite" + (" and nonnegative" if nonnegative else ""))
     return np.broadcast_to(values, (mesh.nv,))
+
+
+def integer(value, name: str, least: int | None, most: int | None = None) -> int:
+    """A count as a plain int: a Python or numpy integer, not a bool, in
+    [least, most] (no bound where None), refused otherwise in one line."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if (number is None or (least is not None and number < least)
+            or (most is not None and number > most)):
+        bound = ("" if least is None else f" >= {least}" if most is None
+                 else f" in [{least}, {most}]")
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
 
 
 def willmore_energy(mesh: TriangleMesh, component: str = "ambient") -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import vertex_values
+from .mesh import integer, vertex_values
 from .moebius import Annulus, geodesic_distance, sphere_point
 
 __all__ = [
@@ -117,7 +117,10 @@ def pushforward_measure(immersion, density=None) -> DiscreteMeasure:
     """
     weights = immersion.mesh.vertex_areas
     if density is not None:
-        weights = weights * vertex_values(immersion.mesh, density, "density")
+        with np.errstate(over="ignore"):
+            weights = weights * vertex_values(immersion.mesh, density, "density")
+        if not np.isfinite(weights).all():
+            raise ValueError("density times vertex area must be finite")
     return DiscreteMeasure(immersion.images, weights)
 
 
@@ -392,8 +395,7 @@ def gny_decompose(
         cannot be packed with these candidate centers, or the distance
         table cannot be reserved.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 annuli")
+    k = integer(k, "k", 1)
     if not 0.0 < r_max <= np.pi:
         raise ValueError("r_max must lie in (0, pi]")
     if not 0.0 <= gap < np.inf:
@@ -531,8 +533,7 @@ def select_light(mu: DiscreteMeasure, family: AnnulusFamily, count: int) -> np.n
     lightest `count` therefore all satisfy the bound.  Raises if not, as
     that indicates the family was not verified.
     """
-    if count > len(family.annuli):
-        raise ValueError("cannot select more annuli than the family has")
+    count = integer(count, "count", 1, len(family.annuli))
     doubled = np.array([mu.mass(a.doubled()) for a in family.annuli])
     order = np.argsort(doubled, kind="stable")
     chosen = order[:count]

@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from .mesh import TriangleMesh, vertex_values
+from .mesh import TriangleMesh, integer, vertex_values
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -123,10 +123,9 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
         If the iterative solver fails to converge; partial results are
         attached to the exception.
     """
-    K, areas = assemble_laplacian(mesh)
     n = mesh.nv
-    if not 1 <= count <= n:
-        raise ValueError(f"count must be in [1, {n}], got {count}")
+    count = integer(count, "count", 1, n)
+    K, areas = assemble_laplacian(mesh)
 
     if n <= DENSE_CUTOFF or count >= n:  # eigsh serves only count < n
         lam, vecs = _dense_pencil(K, areas, count)
@@ -283,9 +282,9 @@ def weyl_fit(spectrum: SpectrumResult, k_range: tuple[int, int] = (20, 60)) -> W
     constant mode) and an intercept absorbs the low-order term.
     """
     lam = spectrum.eigenvalues
-    lo, hi = k_range
-    if not 0 < lo < hi < lam.shape[0]:
-        raise ValueError(f"k_range {k_range} out of bounds for {lam.shape[0]} eigenvalues")
+    lo, hi = (integer(end, f"k_range[{i}]", 1, lam.shape[0] - 1) for i, end in enumerate(k_range))
+    if lo >= hi:
+        raise ValueError(f"k_range {k_range} must increase")
     k = np.arange(lo, hi + 1)
     slope, intercept = np.polyfit(k, lam[lo : hi + 1] * spectrum.mesh.area, 1)
     return WeylFit(slope=float(slope), intercept=float(intercept), target=4.0 * np.pi)

@@ -205,7 +205,7 @@ def test_confvol_rejects_zero_starts(runner):
         main, ["confvol", "--fixture", "icosphere:1", "--starts", "0"]
     )
     assert result.exit_code == 1
-    assert result.output.splitlines() == ["Error: need at least one start, got starts=0"]
+    assert result.output.splitlines() == ["Error: starts must be an integer >= 1, got 0"]
 
 
 def test_index_clifford(runner):
@@ -260,7 +260,7 @@ def test_verify_exits_one_when_a_check_fails(runner, monkeypatch):
 def test_verify_rejects_kmax_below_one(runner):
     result = runner.invoke(main, ["verify", "higher", "--kmax", "0"])
     assert result.exit_code == 1
-    assert result.output.splitlines() == ["Error: need kmax >= 1, got 0"]
+    assert result.output.splitlines() == ["Error: kmax must be an integer >= 1, got 0"]
 
 
 def test_verify_section_and_report(runner, tmp_path):

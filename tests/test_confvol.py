@@ -296,7 +296,7 @@ def test_bfgs_reaches_a_far_minimum_in_logarithmically_many_calls(distance):
 
 @pytest.mark.parametrize("starts", [0, -1])
 def test_conformal_volume_rejects_no_starts(sphere3, starts):
-    with pytest.raises(ValueError, match="at least one start"):
+    with pytest.raises(ValueError, match=f"^starts must be an integer >= 1, got {starts}$"):
         conformal_volume(SphereImmersion.identity(sphere3), starts=starts)
 
 
@@ -495,6 +495,8 @@ def test_immersion_images_follow_the_unit_sphere_rule(row, scale, worst):
     (lambda: SphereImmersion.power(clifford_torus(8), 2),
      r"power map needs a unit_sphere mesh in R\^3"),
     (lambda: SphereImmersion.power(icosphere(1), 0), "degree must be nonzero"),
+    (lambda: SphereImmersion(icosphere(1), icosphere(1).vertices, np.ones(80, bool)),
+     "singular_faces must be face indices, got dtype bool"),
 ])
 def test_immersion_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

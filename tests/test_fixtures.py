@@ -147,8 +147,8 @@ def test_fixture_input_validation():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: flat_torus(0.0, 1.0, 8), "torus side lengths must be positive"),
-    (lambda: clifford_torus(7), "need n >= 8 for a sane Clifford torus"),
-    (lambda: revolution_torus(2.0, 1.0, 7), "need n >= 8 segments"),
+    (lambda: clifford_torus(7), "n must be an integer >= 8, got 7"),
+    (lambda: revolution_torus(2.0, 1.0, 7), "n must be an integer >= 8, got 7"),
 ])
 def test_fixture_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenvol import harness, moebius
-from eigenvol.confvol import SphereImmersion
-from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus
+from eigenvol.confvol import SphereImmersion, conformal_volume
+from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus, veronese
 from eigenvol.harness import (
     CheckResult,
     VerificationError,
@@ -33,10 +34,16 @@ from eigenvol.harness import (
     proof_constants,
     run_verification,
 )
-from eigenvol.mesh import TriangleMesh, willmore_energy
+from eigenvol.mesh import TriangleMesh, integer, willmore_energy
 from eigenvol.moebius import Annulus
-from eigenvol.packing import AnnulusFamily, pushforward_measure
-from eigenvol.spectral import assemble_laplacian, eigensolve, negative_count, stability_index
+from eigenvol.packing import AnnulusFamily, gny_decompose, pushforward_measure, select_light
+from eigenvol.spectral import (
+    assemble_laplacian,
+    eigensolve,
+    negative_count,
+    stability_index,
+    weyl_fit,
+)
 
 SPHERE_AREA = 4.0 * np.pi
 CLIFFORD_AREA = 2.0 * np.pi**2
@@ -374,7 +381,7 @@ def test_higher_eigenvalues_need_some_hypothesis(sphere3):
 
 @pytest.mark.parametrize("kmax", [0, -3])
 def test_kmax_below_one_is_rejected(sphere3, kmax):
-    message = f"need kmax >= 1, got {kmax}"
+    message = f"kmax must be an integer >= 1, got {kmax}"
     with pytest.raises(ValueError, match=message):
         check_higher_eigenvalues(sphere3, kmax=kmax, vc_reference=SPHERE_AREA)
     with pytest.raises(ValueError, match=message):
@@ -467,6 +474,12 @@ def test_counts_refuse_an_integral_past_the_float_range(sphere3):
         check_eigenvalue_counts(sphere3, 1e308, vc_reference=SPHERE_AREA)
 
 
+def test_index_refuses_an_average_past_the_float_range(sphere3):
+    # each |S|^2 value is finite, their area-weighted sum is not
+    with pytest.raises(ValueError, match="^avg shape_squared must be finite, got inf$"):
+        check_index(sphere3, 1e308)
+
+
 # every entry point that reads a per-vertex field, with the name it gives it
 _FIELD_READERS = {
     "negative_count": ("potential", negative_count),
@@ -490,6 +503,64 @@ def test_field_readers_refuse_a_shape_that_is_not_one_value_per_vertex(sphere3, 
     with pytest.raises(ValueError, match=match) as got:
         read(sphere3, values)
     assert len(str(got.value).splitlines()) == 1
+
+
+def _light(sphere, count):
+    mu = pushforward_measure(SphereImmersion.identity(sphere))
+    return select_light(mu, gny_decompose(mu, 4), count)
+
+
+# every entry point that takes a count: the name it gives it, its least value
+# (None: any integer) and a call on the pairs of icosphere(3)
+_COUNT_READERS = {
+    "icosphere": ("level", 0, lambda spec, v: icosphere(v)),
+    "veronese": ("level", 2, lambda spec, v: veronese(v)),
+    "flat_torus": ("n", 3, lambda spec, v: flat_torus(1.0, 1.0, v)),
+    "clifford_torus": ("n", 8, lambda spec, v: clifford_torus(v)),
+    "revolution_torus": ("n", 8, lambda spec, v: revolution_torus(2.0, 1.0, v)),
+    "proof_constants-n": ("n", 2, lambda spec, v: proof_constants(v, 2)),
+    "proof_constants-m": ("m", 2, lambda spec, v: proof_constants(2, v)),
+    "genus_conformal_volume_bound": ("genus", 0, lambda spec, v: genus_conformal_volume_bound(
+        v, True)),
+    "check_higher_eigenvalues": ("kmax", 1, lambda spec, v: check_higher_eigenvalues(
+        spec.mesh, v, vc_reference=SPHERE_AREA, spectrum=spec)),
+    "run_verification": ("kmax", 1, lambda spec, v: run_verification("higher", kmax=v)),
+    "build_witness_chain": ("k", 1, lambda spec, v: build_witness_chain(
+        spec.mesh, SphereImmersion.identity(spec.mesh), v, SPHERE_AREA, spectrum=spec)),
+    "gny_decompose": ("k", 1, lambda spec, v: gny_decompose(
+        pushforward_measure(SphereImmersion.identity(spec.mesh)), v)),
+    "select_light": ("count", 1, lambda spec, v: _light(spec.mesh, v)),
+    "eigensolve": ("count", 1, lambda spec, v: eigensolve(spec.mesh, v)),
+    "weyl_fit": ("k_range[0]", 1, lambda spec, v: weyl_fit(spec, (v, 20))),
+    "conformal_volume": ("starts", 1, lambda spec, v: conformal_volume(
+        SphereImmersion.identity(spec.mesh), starts=v)),
+    "SphereImmersion.power": ("degree", None, lambda spec, v: SphereImmersion.power(spec.mesh, v)),
+}
+_COUNT_CASES = [
+    (reader, value)
+    for reader, (_, least, _) in _COUNT_READERS.items()
+    for value in [2.5, True] + ([] if least is None else [least - 1])
+]
+
+
+@pytest.mark.parametrize("reader, value", _COUNT_CASES)
+def test_count_readers_refuse_what_is_not_an_integer_in_range(sphere3_spec, reader, value):
+    name, _, read = _COUNT_READERS[reader]
+    match = rf"^{re.escape(name)} must be an integer.*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=match) as got:
+        read(sphere3_spec, value)
+    assert len(str(got.value).splitlines()) == 1
+
+
+def test_counts_accept_numpy_integers_and_refuse_past_their_most(sphere3_spec):
+    sphere = sphere3_spec.mesh
+    assert type(integer(np.int64(3), "k", 1)) is int
+    numpy_count = eigensolve(sphere, np.int64(4))
+    assert np.array_equal(numpy_count.eigenvalues, eigensolve(sphere, 4).eigenvalues)
+    with pytest.raises(ValueError, match=r"^count must be an integer in \[1, 642\], got 643$"):
+        eigensolve(sphere, 643)
+    with pytest.raises(ValueError, match=r"^count must be an integer in \[1, 4\], got 5$"):
+        _light(sphere, 5)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eigenvol import packing
 from eigenvol.confvol import SphereImmersion
-from eigenvol.fixtures import icosphere
+from eigenvol.fixtures import icosphere, revolution_torus
 from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
@@ -95,6 +95,13 @@ def test_measure_rejects_overflowing_total(sphere3):
         DiscreteMeasure(np.eye(3), np.full(3, 1e308))
     with pytest.raises(ValueError, match="finite total"):
         pushforward_measure(SphereImmersion.identity(sphere3), density=1e308)
+
+
+def test_pushforward_refuses_weights_past_the_float_range():
+    # each vertex area and the density are finite, their product is not
+    torus = SphereImmersion.lifted(revolution_torus(300.0, 100.0, 8))
+    with pytest.raises(ValueError, match="^density times vertex area must be finite$"):
+        pushforward_measure(torus, density=1e308)
 
 
 def test_pushforward_identity(sphere3):
