@@ -269,7 +269,7 @@ class SphereImmersion:
 
     @classmethod
     def identity(cls, mesh: TriangleMesh) -> "SphereImmersion":
-        if mesh.ambient != "unit_sphere":
+        if mesh.vertices is None:
             raise ValueError("identity immersion needs a unit_sphere mesh")
         return cls(mesh, mesh.vertices)
 

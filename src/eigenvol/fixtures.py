@@ -15,6 +15,8 @@ veronese(L)         projective plane minimally in S^4, lambda_1 = 2, area 6 pi
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .mesh import TriangleMesh, integer, unique_edges
@@ -79,16 +81,23 @@ def icosphere(level: int = 3) -> TriangleMesh:
     Midpoint subdivision followed by projection back to the sphere.  The
     vertex set is exactly antipodally symmetric at every level: -v is a
     vertex (bitwise) whenever v is, which the projective quotient in
-    :func:`veronese` relies on.
+    :func:`veronese` relies on.  A level is refused before subdividing when its final
+    arrays alone, 24 (30 * 4^level + 2) bytes, exceed the physical memory: a lower
+    bound, as subdivision temporaries can exhaust memory a level or two below it.
     """
     level = integer(level, "level", 0)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = 24 * (30 * 4 ** min(level, memory.bit_length()) + 2)  # 4^bit_length > memory
+    if need > memory:
+        raise ValueError(f"icosphere level {level} needs at least {need} bytes, "
+                         f"more than the {memory} bytes of physical memory")
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
         verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
     # midpoint, sum and normalization all commute with negation in IEEE
     # arithmetic, so the symmetry survives subdivision bit-for-bit.
-    return TriangleMesh(verts, faces, ambient="unit_sphere")
+    return TriangleMesh(verts, faces)
 
 
 # ---------------------------------------------------------------------- #
@@ -161,7 +170,7 @@ def clifford_torus(n: int = 24) -> TriangleMesh:
     verts = np.column_stack(
         [np.cos(uu).ravel(), np.sin(uu).ravel(), np.cos(vv).ravel(), np.sin(vv).ravel()]
     ) / np.sqrt(2.0)
-    return TriangleMesh(verts, _grid_faces(n), ambient="unit_sphere")
+    return TriangleMesh(verts, _grid_faces(n))
 
 
 def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> TriangleMesh:
@@ -186,7 +195,7 @@ def revolution_torus(R: float = np.sqrt(2.0), r: float = 1.0, n: int = 24) -> Tr
     verts = np.column_stack(
         [(rho * np.cos(pp)).ravel(), (rho * np.sin(pp)).ravel(), (r * np.sin(tt)).ravel()]
     )
-    return TriangleMesh(verts, _grid_faces(n), ambient="euclidean")
+    return TriangleMesh(verts, _grid_faces(n))
 
 
 # ---------------------------------------------------------------------- #
@@ -243,5 +252,5 @@ def veronese(level: int = 3) -> TriangleMesh:
     sphere = icosphere(integer(level, "level", 2))
     qverts, qfaces = _projective_quotient(sphere.vertices, sphere.faces)
     qverts /= np.linalg.norm(qverts, axis=1, keepdims=True)
-    return TriangleMesh(qverts, qfaces, ambient="unit_sphere")
+    return TriangleMesh(qverts, qfaces)
 

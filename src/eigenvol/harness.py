@@ -709,6 +709,8 @@ def check_index(
         avg = float(mesh.vertex_areas @ S2) / mesh.area
     if not np.isfinite(avg):
         raise ValueError(f"avg shape_squared must be finite, got {avg}")
+    if reference_index is not None:
+        reference_index = integer(reference_index, "reference_index", 0)
     idx = stability_index(mesh, S2)
     constant = proof_constants(2, 3).count_conformal
     lhs = float(constant) * (2.0 + avg)  # (n + avg)^{n/2} at n = 2
@@ -863,7 +865,7 @@ def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     H = mean_curvature(mesh)
     H2 = np.sum(H * H, axis=1)
     lift = inverse_stereographic(x)
-    lifted = TriangleMesh(lift, mesh.faces, ambient="unit_sphere")
+    lifted = TriangleMesh(lift, mesh.faces)
     Ht = mean_curvature(lifted, component="sphere")
     Ht2 = np.sum(Ht * Ht, axis=1)
 

@@ -1,12 +1,13 @@
 """Closed triangle meshes, their cotangent operators, and OFF file I/O.
 
 A :class:`TriangleMesh` is either *embedded* (vertex coordinates in R^d,
-possibly constrained to the unit sphere) or *abstract* (no coordinates,
-just combinatorics plus one length per edge).  All metric quantities --
-face areas, the lumped mass matrix, the cotangent stiffness matrix -- are
-computed from edge lengths alone, so the two flavours share every code
-path after `face_edge_lengths`.  The mesh owns its Laplace pencil: the
-stiffness K is :attr:`TriangleMesh.stiffness` and the lumped mass M is
+on the unit sphere when :func:`~eigenvol.moebius.sphere_point` accepts
+them) or *abstract* (no coordinates, just combinatorics plus one length
+per edge).  All metric quantities -- face areas, the lumped mass matrix,
+the cotangent stiffness matrix -- are computed from edge lengths alone,
+so the two flavours share every code path after `face_edge_lengths`.
+The mesh owns its Laplace pencil: the stiffness K is
+:attr:`TriangleMesh.stiffness` and the lumped mass M is
 :attr:`TriangleMesh.vertex_areas`, each computed once on first use.
 
 Only closed connected surfaces are accepted: every edge must belong to
@@ -45,8 +46,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_AMBIENTS = ("euclidean", "unit_sphere")
-
 
 def unique_edges(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     """Edges as sorted vertex pairs in lexicographic order, shape (ne, 2),
@@ -75,14 +74,13 @@ class TriangleMesh:
         `edge_lengths` is required.
     faces : array_like of shape (nf, 3)
         Vertex indices of each triangle.
-    ambient : {"euclidean", "unit_sphere", None}
-        Geometric context of the coordinates.  ``"unit_sphere"`` asserts
-        every vertex is a :func:`~eigenvol.moebius.sphere_point` and enables
-        intrinsic sphere operations.  Must be ``None`` for abstract meshes.
     edge_lengths : array_like of shape (ne,), optional
         One positive length per edge, aligned with :attr:`edges` (the
         lexicographically sorted unique vertex pairs).  Required when
         ``vertices is None``; forbidden otherwise.
+
+    The :attr:`ambient` tag is not passed in: it is read off the
+    coordinates by :func:`~eigenvol.moebius.sphere_point`.
 
     Raises
     ------
@@ -92,15 +90,13 @@ class TriangleMesh:
         edge length or area that is not finite, or has zero area.
     """
 
-    def __init__(self, vertices, faces, ambient=None, edge_lengths=None):
+    def __init__(self, vertices, faces, edge_lengths=None):
         faces = np.ascontiguousarray(faces, dtype=np.int64)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValueError(f"faces must have shape (nf, 3), got {faces.shape}")
         self.faces = faces
 
         if vertices is None:
-            if ambient is not None:
-                raise ValueError("abstract meshes cannot declare an ambient space")
             if edge_lengths is None:
                 raise ValueError("abstract meshes require edge_lengths")
             self.vertices = None
@@ -114,11 +110,8 @@ class TriangleMesh:
             finite = np.isfinite(vertices).all(axis=1)
             if not finite.all():
                 raise ValueError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
-            if ambient is not None and ambient not in _AMBIENTS:
-                raise ValueError(f"unknown ambient {ambient!r}")
             self.vertices = vertices
             self._nv = vertices.shape[0]
-        self.ambient = ambient
 
         self._validate_faces()
         self._edges, self._face_edge_idx = unique_edges(faces, self._nv)
@@ -139,8 +132,6 @@ class TriangleMesh:
             with np.errstate(over="ignore"):
                 diffs = vertices[self._edges[:, 0]] - vertices[self._edges[:, 1]]
                 self.edge_lengths = np.linalg.norm(diffs, axis=1)
-            if ambient == "unit_sphere":
-                sphere_point(vertices)
 
         # per face: edge lengths, column i opposite corner i, and areas
         self.face_edge_lengths, self.face_areas = self._face_metric()
@@ -232,6 +223,17 @@ class TriangleMesh:
     def dim(self) -> int | None:
         """Ambient dimension, or None for abstract meshes."""
         return None if self.vertices is None else self.vertices.shape[1]
+
+    @cached_property
+    def ambient(self) -> str | None:
+        """``"unit_sphere"`` when :func:`~eigenvol.moebius.sphere_point`
+        accepts every vertex, else None (always for abstract meshes)."""
+        if self.vertices is not None:
+            # a norm that overflows is off the sphere, without a warning
+            with contextlib.suppress(ValueError), np.errstate(over="ignore"):
+                sphere_point(self.vertices)
+                return "unit_sphere"
+        return None
 
     @property
     def edges(self) -> np.ndarray:
@@ -396,7 +398,7 @@ def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray
     component : {"ambient", "sphere"}
         ``"sphere"`` projects out the radial part, leaving the mean
         curvature of the surface viewed inside the unit sphere; requires
-        ``ambient="unit_sphere"``.
+        every vertex on the unit sphere.
     """
     if mesh.vertices is None:
         raise ValueError("mean curvature needs vertex coordinates")
@@ -458,21 +460,17 @@ def _log_io(action, path, mesh, start):
 
 
 def save_off(mesh: TriangleMesh, path) -> None:
-    """Write an embedded mesh as ASCII OFF.
+    """Write an embedded mesh as plain ASCII OFF, with no comment line.
 
-    The ambient tag is preserved in a leading comment so that
-    :func:`load_off` round-trips it.  Each coordinate is written as
-    ``f"{x:.17g}"`` writes it, so that :func:`load_off` reads every
-    coordinate back bit for bit; face indices are written as integers.
+    Each coordinate is written as ``f"{x:.17g}"`` writes it, so that
+    :func:`load_off` reads every coordinate back bit for bit; face indices
+    are written as integers.
     """
     if mesh.vertices is None:
         raise ValueError("abstract meshes have no coordinates to export")
     start = time.perf_counter()
     nv, dim = mesh.vertices.shape
-    head = "OFF\n"
-    if mesh.ambient is not None:
-        head += f"# ambient {mesh.ambient} {dim}\n"
-    head += f"{nv} {mesh.nf} 0\n"
+    head = f"OFF\n{nv} {mesh.nf} 0\n"
     row = " ".join(["%.17g"] * dim) + "\n"
     with open(path, "w") as fh:
         fh.write(head)
@@ -481,36 +479,22 @@ def save_off(mesh: TriangleMesh, path) -> None:
     _log_io("wrote", path, mesh, start)
 
 
-def _data_lines(path, lines, tags):
+def _data_lines(lines):
     """Physical line number and stripped text of each line of `lines` that
-    is neither blank nor a comment.  An ``# ambient <name> [<dim>]`` comment
-    sets ``tags["ambient"]``; a <name> other than ``euclidean`` or
-    ``unit_sphere``, or a <dim> that is not an integer, is refused.
+    is neither blank nor a comment.
 
     `lines` is an open text file, which splits at newlines only:
     str.splitlines would also split at form feeds and shift the numbers."""
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if len(parts) >= 2 and parts[0] == "ambient":
-                if parts[1] not in _AMBIENTS:
-                    raise ValueError(f"{path}:{lineno}: unknown ambient {parts[1]!r}")
-                tags["ambient"] = parts[1]
-                if len(parts) >= 3:
-                    try:
-                        int(parts[2])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: bad ambient comment") from exc
-        elif stripped:
+        if stripped and not stripped.startswith("#"):
             yield lineno, stripped
 
 
 def _counts(path, fh):
-    """Vertex and face counts, counts line number and ambient tag (or None)
-    of the OFF file `fh`, read from its start through its counts line."""
-    tags = {}
-    head = list(itertools.islice(_data_lines(path, fh, tags), 2))
+    """Vertex and face counts and counts line number of the OFF file `fh`,
+    read from its start through its counts line."""
+    head = list(itertools.islice(_data_lines(fh), 2))
     if not head or head[0][1].split() != ["OFF"]:
         raise ValueError(f"{path}: missing OFF header")
     if len(head) < 2:
@@ -525,7 +509,7 @@ def _counts(path, fh):
         raise ValueError(f"{path}:{lineno}: bad counts line") from exc
     if nv < 0 or nf < 0:
         raise ValueError(f"{path}:{lineno}: bad counts line")
-    return nv, nf, lineno, tags.get("ambient")
+    return nv, nf, lineno
 
 
 def _row(text, dtype):
@@ -541,7 +525,7 @@ def _name_refused_line(path, fh):
     that np.loadtxt refuses, or else saying that the blocks are short.
     Reads `fh` again from its start, one line at a time."""
     fh.seek(0)
-    nv, nf, lineno, _ = _counts(path, fh)
+    nv, nf, lineno = _counts(path, fh)
     dim = row = 0
     for lineno, line in enumerate(fh, start=lineno + 1):
         fields = line.partition("#")[0].split()
@@ -568,9 +552,9 @@ def load_off(path) -> TriangleMesh:
     """Read an ASCII OFF file with triangle faces.
 
     Vertex dimension is inferred from the first vertex line, so spheres
-    in R^4 or R^5 load without extra flags.  An ``# ambient`` comment
-    before the counts line, where :func:`save_off` writes it, restores the
-    ambient tag; without one the mesh has none.
+    in R^4 or R^5 load without extra flags.  Every ``#`` line is a
+    comment, also the ``# ambient`` line that earlier versions of
+    :func:`save_off` wrote: the mesh reads its tag off its coordinates.
 
     After the header, ``np.loadtxt`` reads the vertex block (``float64``)
     and then the face block (``int64``) from the open file, so no line is
@@ -582,7 +566,6 @@ def load_off(path) -> TriangleMesh:
       ``-10.0`` are coordinates, ``+3`` and ``03`` indices, while ``1_0``,
       ``0_3`` and non-ASCII digits such as ``٣`` are refused, and ``3.0``
       is not an index.  Each face line opens with the count 3.
-    * After the counts line an ``# ambient`` comment is only a comment.
 
     Only when that reader refuses a block, returns it short, or returns a
     face that is not ``3 i j k`` is the file read again, from its start
@@ -599,7 +582,7 @@ def load_off(path) -> TriangleMesh:
         fh = fh if fh.seekable() else io.StringIO(fh.read())
         size = fh.seek(0, os.SEEK_END)
         fh.seek(0)
-        nv, nf, _, ambient = _counts(path, fh)
+        nv, nf, _ = _counts(path, fh)
         verts = faces = None
         # np.loadtxt reserves max_rows rows up front; n bytes hold fewer rows
         if nv + nf <= size:
@@ -613,6 +596,6 @@ def load_off(path) -> TriangleMesh:
         if not triangles or len(verts) != nv or np.any(faces[:, 0] != 3):
             _name_refused_line(path, fh)
 
-    mesh = TriangleMesh(verts, faces.reshape(nf, 4)[:, 1:], ambient=ambient)
+    mesh = TriangleMesh(verts, faces.reshape(nf, 4)[:, 1:])
     _log_io("read", path, mesh, start)
     return mesh

@@ -89,7 +89,8 @@ class SpectrumResult:
         return float(self.residuals.max()) if self.residuals.size else 0.0
 
     def head(self, count: int) -> "SpectrumResult":
-        """The lowest `count` pairs, with their residuals."""
+        """The lowest `count` pairs (all, when fewer), with their residuals."""
+        count = integer(count, "count", 1)
         return replace(
             self,
             eigenvalues=self.eigenvalues[:count],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from eigenvol import cli, harness, spectral
+from eigenvol import cli, fixtures, harness, spectral
 from eigenvol.cli import main
 from eigenvol.fixtures import icosphere
 from eigenvol.harness import _ineq, run_verification
@@ -125,6 +126,17 @@ def test_bad_fixture_parameters_are_one_line(runner, spec, message):
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
     assert errors == [f"Error: Invalid value: {message}"]
+
+
+def test_icosphere_past_the_memory_is_one_line(runner, monkeypatch):
+    def never_built():
+        raise AssertionError("the icosphere was built before its size was checked")
+
+    monkeypatch.setattr(fixtures, "_icosahedron", never_built)
+    result = runner.invoke(main, ["spectrum", "--fixture", "icosphere:30"])
+    assert result.exit_code == 1
+    assert re.fullmatch(rf"Error: icosphere level 30 needs at least {24 * (30 * 4**30 + 2)} "
+                        r"bytes, more than the \d+ bytes of physical memory\n", result.output)
 
 
 def test_gny_reports_verified_family(runner):

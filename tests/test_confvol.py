@@ -19,7 +19,7 @@ from eigenvol.confvol import (
     pullback_volume,
     spherical_face_areas,
 )
-from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus, veronese
+from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import TriangleMesh, willmore_energy
 from eigenvol.moebius import MoebiusMap, ball_dilation, dilation_gradient, xi_map
 
@@ -161,7 +161,7 @@ def test_power_map_rejects_vertex_on_axis(sphere3):
     x, y, z = axis / sin
     K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     R = np.eye(3) + sin * K + (1.0 - cos) * K @ K
-    rotated = TriangleMesh(sphere3.vertices @ R.T, sphere3.faces, ambient="unit_sphere")
+    rotated = TriangleMesh(sphere3.vertices @ R.T, sphere3.faces)
     with pytest.raises(ValueError, match="projection axis"):
         SphereImmersion.power(rotated, 2)
 
@@ -405,6 +405,29 @@ def test_hersch_center_fixes_symmetric_mesh(sphere3):
     assert res.map.t == 1.0  # bitwise identity
 
 
+def test_hersch_center_damps_steps_that_do_not_lower_the_moment(sphere3, monkeypatch):
+    # xi(e3, 100) piles nearly all the mass at the pole: the full step
+    # overshoots, and the damping halves it 30 times on the way to the centre
+    areas = sphere3.vertex_areas
+    imm = SphereImmersion(sphere3, xi_map(np.array([0.0, 0.0, 1.0]), 100.0, sphere3.vertices))
+    trials = []
+
+    def moved(pole, t, pts):
+        out = xi_map(pole, t, pts)
+        trials.append(np.linalg.norm(areas @ out) / areas.sum())
+        return out
+
+    monkeypatch.setattr(confvol, "xi_map", moved)
+    res = hersch_center(imm)
+    best = np.linalg.norm(areas @ imm.images) / areas.sum()
+    rejected = 0
+    for norm in trials:
+        rejected += norm >= best
+        best = min(best, norm)
+    assert (res.iterations, len(trials), rejected) == (95, 95, 30)
+    assert res.moment_norm < HERSCH_TOL
+
+
 def test_hersch_center_recenters_a_dilated_sphere(sphere4):
     p = np.array([0.0, 1.0, 0.0])
     g = MoebiusMap(p, 3.0)
@@ -487,6 +510,8 @@ def test_immersion_images_follow_the_unit_sphere_rule(row, scale, worst):
     (lambda: SphereImmersion(icosphere(1), icosphere(1).vertices, [80]),
      "singular face index out of range"),
     (lambda: SphereImmersion.identity(revolution_torus()),
+     r"point not on the unit sphere \(\|norm - 1\| = 1\.414e\+00\)"),
+    (lambda: SphereImmersion.identity(flat_torus(1.0, 1.0, 8)),
      "identity immersion needs a unit_sphere mesh"),
     (lambda: SphereImmersion.fold(revolution_torus(), [0.0, 0.0, 1.0]),
      "fold needs a unit_sphere mesh"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eigenvol import fixtures
 from eigenvol.fixtures import (
     _veronese_map,
     clifford_torus,
@@ -153,6 +154,18 @@ def test_fixture_input_validation():
 def test_fixture_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_icosphere_past_the_memory_is_refused_before_it_is_built(monkeypatch):
+    # level 30 ended in the OOM killer; its vertex and face arrays alone take
+    # 24 (30 * 4^30 + 2) bytes, and nothing is subdivided to find that out
+    def never_built():
+        raise AssertionError("the icosphere was built before its size was checked")
+
+    monkeypatch.setattr(fixtures, "_icosahedron", never_built)
+    with pytest.raises(ValueError, match=rf"^icosphere level 30 needs at least "
+                       rf"{24 * (30 * 4**30 + 2)} bytes, more than the \d+ bytes of physical memory$"):
+        icosphere(30)
 
 
 @pytest.mark.parametrize("level", [2, 3])

@@ -299,9 +299,7 @@ def test_checks_refuse_an_immersion_of_another_mesh(sphere3):
     # the identity of a vertex-permuted copy sends vertex i of sphere3 to
     # another vertex's image; read against sphere3 it is a scrambled map
     perm = np.random.default_rng(0).permutation(sphere3.nv)
-    copy = TriangleMesh(
-        sphere3.vertices[perm], np.argsort(perm)[sphere3.faces], ambient="unit_sphere"
-    )
+    copy = TriangleMesh(sphere3.vertices[perm], np.argsort(perm)[sphere3.faces])
     immersion = SphereImmersion.identity(copy)
     match = "^the immersion belongs to another mesh than the one checked$"
     with pytest.raises(ValueError, match=match):
@@ -535,6 +533,9 @@ _COUNT_READERS = {
     "conformal_volume": ("starts", 1, lambda spec, v: conformal_volume(
         SphereImmersion.identity(spec.mesh), starts=v)),
     "SphereImmersion.power": ("degree", None, lambda spec, v: SphereImmersion.power(spec.mesh, v)),
+    "SpectrumResult.head": ("count", 1, lambda spec, v: spec.head(v)),
+    "check_index": ("reference_index", 0, lambda spec, v: check_index(
+        spec.mesh, 0.0, reference_index=v)),
 }
 _COUNT_CASES = [
     (reader, value)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eigenvol import mesh as mesh_module
+from eigenvol.confvol import SphereImmersion
 from eigenvol.fixtures import clifford_torus, flat_torus, icosphere, revolution_torus, veronese
 from eigenvol.mesh import (
     TriangleMesh,
@@ -113,9 +114,24 @@ def test_triangle_inequality_violation_names_face():
 
 
 def test_unit_sphere_ambient_validated():
+    # the tag is read off the coordinates, never declared
     verts, faces = _tetrahedron()
-    with pytest.raises(ValueError, match="norm"):
-        TriangleMesh(verts * 1.001, faces, ambient="unit_sphere")
+    assert TriangleMesh(verts, faces).ambient == "unit_sphere"
+    assert TriangleMesh(verts * 1.001, faces).ambient is None
+
+
+def test_euclidean_and_abstract_meshes_read_no_tag():
+    sphere = icosphere(2)
+    off_centre = TriangleMesh(sphere.vertices + [0.0, 0.0, 0.25], sphere.faces)
+    for mesh in (revolution_torus(), flat_torus(), off_centre):
+        assert mesh.ambient is None
+
+
+def test_mesh_repr_names_kind_and_tag():
+    assert repr(icosphere(1)) == (
+        "TriangleMesh(42 vertices, 80 faces, R^3, ambient=unit_sphere, chi=2)")
+    assert repr(revolution_torus(n=8)) == "TriangleMesh(64 vertices, 128 faces, R^3, chi=0)"
+    assert repr(flat_torus(n=8)) == "TriangleMesh(64 vertices, 128 faces, abstract, chi=0)"
 
 
 def test_abstract_mesh_requires_lengths():
@@ -258,35 +274,38 @@ def test_off_rejects_quads(tmp_path):
         load_off(path)
 
 
-def _reference_off(mesh):
-    # the writer formatting each value on its own, as save_off did first
+def _reference_off(mesh, tag=None):
+    # the writer formatting each value on its own, as save_off did first;
+    # with a tag, the comment line that save_off once wrote after "OFF"
     lines = ["OFF"]
-    if mesh.ambient is not None:
-        lines.append(f"# ambient {mesh.ambient} {mesh.dim}")
+    if tag is not None:
+        lines.append(f"# ambient {tag} {mesh.dim}")
     lines.append(f"{mesh.nv} {mesh.nf} 0")
     lines += [" ".join(f"{x:.17g}" for x in v) for v in mesh.vertices]
     lines += ["3 " + " ".join(str(int(i)) for i in f) for f in mesh.faces]
     return "\n".join(lines) + "\n"
 
 
-def _flat_mesh(dim, ambient):
+def _flat_mesh(dim):
     # the flat tetrahedron of test_obtuse_mixed_area_is_exact with -0.0,
     # subnormals and values that need all 17 digits; the constant extra
     # coordinates (1e300 first) leave every edge length as it is
     xy = np.array([[-0.0, 0.0], [4.0, 5e-324], [2.0, 0.5], [2.0000000000000004, 0.1 + 0.2]])
     extra = np.array([1e300, 1.0 / 3.0, -2.2250738585072e-310])[: dim - 2]
     verts = np.hstack([xy, np.tile(extra, (4, 1))])
-    return TriangleMesh(verts, [[0, 2, 1], [3, 0, 1], [3, 1, 2], [3, 2, 0]], ambient=ambient)
+    return TriangleMesh(verts, [[0, 2, 1], [3, 0, 1], [3, 1, 2], [3, 2, 0]])
 
 
+# each mesh, and the tag of the "# ambient" line that save_off once wrote
+# into its file (None: no such line); the file read back holds that line
 _OFF_MESHES = {
-    "r3-sphere": lambda: icosphere(2),
-    "r4-clifford": lambda: clifford_torus(8),
-    "r5-veronese": lambda: veronese(2),
+    "r3-sphere": (lambda: icosphere(2), None),
+    "r4-clifford": (lambda: clifford_torus(8), None),
+    "r5-veronese": (lambda: veronese(2), None),
     **{
-        f"r{dim}-flat-{ambient}": lambda dim=dim, ambient=ambient: _flat_mesh(dim, ambient)
+        f"r{dim}-flat-{tag}": (lambda dim=dim: _flat_mesh(dim), tag)
         for dim in (3, 4, 5)
-        for ambient in (None, "euclidean")
+        for tag in (None, "euclidean")
     },
 }
 
@@ -297,11 +316,15 @@ def _namer_refused(*args):
 
 @pytest.mark.parametrize("name", sorted(_OFF_MESHES))
 def test_off_writer_matches_per_value_reference(tmp_path, monkeypatch, name):
-    mesh = _OFF_MESHES[name]()
+    build, tag = _OFF_MESHES[name]
+    mesh = build()
     path = tmp_path / "mesh.off"
     save_off(mesh, path)
     assert path.read_bytes() == _reference_off(mesh).encode()
-    # every file save_off writes loads without the error namer
+    if tag is not None:
+        path.write_text(_reference_off(mesh, tag))
+    # every file save_off writes, or wrote with a tag line, loads without
+    # the error namer
     monkeypatch.setattr(mesh_module, "_name_refused_line", _namer_refused)
     back = load_off(path)
     assert back.ambient == mesh.ambient
@@ -364,8 +387,6 @@ def _edit(lines, replace):
     ({2: f"{10**20} 4 0", 5: "-1 nope -1"}, "bad.off:5: bad vertex coordinate"),
     ({2: f"4 {10**20} 0", 9: "3 1 x 2"}, "bad.off:9: bad face index"),
     ({2: f"4 {10**20} 0"}, f"bad.off: expected 4 vertices and {10**20} faces"),
-    # an ambient comment after the header, naming no known ambient
-    ({1: "OFF\n# ambient sphere 3"}, "bad.off:2: unknown ambient 'sphere'"),
 ])
 def test_off_errors_name_the_line(tmp_path, replace, expected):
     assert _off_error(tmp_path, _edit(_TETRA_OFF, replace)) == expected
@@ -378,11 +399,6 @@ def test_off_error_lines_are_physical_lines(tmp_path):
     # a form feed separates fields, not lines
     lines = _edit(_TETRA_OFF, {3: "1\x0c1 1", 8: "3 0 x 1"})
     assert _off_error(tmp_path, lines) == "bad.off:8: bad face index"
-
-
-def test_off_bad_ambient_comment(tmp_path):
-    lines = _TETRA_OFF[:1] + ["# ambient unit_sphere three"] + _TETRA_OFF[1:]
-    assert _off_error(tmp_path, lines) == "bad.off:2: bad ambient comment"
 
 
 def test_off_crlf_file(tmp_path):
@@ -421,6 +437,17 @@ def test_off_face_count_reads_as_int(tmp_path, monkeypatch, comment):
     verts, faces = _tetrahedron()
     assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
     assert np.array_equal(mesh.faces, faces)
+
+
+def test_off_from_the_tagging_writer_reads_its_tag_off_the_coordinates():
+    # written by save_off when it still put "# ambient unit_sphere 3" after "OFF"
+    path = os.path.join(os.path.dirname(__file__), "data", "icosphere1_ambient_comment.off")
+    with open(path) as fh:
+        assert fh.read().splitlines()[1] == "# ambient unit_sphere 3"
+    back, sphere = load_off(path), icosphere(1)
+    assert back.ambient == "unit_sphere"
+    assert back.vertices.tobytes() == sphere.vertices.tobytes()
+    assert back.faces.tobytes() == sphere.faces.tobytes()
 
 
 def test_off_ambient_comment_after_counts_is_ignored(tmp_path, monkeypatch):
@@ -500,14 +527,16 @@ def test_off_with_repeated_face_rejected(tmp_path):
 
 @pytest.mark.parametrize("ambient", [None, "unit_sphere"])
 def test_non_finite_coordinates_rejected(ambient):
+    # the tag the other vertices would read: off or on the unit sphere
     verts, faces = _tetrahedron()
-    verts = verts / np.sqrt(3.0)
+    if ambient is None:
+        verts = verts / np.sqrt(3.0)
     verts[1, 2] = np.nan
     with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
-        TriangleMesh(verts, faces, ambient=ambient)
+        TriangleMesh(verts, faces)
     verts[1, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        TriangleMesh(verts, faces, ambient=ambient)
+        TriangleMesh(verts, faces)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
@@ -603,9 +632,11 @@ def test_vertex_with_two_fans_is_refused_when_topology_is_read(build, chi):
 
 def test_sphere_vertices_follow_the_unit_sphere_rule():
     verts, faces = _tetrahedron()
-    TriangleMesh(verts * (1.0 + 5e-13), faces, ambient="unit_sphere")
+    assert TriangleMesh(verts * (1.0 + 5e-13), faces).ambient == "unit_sphere"
+    outside = TriangleMesh(verts * (1.0 + 2e-12), faces)
+    assert outside.ambient is None
     with pytest.raises(ValueError, match=r"^point not on the unit sphere \(\|norm - 1\| = 2\.0"):
-        TriangleMesh(verts * (1.0 + 2e-12), faces, ambient="unit_sphere")
+        SphereImmersion.identity(outside)
 
 
 def _bad_mesh(vertices=None, faces=None, **kwargs):
@@ -616,15 +647,12 @@ def _bad_mesh(vertices=None, faces=None, **kwargs):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: _bad_mesh(faces=np.zeros((2, 4))), r"faces must have shape \(nf, 3\), got \(2, 4\)"),
-    (lambda: TriangleMesh(None, _tetrahedron()[1], ambient="euclidean", edge_lengths=np.ones(6)),
-     "abstract meshes cannot declare an ambient space"),
     (lambda: _bad_mesh(edge_lengths=np.ones(6)), "edge_lengths is only for abstract meshes"),
     (lambda: _bad_mesh(vertices=np.ones(4)), r"vertices must have shape \(nv, d\)"),
-    (lambda: _bad_mesh(ambient="sphere"), "unknown ambient 'sphere'"),
     (lambda: TriangleMesh(None, _tetrahedron()[1], edge_lengths=np.ones(5)),
      r"edge_lengths must have shape \(6,\), one per edge, got \(5,\)"),
     (lambda: _bad_mesh(faces=np.zeros((0, 3))), "mesh has no faces"),
-    (lambda: mean_curvature(_bad_mesh(), component="sphere"),
+    (lambda: mean_curvature(_bad_mesh(vertices=2.0 * _tetrahedron()[0]), component="sphere"),
      'component="sphere" requires unit_sphere ambient'),
     (lambda: mean_curvature(_bad_mesh(), component="normal"), "unknown component 'normal'"),
 ])

@@ -54,6 +54,11 @@ def _clustered_measure(n, seed=1):
 # measures
 
 
+def test_measure_repr_names_size_sphere_and_total():
+    mu = DiscreteMeasure(np.eye(3), np.array([1.0, 2.0, 0.5]))
+    assert repr(mu) == "DiscreteMeasure(3 atoms on S^2, total=3.5)"
+
+
 def test_measure_merges_coincident_atoms():
     p = np.array([0.0, 0.0, 1.0])
     q = np.array([1.0, 0.0, 0.0])

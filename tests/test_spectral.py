@@ -265,6 +265,16 @@ def test_weyl_fit_sphere(sphere4_spec):
 def test_weyl_fit_range_validation(sphere3_spec):
     with pytest.raises(ValueError):
         weyl_fit(sphere3_spec, k_range=(20, 60))
+    for k_range in ((12, 5), (5, 5)):
+        with pytest.raises(ValueError, match=rf"^k_range \({k_range[0]}, {k_range[1]}\) must increase$"):
+            weyl_fit(sphere3_spec, k_range=k_range)
+
+
+def test_spectrum_head_refuses_a_negative_count_and_keeps_every_pair_past_the_end(sphere3_spec):
+    # 0, 2.5 and True are among the count readers' cases in test_harness
+    with pytest.raises(ValueError, match=r"^count must be an integer >= 1, got -1$"):
+        sphere3_spec.head(-1)
+    assert sphere3_spec.head(25).eigenvalues.tobytes() == sphere3_spec.eigenvalues.tobytes()
 
 
 def test_eigensolve_count_validation(sphere3):
