@@ -461,6 +461,7 @@ def conformal_volume(
     identity map.  Deterministic for fixed seed.
     """
     starts = integer(starts, "starts", 1)
+    seed = integer(seed, "seed", 0)
     mesh, images = immersion.mesh, immersion.images
     faces = mesh.faces
     sing = np.zeros(mesh.nf, dtype=bool)

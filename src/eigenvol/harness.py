@@ -321,6 +321,7 @@ def check_first_eigenvalue(
     lambda_1 * sum ||u_i||^2 <= sum E(u_i) exactly; a violation beyond
     rounding aborts.
     """
+    seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc = _vc(vc_reference)
     spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
@@ -588,6 +589,7 @@ def check_eigenvalue_counts(
     guaranteed count zero the constant function is the witness: its
     form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
+    seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     # a contiguous copy: vertex_areas @ V rounds otherwise on a broadcast view
@@ -958,6 +960,7 @@ def build_witness_chain(
     spectral error bar.
     """
     k = integer(k, "k", 1)
+    seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     if vc_reference is None:
@@ -1272,6 +1275,7 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     once, when a check first reads it, for every check that reads it.
     """
     kmax = integer(kmax, "kmax", 1)
+    seed = integer(seed, "seed", 0)
     battery = _battery(kmax, seed)
     valid = ["all"] + [section for section, _, _ in battery]
     if which not in valid:

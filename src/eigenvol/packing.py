@@ -19,6 +19,7 @@ closed-form inequalities.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,13 +196,19 @@ def _center_geometry(centers, mu, length, reach):
     owns positions ``first[i]`` to ``last[i]``, which hold its distinct
     distances in increasing order and the mass at distance <= each, then
     +inf in both at ``last[i]``.  Also returns whether each row is
-    complete: it covers every atom, or reaches `reach`.  Each batch of
-    centers keeps its nearest atoms by partition, then sorts them; tied
-    atoms are summed in atom order, as a stable sort of one center's
-    distances has them, so every row is a prefix of the full sorted row,
-    the same to the bit whatever the lengths and the chunk.  ``radii`` and
-    ``cum`` are views of buffers with room after the rows, for
-    :func:`_grow_rows`, to rebuild complete each row short of all atoms.
+    complete: it covers every atom, or reaches `reach`.
+
+    Each batch of centers writes its distances into one buffer in
+    :func:`geodesic_distance`'s order of operations, so they are that
+    function's to the bit.  A partition one past the longest row keeps
+    each row's nearest atoms, sorted, and a pivot that bounds every atom
+    outside them: each row's end is read off its sorted head, and only a
+    row that ends at the pivot counts its ties over all atoms.  Tied atoms
+    are summed in atom order, as a stable sort of one center's distances
+    has them, so every row is a prefix of the full sorted row, the same to
+    the bit whatever the lengths and the chunk.  ``radii`` and ``cum`` are
+    views of buffers with room after the rows, for :func:`_grow_rows`, to
+    rebuild complete each row short of all atoms.
     """
     n, rows = mu.size, centers.shape[0]
     cover = np.minimum(length, n)
@@ -216,48 +223,73 @@ def _center_geometry(centers, mu, length, reach):
     first, last = np.empty((2, rows), dtype=np.intp)
     complete = np.empty(rows, dtype=bool)
     end = 0
-    step = max(1, _GEOMETRY_CHUNK // n)
+    step = min(max(1, _GEOMETRY_CHUNK // n), rows)
+    coords = np.ascontiguousarray(mu.points.T)
+    buffer, term = np.empty((2, step, n))
     for a in range(0, rows, step):
         b = min(a + step, rows)
         r = np.arange(b - a)
-        d = geodesic_distance(centers[a:b, None, :], mu.points)
-        # rows end at the first distance >= reach, with every atom tied there
-        far = np.where(d >= reach, d, np.inf).min(axis=1)
-        want = np.minimum(length[a:b], np.count_nonzero(d <= far[:, None], axis=1))
+        c, d, t = centers[a:b, :, None], buffer[: b - a], term[: b - a]
+        np.multiply(c[:, 0], coords[0], out=d)
+        for i in range(1, coords.shape[0]):
+            d += np.multiply(c[:, i], coords[i], out=t)
+        np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
+        # a row ends at its want-th atom, or at the first at distance >=
+        # reach, whichever is nearer; rows of every atom count theirs first
+        want = cover[a:b]
+        if want.max() == n:
+            want = np.minimum(want, np.count_nonzero(d < reach, axis=1) + 1)
         size = int(want.max())
-        while True:
-            head = np.argpartition(d, size - 1, axis=1)[:, :size]
-            ds = np.take_along_axis(d, head, axis=1)
-            order = np.argsort(ds, axis=1)
-            ds = np.take_along_axis(ds, order, axis=1)
-            cut = ds[r, want - 1]
-            # a row takes all atoms tied at its cut; past the head, only
-            # a larger head holds them
-            atoms = np.count_nonzero(d <= cut[:, None], axis=1)
-            if atoms.max() <= size:
-                break
-            size = int(atoms.max())
+        # no atom outside the head lies below the pivot, nor any in it above;
+        # rows are read through flat indices, row i's from i * n
+        part = np.argpartition(d, min(size, n - 1), axis=1)
+        pivot = d[r, part[:, min(size, n - 1)]]
+        flat = r[:, None] * n
+        ds = d.ravel().take(part[:, :size] + flat)
+        ids = part.ravel().take(np.argsort(ds, axis=1) + flat)
+        ds = d.ravel().take(ids + flat)
+        # the head holds every atom below the pivot, so every atom < reach
+        # when it holds one >= reach
+        want = np.minimum(want, np.count_nonzero(ds < reach, axis=1) + 1)
+        cut = ds[r, want - 1]
+        atoms = np.count_nonzero(ds <= cut[:, None], axis=1)
+        # a row takes all atoms tied at its cut; only a row cut at the pivot
+        # can have some outside the head, so it writes its cut's run afresh
+        # from every atom there, past the head if need be
+        tied = np.flatnonzero(cut == pivot)
+        i, j = np.nonzero(d[tied] == cut[tied, None])
+        start = np.count_nonzero(ds[tied] < cut[tied, None], axis=1)
+        counts = np.bincount(i, minlength=tied.size)
+        atoms[tied] = start + counts
+        width = max(size, int(atoms.max()))
+        ds = np.hstack([ds, np.repeat(pivot[:, None], width + 1 - size, axis=1)])
+        ids = np.hstack([ids, np.zeros((b - a, width - size), dtype=ids.dtype)])
+        ids[tied[i], np.arange(i.size) + (start - np.cumsum(counts) + counts)[i]] = j
+        size = width
         complete[a:b] = (atoms == n) | (cut >= reach)
-        ds = np.hstack([ds, np.full((b - a, 1), np.inf)])
         ds[r, atoms] = np.inf  # atoms: the column of each row's +inf
         # runs of equal distances start where `new`; each ends just before
         # the next start, and the +inf column is a run of its own
         new = np.ones(ds.shape, dtype=bool)
         new[:, 1:size] = ds[:, 1:size] != ds[:, : size - 1]
         new &= np.arange(size + 1) <= atoms[:, None]
-        # put each run back in atom order: a stable sort's order, found
-        # faster than by a stable sort
-        key = np.cumsum(new[:, :size], axis=1) * n + np.take_along_axis(head, order, axis=1)
-        key.sort(axis=1)
+        # put each run back in atom order, a stable sort's order, found
+        # faster than by a stable sort: sort by run, then atom
+        run = np.cumsum(new[:, :size], axis=1)
+        run *= n
+        ids += run
+        ids.sort(axis=1)
+        ids -= run
         mass = np.empty_like(ds)
-        np.cumsum(mu.weights[key % n], axis=1, out=mass[:, :size])
+        np.cumsum(mu.weights[ids], axis=1, out=mass[:, :size])
         mass[r, atoms] = np.inf
         ends = np.zeros_like(new)
         ends[:, :size] = new[:, 1:]
         ends[r, atoms] = True
         stop = end + np.cumsum(new.sum(axis=1))  # one past each row's +inf
         first[a:b], last[a:b] = np.append(end, stop[:-1]), stop - 1
-        radii[end : stop[-1]], cum[end : stop[-1]] = ds[new], mass[ends]
+        np.compress(new.ravel(), ds.ravel(), out=radii[end : stop[-1]])
+        np.compress(ends.ravel(), mass.ravel(), out=cum[end : stop[-1]])
         end = stop[-1]
     return radii[:end], cum[:end], first, last, complete
 
@@ -376,10 +408,13 @@ def gny_decompose(
     same seed and reach; as its rows are exact prefixes of the full rows,
     the result does not depend on it.  Each call logs one DEBUG record on
     the ``eigenvol.packing`` logger: table built or reused, its size
-    against the full one, rows extended and the beta trail.
+    against the full one, rows extended, the seconds spent building the
+    table and growing its rows, and the beta trail.
 
     Parameters
     ----------
+    seed : int
+        Nonnegative; draws the random poles, and keys the kept table.
     r_max : float
         Upper bound on outer radii (use just under pi/2 when the annuli
         must support test functions).
@@ -396,6 +431,7 @@ def gny_decompose(
         table cannot be reserved.
     """
     k = integer(k, "k", 1)
+    seed = integer(seed, "seed", 0)
     if not 0.0 < r_max <= np.pi:
         raise ValueError("r_max must lie in (0, pi]")
     if not 0.0 <= gap < np.inf:
@@ -413,9 +449,12 @@ def gny_decompose(
     reach = min(r_max, np.pi / 2)
     geometry = mu._tables.get((seed, reach))
     built = geometry is None
+    table_s = grow_s = 0.0
     if built:
+        clock = time.perf_counter()
         length = np.full(centers.shape[0], _start_length(mu.size, k))
         geometry = _center_geometry(centers, mu, length, reach)
+        table_s = time.perf_counter() - clock
     floor = 1.0 / (8.0 * 9.0 ** (12 * mu.dim))
     betas = [2.0 ** (-j) for j in range(1, 81) if 2.0 ** (-j) > floor]
     betas.append(floor)
@@ -438,7 +477,9 @@ def gny_decompose(
                 )
                 if not short.size:
                     break
+                clock = time.perf_counter()
                 geometry = _grow_rows(geometry, short, centers, mu, reach)
+                grow_s += time.perf_counter() - clock
                 extended += short.size
                 rebuilds += 1
             if best is None:
@@ -459,17 +500,19 @@ def gny_decompose(
     mu._tables[(seed, reach)] = geometry
 
     log.debug(
-        "%(atoms)d atoms, %(candidates)d candidates: table %(table)s, %(entries)d "
-        "of %(full)d entries, %(extended)d rows extended in %(rebuilds)d queries, "
-        "beta trail %(trail)s",
+        "%(atoms)d atoms, %(candidates)d candidates: table %(table)s in "
+        "%(table_s).3f s, %(entries)d of %(full)d entries, %(extended)d rows "
+        "extended in %(rebuilds)d queries and %(grow_s).3f s, beta trail %(trail)s",
         {
             "atoms": mu.size,
             "candidates": centers.shape[0],
             "table": "built" if built else "reused",
+            "table_s": table_s,
             "entries": geometry[0].shape[0],
             "full": centers.shape[0] * (mu.size + 1),
             "extended": extended,
             "rebuilds": rebuilds,
+            "grow_s": grow_s,
             "trail": attempts + ([(beta, k)] if packed else []),
         },
     )

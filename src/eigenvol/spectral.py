@@ -126,6 +126,7 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
     """
     n = mesh.nv
     count = integer(count, "count", 1, n)
+    seed = integer(seed, "seed", 0)
     K, areas = assemble_laplacian(mesh)
 
     if n <= DENSE_CUTOFF or count >= n:  # eigsh serves only count < n
@@ -165,12 +166,18 @@ def _dense_pencil(K, areas, count):
     """Lowest `count` pairs of M^{-1/2} K M^{-1/2}, M-orthonormal vectors.
 
     LAPACK computes only the requested index range, so the cost beyond
-    the tridiagonal reduction scales with `count`, not with n.
+    the tridiagonal reduction scales with `count`, not with n.  The
+    symmetrized matrix 0.5 (A + A^T), A = M^{-1/2} K M^{-1/2}, is written
+    from K's entries into one Fortran-ordered array that LAPACK then
+    overwrites, so no other n x n array is made.
     """
     w = 1.0 / np.sqrt(areas)
-    A = w[:, None] * K.toarray() * w[None, :]
-    A = 0.5 * (A + A.T)
-    lam, vecs = eigh(A, subset_by_index=[0, count - 1])
+    K = K.tocoo()
+    A = sparse.coo_matrix((w[K.row] * K.data * w[K.col], (K.row, K.col)), shape=K.shape)
+    A = (A + A.T).tocoo()
+    dense = np.zeros(K.shape, order="F")
+    dense[A.row, A.col] = 0.5 * A.data
+    lam, vecs = eigh(dense, overwrite_a=True, subset_by_index=[0, count - 1])
     return lam, w[:, None] * vecs
 
 

@@ -449,6 +449,19 @@ def test_unreservable_packing_table_is_one_line(runner, packing_without_room):
     ]
 
 
+@pytest.mark.parametrize("args", [
+    ["gny", "--fixture", "icosphere:1", "-k", "2"],
+    ["spectrum", "--fixture", "icosphere:1", "--count", "2"],
+    ["confvol", "--fixture", "icosphere:1"],
+    ["verify", "constants"],
+])
+def test_negative_seed_is_one_line(runner, args):
+    # numpy's "expected non-negative integer" reached the gny command
+    result = runner.invoke(main, args + ["--seed", "-1"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: seed must be an integer >= 0, got -1"]
+
+
 def test_gny_with_more_annuli_than_atoms_is_one_line(runner):
     # 163 annuli around 162 atoms cannot exist: refused before any round
     result = runner.invoke(main, ["gny", "--fixture", "icosphere:2", "-k", "163"])

@@ -553,6 +553,38 @@ def test_count_readers_refuse_what_is_not_an_integer_in_range(sphere3_spec, read
     assert len(str(got.value).splitlines()) == 1
 
 
+# every public entry point that takes a seed, called on icosphere(3)
+_SEED_READERS = {
+    "gny_decompose": lambda spec, s: gny_decompose(
+        pushforward_measure(SphereImmersion.identity(spec.mesh)), 2, seed=s),
+    "eigensolve": lambda spec, s: eigensolve(spec.mesh, 2, seed=s),
+    "conformal_volume": lambda spec, s: conformal_volume(
+        SphereImmersion.identity(spec.mesh), seed=s),
+    "build_witness_chain": lambda spec, s: build_witness_chain(
+        spec.mesh, SphereImmersion.identity(spec.mesh), 1, SPHERE_AREA, seed=s, spectrum=spec),
+    "check_first_eigenvalue": lambda spec, s: check_first_eigenvalue(
+        spec.mesh, vc_reference=SPHERE_AREA, seed=s, spectrum=spec),
+    "check_eigenvalue_counts": lambda spec, s: check_eigenvalue_counts(spec.mesh, 1.0, seed=s),
+    "run_verification": lambda spec, s: run_verification("constants", s),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_SEED_READERS))
+@pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+def test_seed_readers_refuse_what_is_not_a_nonnegative_integer(sphere3_spec, reader, seed):
+    # None drew fresh poles under a cached table's key, -1 and 1.5 failed
+    # inside numpy, and True passed as 1
+    message = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message) as got:
+        _SEED_READERS[reader](sphere3_spec, seed)
+    assert len(str(got.value).splitlines()) == 1
+
+
+def test_seeds_accept_numpy_integers():
+    report = run_verification("constants", np.int64(3))
+    assert type(report.seed) is int and report.as_dict()["seed"] == 3
+
+
 def test_counts_accept_numpy_integers_and_refuse_past_their_most(sphere3_spec):
     sphere = sphere3_spec.mesh
     assert type(integer(np.int64(3), "k", 1)) is int

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eigenvol import packing
 from eigenvol.confvol import SphereImmersion
-from eigenvol.fixtures import icosphere, revolution_torus
+from eigenvol.fixtures import clifford_torus, icosphere, revolution_torus
 from eigenvol.harness import R_MAX_TEST
 from eigenvol.moebius import Annulus, geodesic_distance
 from eigenvol.packing import (
@@ -378,6 +378,95 @@ def test_center_geometry_rows_are_prefixes(sphere3, chunk, monkeypatch):
         assert complete[i] == (size >= relevant)
 
 
+def _assert_rows_match_reference(centers, mu, length, reach):
+    """Every row of `_center_geometry` against the reference's full row:
+    cut after the length-th atom or the first at distance >= reach, with
+    every atom tied there.  Returns which rows reach `reach`."""
+    radii, cum, first, last, complete = _center_geometry(centers, mu, length, reach)
+    assert first[0] == 0 and last[-1] == radii.shape[0] - 1
+    assert np.array_equal(first[1:], last[:-1] + 1)
+    reached = np.empty(centers.shape[0], dtype=bool)
+    for i, c in enumerate(centers):
+        uniq, cum_at = _reference_geometry(c, mu)
+        d = np.sort(geodesic_distance(c, mu.points))
+        nth = d[min(length[i], mu.size) - 1]
+        reached[i] = nth >= reach
+        cut = min(nth, d[min(np.searchsorted(d, reach), mu.size - 1)])
+        size = np.searchsorted(uniq, cut, side="right")
+        row = slice(first[i], last[i] + 1)
+        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
+        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
+        relevant = min(np.searchsorted(uniq, reach) + 1, uniq.shape[0])
+        assert complete[i] == (size >= relevant)
+    return reached
+
+
+@pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
+def test_center_geometry_on_clifford_atoms_in_s3(chunk, monkeypatch):
+    # the Clifford torus's grid ties many distances, in four coordinates;
+    # start, full and random row lengths
+    mesh = clifford_torus(16)
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(mesh.vertices, rng.uniform(0.1, 1.0, mesh.nv))
+    centers = _candidate_centers(mu, 1)
+    monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
+    rows = centers.shape[0]
+    for length in (np.full(rows, packing._start_length(mu.size, 8)), np.full(rows, mu.size),
+                   rng.integers(1, mu.size + 1, rows)):
+        for reach in (R_MAX_TEST, 0.3):
+            _assert_rows_match_reference(centers, mu, length, reach)
+
+
+def _rings(heights, count):
+    """`count` atoms on each circle z = h: every atom of a circle lies at
+    exactly the same distance from the north pole."""
+    phi = 2.0 * np.pi * np.arange(count) / count
+    return np.vstack([
+        np.column_stack([np.sqrt(1.0 - h * h) * np.cos(phi),
+                         np.sqrt(1.0 - h * h) * np.sin(phi), np.full(count, h)])
+        for h in heights
+    ])
+
+
+@pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
+def test_center_geometry_cut_on_a_tie_straddling_the_pivot(chunk, monkeypatch):
+    # from the north pole, six atoms at each of three heights; the longest
+    # row asks for 8, so the head holds 8 atoms and its pivot, the 9th,
+    # ties with the cut of rows asking for 7 or 8: those rows hold all
+    # twelve atoms of the first two circles, some from past the head
+    rng = np.random.default_rng(2)
+    pts = _rings([0.9, 0.6, 0.2], 6)
+    mu = DiscreteMeasure(pts, rng.choice([0.25, 1.0, 3.0], pts.shape[0]))
+    centers = np.repeat([[0.0, 0.0, 1.0]], 5, axis=0)
+    length = np.array([8, 3, 6, 7, 8])
+    monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
+    radii, cum, first, last, complete = _center_geometry(centers, mu, length, np.pi)
+    assert (last - first).tolist() == [2, 1, 1, 2, 2]
+    assert not complete.any()
+    _assert_rows_match_reference(centers, mu, length, np.pi)
+    # a reach at the second circle ends the row there with all its atoms
+    d = geodesic_distance(centers[0], pts[6])
+    assert _assert_rows_match_reference(centers, mu, length, d).tolist() == [
+        True, False, False, True, True
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
+def test_center_geometry_rows_that_do_and_do_not_reach(chunk, monkeypatch):
+    # one batch holds rows whose length-th atom lies short of the reach,
+    # rows that pass it, and rows asked for every atom
+    mu = _uniform_measure(300, seed=3)
+    centers = _candidate_centers(mu, 0)
+    rng = np.random.default_rng(6)
+    length = rng.integers(1, 40, centers.shape[0])
+    length[::7] = mu.size
+    monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
+    reached = _assert_rows_match_reference(centers, mu, length, 0.3)
+    assert reached[length == mu.size].all()
+    batch = reached[: max(1, packing._GEOMETRY_CHUNK // mu.size)]
+    assert batch.size == 1 or (batch.any() and not batch.all())
+
+
 def test_best_annulus_decides_only_what_the_full_row_decides():
     # Two copies of one candidate: its row cut after every number of
     # atoms, then its full row.  Random shells, masses and radius caps.
@@ -633,6 +722,32 @@ def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, 
         if grown[i]:
             # complete: every distance up to the first >= reach
             assert size == min(np.searchsorted(uniq, key[1]) + 1, uniq.shape[0])
+
+
+def test_debug_record_times_the_table_and_its_grown_rows(sphere3, caplog):
+    # one-atom start rows are grown; a second decomposition reuses the table
+    mu = pushforward_measure(SphereImmersion.identity(sphere3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_start_length", lambda n, k: 1)
+        with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+            gny_decompose(mu, 6, r_max=R_MAX_TEST)
+            gny_decompose(mu, 6, r_max=R_MAX_TEST)
+    built, reused = (r.args for r in caplog.records)
+    assert built["table"] == "built" and built["table_s"] > 0.0
+    assert built["extended"] > 0 and built["grow_s"] > 0.0
+    assert reused["table"] == "reused" and reused["table_s"] == 0.0
+    assert reused["extended"] == 0 and reused["grow_s"] == 0.0
+    assert " s, " in caplog.records[0].getMessage()
+
+
+def test_unseeded_decomposition_is_refused_before_a_table_is_kept():
+    # seed=None drew fresh poles under one table key, so a second call
+    # read rows built for other poles
+    mu = DiscreteMeasure(icosphere(2).vertices, icosphere(2).vertex_areas)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got None$"):
+            gny_decompose(mu, 4, seed=None)
+    assert mu._tables == {}
 
 
 def test_unreservable_table_is_a_packing_error(sphere3, packing_without_room):

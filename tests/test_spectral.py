@@ -319,6 +319,26 @@ def test_spectrum_head_is_the_smaller_solve(sphere3, sphere3_spec):
         assert angles.max() < 1e-10
 
 
+def test_dense_pencil_is_the_symmetrized_matrix_bit_for_bit(fat_torus, monkeypatch):
+    # written from K's entries into the one array LAPACK overwrites; the
+    # torus's scaled entries differ across the diagonal in the last bit
+    K, areas = assemble_laplacian(fat_torus)
+    w = 1.0 / np.sqrt(areas)
+    A = w[:, None] * K.toarray() * w[None, :]
+    assert not np.array_equal(A, A.T)
+    seen = []
+
+    def recording_eigh(a, **kwargs):
+        seen.append((a.copy(), a.flags.f_contiguous, kwargs))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh", recording_eigh)
+    spectral._dense_pencil(K, areas, 4)
+    ((a, fortran, kwargs),) = seen
+    assert fortran and kwargs["overwrite_a"]
+    assert np.array_equal(a.view(np.int64), (0.5 * (A + A.T)).view(np.int64))
+
+
 @pytest.mark.parametrize("count", [1, 70, 642])
 def test_dense_solve_computes_only_the_requested_pairs(sphere3, count, monkeypatch):
     K, areas = assemble_laplacian(sphere3)
