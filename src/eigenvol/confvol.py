@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import TriangleMesh, integer
+from .mesh import TriangleMesh, indices, integer, real
 from .moebius import (
     MoebiusMap,
     _dot,
@@ -242,14 +242,11 @@ class SphereImmersion:
     singular_faces: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def __post_init__(self):
-        self.images = np.ascontiguousarray(self.images, dtype=np.float64)
+        self.images = real(self.images, "images")
         if self.images.shape[0] != self.mesh.nv or self.images.ndim != 2:
             raise ValueError("need one image point per vertex")
         sphere_point(self.images)
-        faces = np.asarray(self.singular_faces)
-        if faces.size and faces.dtype.kind not in "iu":
-            raise ValueError(f"singular_faces must be face indices, got dtype {faces.dtype}")
-        self.singular_faces = faces.astype(np.int64, copy=False)
+        self.singular_faces = indices(self.singular_faces, "singular_faces", "face")
         if self.singular_faces.size and (
             self.singular_faces.min() < 0 or self.singular_faces.max() >= self.mesh.nf
         ):

@@ -30,15 +30,16 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .moebius import sphere_point
 
 __all__ = [
     "TriangleMesh",
+    "indices",
     "integer",
     "load_off",
     "mean_curvature",
+    "real",
     "save_off",
     "vertex_values",
     "willmore_energy",
@@ -56,6 +57,33 @@ def unique_edges(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     edge_keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
     edges = np.column_stack([edge_keys // nv, edge_keys % nv])
     return edges, inverse.reshape(faces.shape[0], 3)
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on nodes 0..n-1 with
+    edges (u[i], v[i]): their count and each node's component label,
+    numbered in the order of each component's least node.
+
+    Union-find over whole arrays: each round hooks the larger root of
+    every edge whose ends have different roots onto the smaller one, then
+    compresses every path to its root.  Pointers only ever go down, so the
+    root left in each component is its least node.
+    """
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv  # an edge within one component stays there
+        if not split.any():
+            break
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        parent[np.maximum(ru, rv)] = np.minimum(ru, rv)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    root = parent == np.arange(n)
+    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[parent]
 
 
 def _turn(corner, step):
@@ -91,9 +119,10 @@ class TriangleMesh:
     """
 
     def __init__(self, vertices, faces, edge_lengths=None):
-        faces = np.ascontiguousarray(faces, dtype=np.int64)
+        faces = np.asarray(faces)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValueError(f"faces must have shape (nf, 3), got {faces.shape}")
+        faces = np.ascontiguousarray(indices(faces, "faces", "vertex"))
         self.faces = faces
 
         if vertices is None:
@@ -104,7 +133,7 @@ class TriangleMesh:
         else:
             if edge_lengths is not None:
                 raise ValueError("edge_lengths is only for abstract meshes")
-            vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+            vertices = real(vertices, "vertices")
             if vertices.ndim != 2:
                 raise ValueError("vertices must have shape (nv, d)")
             finite = np.isfinite(vertices).all(axis=1)
@@ -118,7 +147,7 @@ class TriangleMesh:
         self._validate_closed_connected()
 
         if vertices is None:
-            edge_lengths = np.ascontiguousarray(edge_lengths, dtype=np.float64)
+            edge_lengths = real(edge_lengths, "edge_lengths")
             if edge_lengths.shape != (self._edges.shape[0],):
                 raise ValueError(
                     f"edge_lengths must have shape ({self._edges.shape[0]},), "
@@ -166,11 +195,7 @@ class TriangleMesh:
             raise ValueError(
                 f"mesh is not closed: edge ({u}, {v}) lies in {counts[bad]} faces"
             )
-        adj = sparse.coo_matrix(
-            (np.ones(self._edges.shape[0]), (self._edges[:, 0], self._edges[:, 1])),
-            shape=(self._nv, self._nv),
-        )
-        ncomp, _ = connected_components(adj, directed=False)
+        ncomp, _ = _components(self._nv, self._edges[:, 0], self._edges[:, 1])
         if ncomp != 1:
             raise ValueError(f"mesh has {ncomp} connected components")
 
@@ -341,10 +366,7 @@ class TriangleMesh:
         # corners about a vertex so joined form its fans; a surface has one.
         rows = np.concatenate([_turn(a, 1), _turn(a, 2)])
         cols = np.concatenate([_turn(b, 2 - same), _turn(b, 1 + same)])
-        links = sparse.coo_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(3 * nf, 3 * nf)
-        )
-        count, fan = connected_components(links, directed=False)
+        count, fan = _components(3 * nf, rows, cols)
         if count > self._nv:
             fan_vertex = np.empty(count, dtype=np.int64)
             fan_vertex[fan] = f.ravel()
@@ -359,10 +381,7 @@ class TriangleMesh:
         flip = same * nf
         rows = np.concatenate([a // 3, a // 3 + nf])
         cols = np.concatenate([b // 3 + flip, b // 3 + nf - flip])
-        cover = sparse.coo_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(2 * nf, 2 * nf)
-        )
-        _, sheet = connected_components(cover, directed=False)
+        _, sheet = _components(2 * nf, rows, cols)
         return bool(sheet[0] != sheet[nf])
 
     @property
@@ -416,7 +435,7 @@ def mean_curvature(mesh: TriangleMesh, component: str = "ambient") -> np.ndarray
 def vertex_values(mesh: TriangleMesh, values, name: str, nonnegative: bool = True) -> np.ndarray:
     """One value per vertex: the (nv,) broadcast view of a scalar, a length-1 array or an
     (nv,) array, whose values are finite, and nonnegative when `nonnegative` is set."""
-    values = np.asarray(values, dtype=float)
+    values = real(values, name)
     if values.shape not in ((), (1,), (mesh.nv,)):
         raise ValueError(f"{name} must be a scalar or one value per vertex "
                          f"({mesh.nv}), got shape {values.shape}")
@@ -424,6 +443,25 @@ def vertex_values(mesh: TriangleMesh, values, name: str, nonnegative: bool = Tru
     if not np.all(ok):
         raise ValueError(f"{name} must be finite" + (" and nonnegative" if nonnegative else ""))
     return np.broadcast_to(values, (mesh.nv,))
+
+
+def real(values, name: str) -> np.ndarray:
+    """`values` as a contiguous float64 array of at least one dimension,
+    refused in one line when complex (numpy would drop the imaginary part
+    with no more than a ComplexWarning)."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def indices(values, name: str, of: str) -> np.ndarray:
+    """`values` as an int64 array, refused in one line unless its dtype is an
+    integer one (numpy would truncate fractions and parse strings); an empty
+    array of any dtype names nothing and passes."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be {of} indices, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
 
 
 def integer(value, name: str, least: int | None, most: int | None = None) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import integer, vertex_values
+from .mesh import integer, real, vertex_values
 from .moebius import Annulus, geodesic_distance, sphere_point
 
 __all__ = [
@@ -57,13 +57,14 @@ class DiscreteMeasure:
     keeping the first occurrence as the representative point; zero-weight
     atoms are dropped.  Non-finite points or weights, negative weights and
     weights whose total overflows are rejected.  A measure is not changed
-    after construction: :func:`gny_decompose` keeps its distance tables on
-    it, for the next decomposition with the same seed and reach.
+    after construction: :func:`gny_decompose` keeps the distance table of
+    its last call on it, for a next decomposition with the same seed and
+    reach.
     """
 
     def __init__(self, points, weights):
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        points = real(points, "measure points")
+        weights = real(weights, "measure weights")
         if points.ndim != 2 or points.shape[0] != weights.shape[0]:
             raise ValueError("points and weights must align, shapes "
                              f"{points.shape} / {weights.shape}")
@@ -87,7 +88,7 @@ class DiscreteMeasure:
         self.points = merged_p[keep]
         self.weights = merged_w[keep]
         self.merged_atoms = int(points.shape[0] - first.shape[0])
-        self._tables = {}  # (seed, reach) -> gny_decompose's geometry table
+        self._table = (None, None)  # (seed, reach) and gny_decompose's last table
 
     @property
     def total(self) -> float:
@@ -447,7 +448,10 @@ def gny_decompose(
     centers = _candidate_centers(mu, seed)
     # every admissible outer radius is at most min(g_hi / 2, r_max) <= pi / 2
     reach = min(r_max, np.pi / 2)
-    geometry = mu._tables.get((seed, reach))
+    key, geometry = mu._table
+    mu._table = (None, None)  # only the last table is kept: drop it before building
+    if key != (seed, reach):
+        geometry = None
     built = geometry is None
     table_s = grow_s = 0.0
     if built:
@@ -497,7 +501,7 @@ def gny_decompose(
             break
         attempts.append((beta, len(annuli)))
     packed = len(annuli) == k
-    mu._tables[(seed, reach)] = geometry
+    mu._table = ((seed, reach), geometry)
 
     log.debug(
         "%(atoms)d atoms, %(candidates)d candidates: table %(table)s in "

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .mesh import TriangleMesh, integer, vertex_values
 
@@ -50,6 +48,32 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
+
+
+# SciPy's dense and sparse linear algebra load at the first solve or count,
+# not with the package: meshes, conformal-volume searches and packings never
+# need them.  Each stays a module attribute that callers can replace.
+
+
+def eigh(*args, **kwargs):
+    """:func:`scipy.linalg.eigh`, imported at the first call."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh(*args, **kwargs)
+
+
+def eigsh(*args, **kwargs):
+    """:func:`scipy.sparse.linalg.eigsh`, imported at the first call."""
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg.eigsh(*args, **kwargs)
+
+
+def splu(*args, **kwargs):
+    """:func:`scipy.sparse.linalg.splu`, imported at the first call."""
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg.splu(*args, **kwargs)
 
 
 def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -133,6 +157,8 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
         lam, vecs = _dense_pencil(K, areas, count)
         method = "dense"
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence
+
         # K - sigma M is positive definite for any sigma < 0, so the
         # shift-invert factorization cannot hit the kernel of K
         sigma = -1e-2 * float(K.diagonal().sum() / areas.sum())

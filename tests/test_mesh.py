@@ -6,6 +6,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from eigenvol import mesh as mesh_module
 from eigenvol.confvol import SphereImmersion
@@ -15,9 +18,11 @@ from eigenvol.mesh import (
     load_off,
     mean_curvature,
     save_off,
+    vertex_values,
     willmore_energy,
 )
-from eigenvol.spectral import assemble_laplacian
+from eigenvol.packing import DiscreteMeasure
+from eigenvol.spectral import assemble_laplacian, negative_count
 
 
 def _tetrahedron():
@@ -94,8 +99,36 @@ def test_disconnected_rejected():
     verts, faces = _tetrahedron()
     verts2 = np.vstack([verts, verts + 10.0])
     faces2 = np.vstack([faces, faces + 4])
-    with pytest.raises(ValueError, match="connected"):
+    with pytest.raises(ValueError, match="^mesh has 2 connected components$"):
         TriangleMesh(verts2, faces2)
+
+
+_graphs = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_graphs)
+@example(graph=(9, [(0, 4), (4, 0), (4, 4), (7, 2), (2, 7), (2, 5), (8, 8)]))
+@example(graph=(5, []))
+def test_components_partition_the_nodes_as_csgraph_does(graph):
+    # isolated nodes, repeated edges, self-loops and several components;
+    # scipy's csgraph is imported here only, never by the package
+    from scipy.sparse.csgraph import connected_components
+
+    n, edges = graph
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    count, labels = mesh_module._components(n, u, v)
+    adj = sparse.coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    want, theirs = connected_components(adj, directed=False)
+    assert count == want
+    # the same partition: labels correspond one to one
+    assert len(set(zip(labels.tolist(), theirs.tolist()))) == count
+    # numbered 0..count-1 in the order of each component's least node
+    _, least = np.unique(labels, return_index=True)
+    assert np.array_equal(labels[least], np.arange(count))
+    assert np.all(np.diff(least) > 0)
 
 
 def test_triangle_inequality_violation_names_face():
@@ -652,12 +685,31 @@ def _bad_mesh(vertices=None, faces=None, **kwargs):
     (lambda: TriangleMesh(None, _tetrahedron()[1], edge_lengths=np.ones(5)),
      r"edge_lengths must have shape \(6,\), one per edge, got \(5,\)"),
     (lambda: _bad_mesh(faces=np.zeros((0, 3))), "mesh has no faces"),
+    # fractional indices were truncated to the same mesh, strings parsed
+    (lambda: _bad_mesh(faces=_tetrahedron()[1] + 0.5), "faces must be vertex indices, got dtype float64"),
+    (lambda: _bad_mesh(faces=_tetrahedron()[1].astype(str)), "faces must be vertex indices, got dtype <U21"),
+    (lambda: _bad_mesh(faces=_tetrahedron()[1] > 0), "faces must be vertex indices, got dtype bool"),
     (lambda: mean_curvature(_bad_mesh(vertices=2.0 * _tetrahedron()[0]), component="sphere"),
      'component="sphere" requires unit_sphere ambient'),
     (lambda: mean_curvature(_bad_mesh(), component="normal"), "unknown component 'normal'"),
 ])
 def test_mesh_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: _bad_mesh(vertices=_tetrahedron()[0] + 0.3j), "vertices"),
+    (lambda: TriangleMesh(None, _tetrahedron()[1], edge_lengths=np.ones(6) + 0j), "edge_lengths"),
+    (lambda: SphereImmersion(icosphere(1), icosphere(1).vertices + 0.3j), "images"),
+    (lambda: DiscreteMeasure(np.eye(3) + 0j, np.ones(3)), "measure points"),
+    (lambda: DiscreteMeasure(np.eye(3), [1.0, 1.0, 1.0 + 1e-3j]), "measure weights"),
+    (lambda: vertex_values(icosphere(1), 2.0 + 0.5j, "potential", nonnegative=False), "potential"),
+    (lambda: negative_count(icosphere(1), np.full(42, 1.0 + 0j)), "potential"),
+])
+def test_complex_input_is_refused_at_every_entry_point(make, name):
+    # numpy dropped the imaginary part with no more than a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex values$"):
         make()
 
 

@@ -242,11 +242,25 @@ def test_weyl_fit_flat_torus(torus48_spec):
 def test_import_leaves_scipy_special_and_optimize_unloaded():
     # scipy.special costs tens of milliseconds at start-up and nothing in
     # the package needs it; scipy.optimize costs about 0.2 s and 15 MB,
-    # which is why confvol carries its own BFGS
+    # which is why confvol carries its own BFGS.  SciPy's linear algebra
+    # (about 12 MB) loads only when a pencil is solved or counted: meshes,
+    # their topology, conformal volume and packings never need it
     code = (
         "import sys, eigenvol, eigenvol.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.special', 'scipy.optimize'))))"
+        "from eigenvol import *\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(names))\n"
+        "print(loaded('scipy.special', 'scipy.optimize'))\n"
+        "mesh = icosphere(2)\n"
+        "assert mesh.orientable\n"
+        "identity = SphereImmersion.identity(mesh)\n"
+        "conformal_volume(identity)\n"
+        "gny_decompose(pushforward_measure(identity), 3)\n"
+        "print(loaded('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph'))\n"
+        "eigensolve(mesh, 4)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "negative_count(mesh, 1.0)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(eigenvol.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -254,7 +268,7 @@ def test_import_leaves_scipy_special_and_optimize_unloaded():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]", "True", "True"]
 
 
 def test_weyl_fit_sphere(sphere4_spec):
