@@ -137,14 +137,14 @@ fmt_opt = click.option("--format", "fmt", default="json", show_default=True,
 
 
 class _Group(click.Group):
-    """Turns the library's errors into one-line messages for every subcommand."""
+    """Turns library and OS errors into one-line messages for every subcommand."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except VerificationError as exc:
             raise click.ClickException(f"verification aborted: {exc}") from exc
-        except (ValueError, PackingError, SolverError) as exc:
+        except (OSError, ValueError, PackingError, SolverError) as exc:
             raise click.ClickException(str(exc)) from exc
         except MemoryError as exc:  # numpy's names the allocation it was refused
             raise click.ClickException(f"out of memory: {exc}".rstrip(": ")) from exc

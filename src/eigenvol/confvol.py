@@ -286,7 +286,9 @@ class SphereImmersion:
         """
         if mesh.ambient != "unit_sphere":
             raise ValueError("fold needs a unit_sphere mesh")
-        pole = np.asarray(pole, dtype=float)
+        pole = sphere_point(real(pole, "pole"), "pole")
+        if pole.shape != (mesh.dim,):
+            raise ValueError(f"pole must have {mesh.dim} coordinates, got shape {pole.shape}")
         images = fold_map(pole, mesh.vertices)
         side = np.sign(mesh.vertices @ pole)[mesh.faces]
         crossing = (side.max(axis=1) > 0) & (side.min(axis=1) < 0)

@@ -50,9 +50,9 @@ from .packing import (
 )
 from .spectral import (
     SpectrumResult,
-    assemble_laplacian,
     eigensolve,
     negative_count,
+    rayleigh,
     stability_index,
     weyl_fit,
 )
@@ -282,9 +282,11 @@ def _nonzero(spec: SpectrumResult, count: int) -> np.ndarray:
 
 
 def _component(mesh: TriangleMesh, kappa: float) -> str:
-    """The mean curvature that int(|H|^2 + kappa) reads: in a unit-sphere
-    mesh with kappa = 1, the part seen inside the sphere."""
-    return "sphere" if kappa == 1.0 and mesh.ambient == "unit_sphere" else "ambient"
+    """The mean curvature that int(|H|^2 + kappa) reads: the ambient one at
+    kappa = 0, the part seen inside the sphere at kappa = 1 on a unit-sphere mesh."""
+    if kappa == 0.0 or (kappa == 1.0 and mesh.ambient == "unit_sphere"):
+        return "sphere" if kappa else "ambient"
+    raise ValueError(f"kappa must be 0, or 1 on a unit-sphere mesh; got {kappa}")
 
 
 # eigenpairs read by the first-eigenvalue checks: the kernel, the first
@@ -352,11 +354,9 @@ def check_first_eigenvalue(
     if immersion is not None:
         centering = hersch_center(immersion)
         images = centering.map(immersion.images)
-        K, areas = assemble_laplacian(mesh)
+        areas = mesh.vertex_areas
         centered = images - (areas @ images)[None, :] / areas.sum()
-        energies = _energies(K, centered.T)
-        # one sum per row: summed along the axis, these strided rows round otherwise
-        masses = np.array([float(np.sum(areas * u * u)) for u in centered.T])
+        energies, masses = rayleigh(mesh, centered.T)
         bound = float(energies.sum() / masses.sum())
         if lam1 > bound * (1.0 + 1e-9):
             raise VerificationError(
@@ -452,9 +452,11 @@ def check_higher_eigenvalues(
     """
     kmax = integer(kmax, "kmax", 1)
     vc = _vc(vc_reference)
+    vol = mesh.area
+    if kappa is not None:
+        avg = (willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol) / vol
     spec = _lowest(mesh, spectrum, kmax + 4)
     lams = _nonzero(spec, kmax)
-    vol = mesh.area
     ks = np.arange(1, kmax + 1, dtype=float)
     consts = proof_constants(2, m)
     results = []
@@ -480,7 +482,6 @@ def check_higher_eigenvalues(
         bounds = float(C) * vc * ks
         form("higher-eigenvalues", "lambda_k Vol <= C Vc k", lams * vol, bounds, C, vc=vc)
     if kappa is not None:
-        avg = (willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol) / vol
         C = consts.curvature_eigenvalue
         claim = f"lambda_k <= C avg(|H|^2 + {kappa:g}) k"
         bounds = float(C) * avg * ks
@@ -492,11 +493,6 @@ def check_higher_eigenvalues(
 
 # ---------------------------------------------------------------------- #
 # annulus replays: the shared step of the counting and eigenvalue proofs
-
-
-def _energies(K, U) -> np.ndarray:
-    """The stiffness energy u K u of each row u of `U`."""
-    return np.array([float(u @ (K @ u)) for u in U])
 
 
 def _exact_orthogonality(K, U) -> None:
@@ -531,10 +527,9 @@ def _replay_family(immersion, nu, pieces, seed, weight, light=None):
     annulus (behind the 81/625 mass bound) are exact links that abort.
     Returns ``(gap, beta, chosen, shell_masses, energies, masses)``: the
     kept indices with their verified `nu`-masses, and the test functions'
-    energies and L^2 masses weighted by `weight` (V or 1.0).
+    :func:`~eigenvol.spectral.rayleigh` with `weight` (V or 1.0).
     """
     images = immersion.images
-    K, areas = assemble_laplacian(immersion.mesh)
     ends = immersion.mesh.edges
     chords = np.linalg.norm(images[ends[:, 0]] - images[ends[:, 1]], axis=1)
     gap = 1.02 * float(2.0 * np.arcsin(np.clip(chords.max() / 2.0, 0.0, 1.0)))
@@ -550,15 +545,14 @@ def _replay_family(immersion, nu, pieces, seed, weight, light=None):
     annuli = [family.annuli[i] for i in chosen]
 
     U = np.stack([np.asarray(u_annulus(a, images), dtype=float) for a in annuli])
-    _exact_orthogonality(K, U)
+    _exact_orthogonality(immersion.mesh.stiffness, U)
     for i, a in enumerate(annuli):
         inside = U[i][a.contains(images)]
         if inside.size and inside.min() < 9.0 / 25.0 - 1e-9:
             raise VerificationError(
                 f"test function {i} dips below 9/25 on its annulus: {inside.min():.12g}"
             )
-    masses = np.sum(areas * weight * U * U, axis=1)
-    return gap, family.beta, chosen, rep.masses[chosen], _energies(K, U), masses
+    return (gap, family.beta, chosen, rep.masses[chosen], *rayleigh(immersion.mesh, U, weight))
 
 
 # ---------------------------------------------------------------------- #
@@ -595,6 +589,8 @@ def check_eigenvalue_counts(
     # a contiguous copy: vertex_areas @ V rounds otherwise on a broadcast view
     V = vertex_values(mesh, potential, "potential").copy()
     vol = mesh.area
+    if kappa is not None:
+        denom = willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol
     with np.errstate(over="ignore"):
         intV = float(mesh.vertex_areas @ V)
     if not np.isfinite(intV):
@@ -634,7 +630,6 @@ def check_eigenvalue_counts(
 
     k_curvature = None
     if kappa is not None:
-        denom = willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol
         C3 = float(consts.count_curvature)
         lhs3 = C3 * intV / denom
         k_curvature = count_check(
@@ -872,10 +867,10 @@ def conformal_balance(mesh: TriangleMesh) -> ConformalBalance:
     Ht2 = np.sum(Ht * Ht, axis=1)
 
     res = H2 - ef * (Ht2 + 1.0) + 0.5 * lap_f
-    K, areas = assemble_laplacian(mesh)
+    areas = mesh.vertex_areas
     l2 = float(np.sqrt(np.sum(areas * res * res)))
     w2 = float(np.sum(areas * H2))
-    energy = float(sum(_energies(K, lift.T)))
+    energy = float(sum(rayleigh(mesh, lift.T)[0]))
     conf_area = float(np.sum(areas * ef))
     return ConformalBalance(
         residuals=res,

@@ -600,6 +600,7 @@ def load_off(path) -> TriangleMesh:
 
     * ``#`` starts a comment wherever it stands: ``1 1 1 # note`` is a
       vertex of three coordinates.
+    * A byte that is not UTF-8 reads as U+FFFD: fine in a comment, refused elsewhere.
     * Values read as ``np.loadtxt`` reads them: ``+10``, ``1e1`` and
       ``-10.0`` are coordinates, ``+3`` and ``03`` indices, while ``1_0``,
       ``0_3`` and non-ASCII digits such as ``٣`` are refused, and ``3.0``
@@ -616,7 +617,7 @@ def load_off(path) -> TriangleMesh:
         On malformed content, with the offending line number.
     """
     start = time.perf_counter()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         fh = fh if fh.seekable() else io.StringIO(fh.read())
         size = fh.seek(0, os.SEEK_END)
         fh.seek(0)

@@ -42,18 +42,18 @@ __all__ = [
 _UNIT_TOL = 1e-12
 
 
-def sphere_point(coords) -> np.ndarray:
+def sphere_point(coords, name: str = "point") -> np.ndarray:
     """Validate and return points of the unit sphere, shape (..., m+1).
 
     The package's one unit-sphere rule: every norm within 1e-12 of 1, which
     a NaN coordinate fails.  Mesh vertices, immersion images, measure atoms,
-    annulus centres and dilation poles are all checked here.
+    annulus centres and dilation and fold poles, named `name`, go through it.
     """
     q = np.asarray(coords, dtype=float)
     norms = np.linalg.norm(q, axis=-1)
     if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"point not on the unit sphere (|norm - 1| = {worst:.3e})")
+        raise ValueError(f"{name} not on the unit sphere (|norm - 1| = {worst:.3e})")
     return q
 
 

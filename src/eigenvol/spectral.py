@@ -5,7 +5,10 @@ the cotangent stiffness matrix (``TriangleMesh.stiffness``) and M the
 diagonal lumped mass matrix (``TriangleMesh.vertex_areas``); its
 Rayleigh quotient is the Dirichlet energy over the L^2 norm, so the
 discrete eigenvalues are upper-bound-consistent with the min-max
-characterization used everywhere in the bounds.
+characterization used everywhere in the bounds.  Only this module reads
+the vertex areas as M (:func:`rayleigh` gives test functions u K u and
+u M u); elsewhere they weigh integrals, the pushforward and Hersch maps
+and the centring mean, or define curvature (``mean_curvature``: M^-1 K x).
 
 Small problems (below ``DENSE_CUTOFF`` vertices) go through dense LAPACK,
 which is deterministic and computes only the requested lowest pairs (the
@@ -33,6 +36,7 @@ __all__ = [
     "assemble_laplacian",
     "eigensolve",
     "negative_count",
+    "rayleigh",
     "stability_index",
     "weyl_fit",
 ]
@@ -84,6 +88,18 @@ def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarra
     return mesh.stiffness, mesh.vertex_areas
 
 
+def rayleigh(mesh: TriangleMesh, U, weight=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Energy u K u and mass sum_i m_i w_i u_i^2 of each row u of `U` on the
+    pencil of `mesh`, w = `weight` being 1.0 or one value per vertex.
+
+    Energies read the rows as passed and masses a contiguous copy: on
+    strided rows (a transposed (nv, d) array) either sum rounds otherwise."""
+    K, areas = assemble_laplacian(mesh)
+    energies = np.array([float(u @ (K @ u)) for u in U])
+    U = np.ascontiguousarray(U)
+    return energies, np.sum(areas * weight * U * U, axis=1)
+
+
 @dataclass
 class SpectrumResult:
     """Sorted eigenvalues of the pencil of ``mesh``, M-orthonormal eigenvectors, diagnostics.
@@ -123,16 +139,6 @@ class SpectrumResult:
         )
 
 
-def _residuals(K, areas, lam, vecs):
-    mv = areas[:, None] * vecs
-    return np.linalg.norm(K @ vecs - mv * lam, axis=0) / np.linalg.norm(mv, axis=0)
-
-
-def _zero_tol(K, areas) -> float:
-    # trace(K)/trace(M) is the mean Rayleigh scale of the pencil
-    return 1e-8 * float(K.diagonal().sum() / areas.sum())
-
-
 def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumResult:
     """Lowest `count` eigenpairs of the mesh's Laplace pencil, ascending.
 
@@ -152,6 +158,7 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
     count = integer(count, "count", 1, n)
     seed = integer(seed, "seed", 0)
     K, areas = assemble_laplacian(mesh)
+    scale = float(K.diagonal().sum() / areas.sum())  # trace(K)/trace(M): mean Rayleigh scale
 
     if n <= DENSE_CUTOFF or count >= n:  # eigsh serves only count < n
         lam, vecs = _dense_pencil(K, areas, count)
@@ -161,7 +168,7 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
 
         # K - sigma M is positive definite for any sigma < 0, so the
         # shift-invert factorization cannot hit the kernel of K
-        sigma = -1e-2 * float(K.diagonal().sum() / areas.sum())
+        sigma = -1e-2 * scale
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:
@@ -178,11 +185,12 @@ def eigensolve(mesh: TriangleMesh, count: int = 10, seed: int = 0) -> SpectrumRe
         lam, vecs = lam[order], vecs[:, order]
         method = "arpack"
 
+    mv = areas[:, None] * vecs
     return SpectrumResult(
         eigenvalues=lam,
         eigenvectors=vecs,
-        residuals=_residuals(K, areas, lam, vecs),
-        zero_tol=_zero_tol(K, areas),
+        residuals=np.linalg.norm(K @ vecs - mv * lam, axis=0) / np.linalg.norm(mv, axis=0),
+        zero_tol=1e-8 * scale,
         method=method,
         mesh=mesh,
     )

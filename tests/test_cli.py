@@ -398,6 +398,25 @@ def test_bad_off_face_index_is_one_line(runner, tmp_path):
     assert result.output.splitlines() == [f"Error: {path}:8: bad face index"]
 
 
+@pytest.mark.parametrize("args", [["spectrum", "--mesh", "{dir}"], ["constants", "--out", "{dir}"]])
+def test_a_directory_for_a_file_is_one_line(runner, tmp_path, args):
+    result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: [Errno 21] Is a directory: '{tmp_path}'"]
+
+
+def test_non_utf8_off_file_names_its_line(runner, tmp_path):
+    path = tmp_path / "latin1.off"
+    # a Latin-1 byte in a comment is ignored, in a coordinate refused
+    path.write_bytes(
+        b"OFF\n# caf\xe9\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\xb2\n"
+        b"3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    result = runner.invoke(main, ["spectrum", "--mesh", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {path}:7: bad vertex coordinate"]
+
+
 def test_zero_area_fixture_is_one_line(runner):
     result = runner.invoke(main, ["spectrum", "--fixture", "flat:1e-300,1e-300,8"])
     assert result.exit_code == 1

@@ -515,6 +515,10 @@ def test_immersion_images_follow_the_unit_sphere_rule(row, scale, worst):
      "identity immersion needs a unit_sphere mesh"),
     (lambda: SphereImmersion.fold(revolution_torus(), [0.0, 0.0, 1.0]),
      "fold needs a unit_sphere mesh"),
+    (lambda: SphereImmersion.fold(icosphere(2), [0.0, 1.0]),
+     r"pole must have 3 coordinates, got shape \(2,\)"),
+    (lambda: SphereImmersion.fold(icosphere(2), [0.0, 0.0, 2.0]),
+     r"pole not on the unit sphere \(\|norm - 1\| = 1\.000e\+00\)"),
     (lambda: SphereImmersion.power(revolution_torus(), 2),
      r"power map needs a unit_sphere mesh in R\^3"),
     (lambda: SphereImmersion.power(clifford_torus(8), 2),

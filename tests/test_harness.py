@@ -360,6 +360,28 @@ def test_curvature_bound_rejects_abstract_mesh():
         check_curvature_first_eigenvalue(flat)
 
 
+@pytest.mark.parametrize("kappa, torus", [
+    (float("nan"), False), (float("inf"), False), (-1.0, False), (0.5, False),
+    (1.0, True),  # a torus in R^3 is not in the unit sphere
+])
+def test_curvature_checks_refuse_a_bad_kappa_before_any_solve(monkeypatch, kappa, torus):
+    mesh = revolution_torus(3.0, 1.0, 16) if torus else icosphere(2)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before kappa was checked")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    monkeypatch.setattr(harness, "negative_count", solve)
+    checks = [
+        lambda: check_curvature_first_eigenvalue(mesh, kappa),
+        lambda: check_higher_eigenvalues(mesh, kmax=2, kappa=kappa),
+        lambda: check_eigenvalue_counts(mesh, 2.5, kappa=kappa),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=r"^kappa must be 0, or 1 on a unit-sphere mesh; got "):
+            check()
+
+
 def test_higher_eigenvalues_both_forms(sphere3):
     rs = check_higher_eigenvalues(
         sphere3, kmax=6, m=2, vc_reference=SPHERE_AREA, kappa=0.0

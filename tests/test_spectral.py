@@ -27,6 +27,7 @@ from eigenvol.spectral import (
     assemble_laplacian,
     eigensolve,
     negative_count,
+    rayleigh,
     stability_index,
     weyl_fit,
 )
@@ -77,6 +78,28 @@ def test_pencil_rayleigh(sphere3):
     x = sphere3.vertices[:, 0]
     x = x - np.sum(areas * x) / areas.sum()
     assert (x @ (K @ x)) / np.sum(areas * x * x) == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("strided", [True, False])
+@pytest.mark.parametrize("per_vertex", [False, True])
+def test_rayleigh_is_each_rows_energy_and_mass_bit_for_bit(clifford32, strided, per_vertex):
+    K, m = clifford32.stiffness, clifford32.vertex_areas
+    rng = np.random.default_rng(5)
+    # a transposed (nv, 4) array has strided rows
+    U = clifford32.vertices.T if strided else rng.standard_normal((3, clifford32.nv))
+    assert U.flags.c_contiguous != strided
+    w = rng.uniform(0.5, 4.0, clifford32.nv) if per_vertex else 2.5
+    energies, masses = rayleigh(clifford32, U, w)
+    assert np.array_equal(energies, [u @ (K @ u) for u in U])
+    assert np.array_equal(masses, [np.sum(m * w * u * u) for u in U])
+    assert np.array_equal(rayleigh(clifford32, U)[1], [np.sum(m * u * u) for u in U])
+
+
+def test_rayleigh_of_eigenpairs_is_the_eigenvalue(sphere3_spec, clifford32_spec):
+    for spec in (sphere3_spec, clifford32_spec):
+        energies, masses = rayleigh(spec.mesh, spec.eigenvectors.T)
+        lam = spec.eigenvalues
+        assert np.all(np.abs(energies / masses - lam) <= 1e-12 * np.maximum(lam, 1.0))
 
 
 def test_negative_count_constant_potentials(sphere3):
