@@ -35,7 +35,7 @@ from .harness import (
 )
 from .mesh import load_off
 from .packing import PackingError, gny_decompose, pushforward_measure, verify_family
-from .spectral import SolverError, eigensolve, weyl_fit
+from .spectral import SolverError, blas_threads, eigensolve, weyl_fit
 
 _FIXTURES = {
     "icosphere": (icosphere, (int,)),
@@ -93,7 +93,8 @@ def _emit(content, out: str | None) -> None:
     """Write `content`, a dict as JSON or a (header, rows) pair as CSV.
 
     A file written to `out` gets a ``run_meta.json`` sidecar naming the
-    running subcommand.
+    running subcommand and each OpenBLAS build found, with its thread
+    count and whether the solvers can pin it to one thread.
     """
     if isinstance(content, tuple):
         header, data = content
@@ -115,6 +116,7 @@ def _emit(content, out: str | None) -> None:
         "written_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "numpy": np.__version__,
+        "openblas": blas_threads(),
     }
     with open(os.path.splitext(out)[0] + ".run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -283,8 +283,10 @@ def _nonzero(spec: SpectrumResult, count: int) -> np.ndarray:
 
 def _component(mesh: TriangleMesh, kappa: float) -> str:
     """The mean curvature that int(|H|^2 + kappa) reads: the ambient one at
-    kappa = 0, the part seen inside the sphere at kappa = 1 on a unit-sphere mesh."""
-    if kappa == 0.0 or (kappa == 1.0 and mesh.ambient == "unit_sphere"):
+    kappa = 0, the part seen inside the sphere at kappa = 1 on a unit-sphere mesh.
+    A bool is refused, as ``integer`` refuses one for a count."""
+    if not isinstance(kappa, (bool, np.bool_)) and (
+            kappa == 0.0 or (kappa == 1.0 and mesh.ambient == "unit_sphere")):
         return "sphere" if kappa else "ambient"
     raise ValueError(f"kappa must be 0, or 1 on a unit-sphere mesh; got {kappa}")
 
@@ -326,6 +328,8 @@ def check_first_eigenvalue(
     seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc = _vc(vc_reference)
+    if vc is None and immersion is None:
+        raise ValueError("need either vc_reference or an immersion")
     spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
     lam1 = float(_nonzero(spec, 1)[0])
     vol = mesh.area
@@ -335,7 +339,7 @@ def check_first_eigenvalue(
     if vc is not None:
         detail["vc_source"] = "reference"
         soft = False
-    elif immersion is not None:
+    else:
         search = conformal_volume(immersion, seed=seed)
         vc = search.value
         detail["vc_source"] = "search lower bound"
@@ -345,8 +349,6 @@ def check_first_eigenvalue(
             "evaluations": search.evaluations,
         }
         soft = True
-    else:
-        raise ValueError("need either vc_reference or an immersion")
     detail["vc"] = vc
     rhs = 2.0 * vc  # n Vc^{2/n} at n = 2
 
@@ -452,6 +454,8 @@ def check_higher_eigenvalues(
     """
     kmax = integer(kmax, "kmax", 1)
     vc = _vc(vc_reference)
+    if vc is None and kappa is None:
+        raise ValueError("nothing to check: pass vc_reference or kappa")
     vol = mesh.area
     if kappa is not None:
         avg = (willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol) / vol
@@ -486,8 +490,6 @@ def check_higher_eigenvalues(
         claim = f"lambda_k <= C avg(|H|^2 + {kappa:g}) k"
         bounds = float(C) * avg * ks
         form("higher-eigenvalues-curvature", claim, lams, bounds, C, average_curvature=avg)
-    if not results:
-        raise ValueError("nothing to check: pass vc_reference or kappa")
     return results
 
 

@@ -329,7 +329,7 @@ def _searchsorted(table, lo, hi, values):
     return lo
 
 
-def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
+def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive=None):
     """Cheapest admissible annulus over all candidate centers.
 
     `D` holds the distance from every candidate to every accepted shell
@@ -343,8 +343,17 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     if nothing fits; ties go to the first candidate and, within it, to the
     first gap.  `short` lists the rows of `geometry` too short to decide
     the answer, which is then None; rebuild them complete and ask again.
+
+    `alive`, a mask over the candidates, limits the query to those it
+    marks, and loses each whose row decides that none of its gaps holds an
+    admissible annulus.  Shells added later only shrink a candidate's gaps,
+    raising each inner radius and lowering each cap, so with the same
+    `tau` and `r_max` such a candidate can never fit again; leaving it out
+    changes neither the answer nor its ties.
     """
     radii, cum, first, last, complete = geometry
+    live = np.flatnonzero(np.ones(D.shape[0], dtype=bool) if alive is None else alive)
+    D = D[live]
     lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
     upper = np.minimum(np.minimum(np.pi, D + shell_hi), 2.0 * np.pi - D - shell_lo)
     # a sentinel [pi, pi] closes the last gap at pi and blocks nothing else
@@ -362,6 +371,7 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     top = np.minimum(g_hi / 2.0, r_max)
     rows, cols = np.nonzero((g_hi > g_lo) & (top > inner))
     inner, top = inner[rows, cols], top[rows, cols]
+    rows = live[rows]
 
     # mass inside the inner radius, then the first radius holding tau more
     first, last = first[rows], last[rows]
@@ -379,6 +389,9 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max):
     # that bound lies below the best decided outer radius.
     reached = radii[last - 1]
     decided = complete[rows] | (j + 1 < last) | (reached >= top)
+    if alive is not None:
+        alive[live] = False
+        alive[rows[fits | ~decided]] = True
     outer = np.where(fits & decided, outer, np.inf)
     bound = outer.min(initial=np.inf)
     short = np.unique(rows[~decided & (np.maximum(reached, inner) < bound)])
@@ -405,12 +418,13 @@ def gny_decompose(
     order, so the whole construction is deterministic for a fixed seed.
     Each candidate's row of sorted distances starts at its nearest atoms
     and is rebuilt complete, once, when a round cannot be decided without
-    it.  The table is kept on `mu` and reused by the next call with the
-    same seed and reach; as its rows are exact prefixes of the full rows,
-    the result does not depend on it.  Each call logs one DEBUG record on
-    the ``eigenvol.packing`` logger: table built or reused, its size
-    against the full one, rows extended, the seconds spent building the
-    table and growing its rows, and the beta trail.
+    it; a candidate whose row shows that no gap fits is not asked again
+    in that round.  The table is kept on `mu` and reused by the next call
+    with the same seed and reach; as its rows are exact prefixes of the
+    full rows, the result does not depend on it.  Each call logs one
+    DEBUG record on the ``eigenvol.packing`` logger: table built or
+    reused, its size against the full one, rows extended, the seconds
+    spent building the table and growing its rows, and the beta trail.
 
     Parameters
     ----------
@@ -473,11 +487,12 @@ def gny_decompose(
         annuli: list[Annulus] = []
         to_shell = np.empty((centers.shape[0], 0))
         shell_lo, shell_hi = [], []
+        alive = np.ones(centers.shape[0], dtype=bool)  # candidates that may still fit
         for _ in range(k):
             while True:
                 best, short = _best_annulus(
                     geometry, to_shell, np.array(shell_lo), np.array(shell_hi),
-                    tau_greedy, r_max,
+                    tau_greedy, r_max, alive,
                 )
                 if not short.size:
                     break

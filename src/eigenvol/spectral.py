@@ -17,11 +17,28 @@ Lanczos with a seeded start vector.  Every solve reports relative
 residuals.  Counts of negative eigenvalues need no eigensolve: they are
 read off the pivot signs of one sparse symmetric factorization
 (Sylvester's law of inertia).
+
+ARPACK (the whole of :func:`eigsh`, its shift-invert SuperLU solves
+included) and the energy dot products of :func:`rayleigh` run on one BLAS
+thread (:func:`one_blas_thread`).  OpenBLAS threads a dot product past
+about 10k entries, which makes a long one's last bits depend on the
+host's thread count, and on two cores its helper threads spin through
+these solves and dots without shortening them.  The dense solve
+(:func:`eigh`) keeps the host's count until the verification report is
+restated at one thread: its bits there differ from those at two, and one
+thread costs it time.  The count is process-global, so eigenvol calls
+running at once in several Python threads are not isolated from each
+other's pins.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +51,7 @@ __all__ = [
     "SolverError",
     "SpectrumResult",
     "assemble_laplacian",
+    "blas_threads",
     "eigensolve",
     "negative_count",
     "rayleigh",
@@ -67,10 +85,11 @@ def eigh(*args, **kwargs):
 
 
 def eigsh(*args, **kwargs):
-    """:func:`scipy.sparse.linalg.eigsh`, imported at the first call."""
+    """:func:`scipy.sparse.linalg.eigsh` on one BLAS thread, imported at the first call."""
     import scipy.sparse.linalg
 
-    return scipy.sparse.linalg.eigsh(*args, **kwargs)
+    with one_blas_thread():
+        return scipy.sparse.linalg.eigsh(*args, **kwargs)
 
 
 def splu(*args, **kwargs):
@@ -78,6 +97,76 @@ def splu(*args, **kwargs):
     import scipy.sparse.linalg
 
     return scipy.sparse.linalg.splu(*args, **kwargs)
+
+
+class _OpenBLAS(NamedTuple):
+    """An OpenBLAS build mapped into this process: its file's basename and
+    its thread-count getter and setter (None when it exports none)."""
+
+    name: str
+    get: object
+    set: object
+
+
+# the thread-count symbols of scipy-openblas builds (numpy's ILP64 one ends
+# in 64_) and of plain OpenBLAS
+_OPENBLAS_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+# numpy maps its OpenBLAS at import and scipy its own when scipy.linalg first
+# loads, so the builds are looked up at most twice: keyed by that module's presence
+_openblas_found: dict[bool, tuple[_OpenBLAS, ...]] = {}
+
+
+def _find_openblas() -> tuple[_OpenBLAS, ...]:
+    """Every OpenBLAS build mapped into this process that reports its thread count."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:  # no /proc: nothing is found, so nothing is pinned
+        return ()
+    found = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                setter = getattr(lib, set_name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                found.append(_OpenBLAS(os.path.basename(path), get, setter))
+                break
+    return tuple(found)
+
+
+def _openblas() -> tuple[_OpenBLAS, ...]:
+    key = "scipy.linalg" in sys.modules
+    if key not in _openblas_found:
+        _openblas_found[key] = _find_openblas()
+    return _openblas_found[key]
+
+
+def blas_threads() -> list[dict]:
+    """Each OpenBLAS build found: its basename, its current thread count and
+    whether :func:`one_blas_thread` can set that count."""
+    return [{"library": lib.name, "threads": lib.get(), "settable": lib.set is not None}
+            for lib in _openblas()]
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every settable OpenBLAS build at one thread, and
+    restore each build's previous count after it, also when it raises."""
+    libs = [lib for lib in _openblas() if lib.set is not None]
+    before = [lib.get() for lib in libs]
+    for lib in libs:
+        lib.set(1)
+    try:
+        yield
+    finally:
+        for lib, count in zip(libs, before):
+            lib.set(count)
 
 
 def assemble_laplacian(mesh: TriangleMesh) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -95,7 +184,8 @@ def rayleigh(mesh: TriangleMesh, U, weight=1.0) -> tuple[np.ndarray, np.ndarray]
     Energies read the rows as passed and masses a contiguous copy: on
     strided rows (a transposed (nv, d) array) either sum rounds otherwise."""
     K, areas = assemble_laplacian(mesh)
-    energies = np.array([float(u @ (K @ u)) for u in U])
+    with one_blas_thread():  # a threaded long dot rounds by the thread count
+        energies = np.array([float(u @ (K @ u)) for u in U])
     U = np.ascontiguousarray(U)
     return energies, np.sum(areas * weight * U * U, axis=1)
 

@@ -337,6 +337,20 @@ def test_out_file_matches_stdout_and_names_its_command(runner, tmp_path, args):
     assert meta["command"] == args[0]
 
 
+def test_run_meta_records_each_openblas_build(runner, tmp_path, monkeypatch):
+    # a build without a setter is listed too, so a pin that did nothing shows
+    builds = (spectral._OpenBLAS("libopenblas_a.so", lambda: 2, lambda count: None),
+              spectral._OpenBLAS("libopenblas_b.so", lambda: 4, None))
+    monkeypatch.setattr(spectral, "_openblas", lambda: builds)
+    out = tmp_path / "result.json"
+    assert runner.invoke(main, ["constants", "--out", str(out)]).exit_code == 0
+    meta = json.loads((tmp_path / "result.run_meta.json").read_text())
+    assert meta["openblas"] == [
+        {"library": "libopenblas_a.so", "threads": 2, "settable": True},
+        {"library": "libopenblas_b.so", "threads": 4, "settable": False},
+    ]
+
+
 @pytest.mark.parametrize("out, meta", [
     ("out.d/report", "out.d/report.run_meta.json"),
     ("./plain", "plain.run_meta.json"),

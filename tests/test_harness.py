@@ -382,6 +382,23 @@ def test_curvature_checks_refuse_a_bad_kappa_before_any_solve(monkeypatch, kappa
             check()
 
 
+@pytest.mark.parametrize("kappa", [True, False, np.True_])
+def test_curvature_checks_refuse_a_bool_kappa(kappa):
+    with pytest.raises(ValueError, match=r"^kappa must be 0, or 1 on a unit-sphere mesh; got "):
+        check_curvature_first_eigenvalue(clifford_torus(8), kappa)
+
+
+def test_checks_with_nothing_to_check_refuse_before_any_solve(monkeypatch, sphere3):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before refusing to check nothing")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    with pytest.raises(ValueError, match=r"^nothing to check: pass vc_reference or kappa$"):
+        check_higher_eigenvalues(sphere3, kmax=2)
+    with pytest.raises(ValueError, match=r"^need either vc_reference or an immersion$"):
+        check_first_eigenvalue(sphere3)
+
+
 def test_higher_eigenvalues_both_forms(sphere3):
     rs = check_higher_eigenvalues(
         sphere3, kmax=6, m=2, vc_reference=SPHERE_AREA, kappa=0.0

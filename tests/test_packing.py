@@ -521,6 +521,35 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
     assert decided > 1000 and short_rows > 300
 
 
+def test_candidates_without_a_fitting_gap_stay_without_one_as_shells_are_added():
+    # complete rows, shells added one at a time as in a beta round: the
+    # mask changes no answer, and a candidate it loses fits no later query
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((150, 3))
+    mu = DiscreteMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                         rng.choice([0.5, 1.0, 2.0], pts.shape[0]))
+    centers = _candidate_centers(mu, 0)
+    geometry = _center_geometry(centers, mu, np.full(centers.shape[0], mu.size), np.pi)
+    lost = 0
+    for _ in range(20):
+        tau = rng.uniform(0.02, 0.3) * mu.total
+        r_max = rng.choice([np.pi, rng.uniform(0.3, np.pi)])
+        shells = centers[rng.integers(0, centers.shape[0], 6)]
+        lo = rng.uniform(0.0, 1.0, 6)
+        hi = np.minimum(lo + rng.uniform(0.05, 1.0, 6), np.pi)
+        alive = np.ones(centers.shape[0], dtype=bool)
+        for s in range(7):
+            D = geodesic_distance(centers[:, None, :], shells[:s])
+            want, _ = packing._best_annulus(geometry, D, lo[:s], hi[:s], tau, r_max)
+            dead = ~alive
+            got, short = packing._best_annulus(geometry, D, lo[:s], hi[:s], tau, r_max, alive)
+            assert got == want and short.size == 0
+            assert not (dead & alive).any()
+            assert packing._best_annulus(geometry, D, lo[:s], hi[:s], tau, r_max, dead)[0] is None
+        lost += int((~alive).sum())
+    assert lost > 100
+
+
 def _symmetric_points(m):
     """Cross-polytope and cube vertices: many exactly equal distances."""
     axes = np.vstack([np.eye(m + 1), -np.eye(m + 1)])

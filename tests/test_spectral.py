@@ -102,6 +102,101 @@ def test_rayleigh_of_eigenpairs_is_the_eigenvalue(sphere3_spec, clifford32_spec)
         assert np.all(np.abs(energies / masses - lam) <= 1e-12 * np.maximum(lam, 1.0))
 
 
+def test_rayleigh_and_arpack_bits_do_not_depend_on_the_blas_thread_count():
+    # icosphere(5)'s rows are past the length where OpenBLAS threads a dot,
+    # and clifford_torus(36) (1296 vertices) is solved by ARPACK
+    code = (
+        "import numpy as np\n"
+        "from eigenvol import clifford_torus, eigensolve, icosphere\n"
+        "from eigenvol.spectral import rayleigh\n"
+        "mesh = icosphere(5)\n"
+        "U = np.random.default_rng(3).standard_normal((3, mesh.nv))\n"
+        "print(rayleigh(mesh, U)[0].tobytes().hex())\n"
+        "spec = eigensolve(clifford_torus(36), count=9)\n"
+        "print(spec.method, spec.eigenvalues.tobytes().hex(), spec.residuals.tobytes().hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(eigenvol.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    (one, _), (two, _) = (run.communicate() for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert two.split()[1] == "arpack"
+    assert one == two
+
+
+class _FakeBLAS:
+    """A thread count with a getter and a setter, as an OpenBLAS build has."""
+
+    def __init__(self, name, threads, settable=True):
+        self.threads, self.seen = threads, []
+        self.build = spectral._OpenBLAS(name, lambda: self.threads,
+                                        self.set if settable else None)
+
+    def set(self, count):
+        self.seen.append(count)
+        self.threads = count
+
+
+def _fake_builds(monkeypatch, *fakes):
+    monkeypatch.setattr(spectral, "_openblas", lambda: tuple(f.build for f in fakes))
+
+
+def test_one_blas_thread_pins_every_settable_build_and_restores_it(monkeypatch):
+    a, b = _FakeBLAS("liba.so", 2), _FakeBLAS("libb.so", 4)
+    _fake_builds(monkeypatch, a, b)
+    with spectral.one_blas_thread():
+        assert (a.threads, b.threads) == (1, 1)
+        with spectral.one_blas_thread():  # nested: the inner block restores one
+            assert (a.threads, b.threads) == (1, 1)
+        assert (a.threads, b.threads) == (1, 1)
+    assert (a.threads, b.threads) == (2, 4)
+    assert [d["threads"] for d in spectral.blas_threads()] == [2, 4]
+
+
+def test_one_blas_thread_restores_the_counts_when_the_block_raises(monkeypatch):
+    a = _FakeBLAS("liba.so", 3)
+    _fake_builds(monkeypatch, a)
+    with pytest.raises(KeyError):
+        with spectral.one_blas_thread():
+            raise KeyError("inside")
+    assert a.threads == 3 and a.seen == [1, 3]
+
+
+def test_one_blas_thread_is_a_no_op_without_a_setter(monkeypatch):
+    a = _FakeBLAS("liba.so", 2, settable=False)
+    _fake_builds(monkeypatch, a)
+    with spectral.one_blas_thread():
+        assert a.threads == 2
+    assert a.seen == []
+    assert spectral.blas_threads() == [{"library": "liba.so", "threads": 2, "settable": False}]
+    _fake_builds(monkeypatch)  # nothing found at all
+    with spectral.one_blas_thread():
+        pass
+    assert spectral.blas_threads() == []
+
+
+def test_arpack_runs_with_every_settable_build_at_one_thread(monkeypatch, clifford32):
+    import scipy.sparse.linalg
+
+    during = []
+
+    def eigsh(*args, **kwargs):
+        during.append([d["threads"] for d in spectral.blas_threads() if d["settable"]])
+        return real(*args, **kwargs)
+
+    real = scipy.sparse.linalg.eigsh
+    before = spectral.blas_threads()
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 100)
+    assert eigensolve(clifford32, count=4).method == "arpack"
+    assert during == [[1] * len(during[0])]
+    assert spectral.blas_threads() == before
+
+
 def test_negative_count_constant_potentials(sphere3):
     # spectrum 0, 2, 2, 2, 6, ...: V=1 leaves one negative, V=2.5 leaves four
     assert negative_count(sphere3, 1.0).count == 1
