@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -255,10 +255,11 @@ def _own(mesh: TriangleMesh, thing, what: str) -> None:
 
 
 def _vc(vc_reference) -> float | None:
-    """A known conformal volume as a float, or None when there is none."""
+    """A known conformal volume as a float, or None when there is none.
+    A bool is refused, as ``integer`` refuses one for a count."""
     if vc_reference is None:
         return None
-    vc = float(vc_reference)
+    vc = math.nan if isinstance(vc_reference, (bool, np.bool_)) else float(vc_reference)
     if not (np.isfinite(vc) and vc > 0.0):
         raise ValueError(f"vc_reference must be finite and positive, got {vc_reference}")
     return vc
@@ -1099,16 +1100,20 @@ _REFERENCE_SURFACES = {
 _WEYL_PAIRS = 70
 
 
-class _Reference(NamedTuple):
+class _Reference:
     """A reference surface as the battery built it: its mesh, sphere
     immersion and known Vc (each None where there is none) and the one
-    spectrum every check of it reads."""
+    spectrum every check of it reads, solved when a check first reads it."""
 
-    name: str
-    mesh: TriangleMesh
-    immersion: SphereImmersion | None
-    vc: float | None
-    spectrum: SpectrumResult
+    def __init__(self, name: str, kmax: int, seed: int):
+        build, immerse, self.vc = _REFERENCE_SURFACES[name]
+        self.name, self.seed, self.pairs = name, seed, max(_WEYL_PAIRS, kmax + 4)
+        self.mesh = build()
+        self.immersion = immerse(self.mesh) if immerse else None
+
+    @cached_property
+    def spectrum(self) -> SpectrumResult:
+        return eigensolve(self.mesh, count=self.pairs, seed=self.seed)
 
 
 def _constants_section() -> list[CheckResult]:
@@ -1269,7 +1274,8 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     seed yields bit-identical reports.  `which` is "all" or a section of
     :func:`_battery`: constants, first, curvature, higher, counts, index,
     balance, witness, weyl.  Each reference surface is built and solved
-    once, when a check first reads it, for every check that reads it.
+    once: built when a row first names it, and solved when a check first
+    reads its spectrum, for every check that reads it.
     """
     kmax = integer(kmax, "kmax", 1)
     seed = integer(seed, "seed", 0)
@@ -1278,25 +1284,14 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     if which not in valid:
         raise ValueError(f"unknown battery {which!r}; choose from {sorted(valid)}")
 
-    references: dict = {}
-
-    def reference(name):
-        if name not in references:
-            build, immerse, vc = _REFERENCE_SURFACES[name]
-            mesh = build()
-            spectrum = eigensolve(mesh, count=max(_WEYL_PAIRS, kmax + 4), seed=seed)
-            references[name] = _Reference(
-                name, mesh, immerse(mesh) if immerse else None, vc, spectrum
-            )
-        return references[name]
-
+    reference = cache(_Reference)
     sections = []
     for section, title, rows in battery:
         if which not in ("all", section):
             continue
         results = []
         for name, check in rows:
-            out = check(reference(name)) if name else check()
+            out = check(reference(name, kmax, seed)) if name else check()
             results += out if isinstance(out, list) else [out]
         sections.append((title, results))
     return VerificationReport(sections=sections, seed=seed, kmax=kmax)

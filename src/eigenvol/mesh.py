@@ -518,27 +518,26 @@ def save_off(mesh: TriangleMesh, path) -> None:
 
 
 def _data_lines(lines):
-    """Physical line number and stripped text of each line of `lines` that
-    is neither blank nor a comment.
+    """Physical line number and fields of each line of `lines` that has
+    any once its ``#`` comment is cut off.
 
     `lines` is an open text file, which splits at newlines only:
     str.splitlines would also split at form feeds and shift the numbers."""
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield lineno, stripped
+        fields = line.partition("#")[0].split()
+        if fields:
+            yield lineno, fields
 
 
-def _counts(path, fh):
-    """Vertex and face counts and counts line number of the OFF file `fh`,
-    read from its start through its counts line."""
-    head = list(itertools.islice(_data_lines(fh), 2))
-    if not head or head[0][1].split() != ["OFF"]:
+def _counts(path, lines):
+    """Vertex and face counts of an OFF file, read through its counts line
+    from `lines`, the file's :func:`_data_lines` from its start."""
+    head = list(itertools.islice(lines, 2))
+    if not head or head[0][1] != ["OFF"]:
         raise ValueError(f"{path}: missing OFF header")
     if len(head) < 2:
         raise ValueError(f"{path}: missing counts line")
-    lineno, line = head[1]
-    counts = line.split()
+    lineno, counts = head[1]
     if len(counts) != 3:
         raise ValueError(f"{path}:{lineno}: counts line must have three fields")
     try:
@@ -547,13 +546,13 @@ def _counts(path, fh):
         raise ValueError(f"{path}:{lineno}: bad counts line") from exc
     if nv < 0 or nf < 0:
         raise ValueError(f"{path}:{lineno}: bad counts line")
-    return nv, nf, lineno
+    return nv, nf
 
 
-def _row(text, dtype):
-    """The values of one line as np.loadtxt reads them, or None if it refuses."""
+def _row(fields, dtype):
+    """The values of one line's fields as np.loadtxt reads them, or None if it refuses."""
     try:
-        return np.loadtxt([text], dtype=dtype, comments="#", ndmin=1).tolist()
+        return np.loadtxt([" ".join(fields)], dtype=dtype, ndmin=1).tolist()
     except ValueError:
         return None
 
@@ -563,26 +562,23 @@ def _name_refused_line(path, fh):
     that np.loadtxt refuses, or else saying that the blocks are short.
     Reads `fh` again from its start, one line at a time."""
     fh.seek(0)
-    nv, nf, lineno = _counts(path, fh)
-    dim = row = 0
-    for lineno, line in enumerate(fh, start=lineno + 1):
-        fields = line.partition("#")[0].split()
-        if not fields:
-            continue
+    lines = _data_lines(fh)
+    nv, nf = _counts(path, lines)
+    dim = 0
+    for row, (lineno, fields) in enumerate(lines):
         problem = ""
         if row < nv:
             dim = dim or len(fields)
             if len(fields) != dim:
                 problem = f"vertex has {len(fields)} coordinates, expected {dim}"
-            elif _row(line, np.float64) is None:
+            elif _row(fields, np.float64) is None:
                 problem = "bad vertex coordinate"
-        elif len(fields) != 4 or _row(fields[0], np.int64) != [3]:
+        elif len(fields) != 4 or _row(fields[:1], np.int64) != [3]:
             problem = "only triangle faces are supported"
-        elif _row(line, np.int64) is None:
+        elif _row(fields, np.int64) is None:
             problem = "bad face index"
         if problem:
             raise ValueError(f"{path}:{lineno}: {problem}")
-        row += 1
     raise ValueError(f"{path}: expected {nv} vertices and {nf} faces")
 
 
@@ -598,9 +594,11 @@ def load_off(path) -> TriangleMesh:
     and then the face block (``int64``) from the open file, so no line is
     kept as a Python string.  Its rules are the file's rules:
 
-    * ``#`` starts a comment wherever it stands: ``1 1 1 # note`` is a
-      vertex of three coordinates.
-    * A byte that is not UTF-8 reads as U+FFFD: fine in a comment, refused elsewhere.
+    * ``#`` starts a comment wherever it stands, also on the header and
+      counts lines: ``OFF # from tool`` is the header, ``12 20 0 # counts``
+      the counts line and ``1 1 1 # note`` a vertex of three coordinates.
+    * A UTF-8 byte order mark before ``OFF`` is skipped.  A byte that is
+      not UTF-8 reads as U+FFFD: fine in a comment, refused elsewhere.
     * Values read as ``np.loadtxt`` reads them: ``+10``, ``1e1`` and
       ``-10.0`` are coordinates, ``+3`` and ``03`` indices, while ``1_0``,
       ``0_3`` and non-ASCII digits such as ``٣`` are refused, and ``3.0``
@@ -617,11 +615,11 @@ def load_off(path) -> TriangleMesh:
         On malformed content, with the offending line number.
     """
     start = time.perf_counter()
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         fh = fh if fh.seekable() else io.StringIO(fh.read())
         size = fh.seek(0, os.SEEK_END)
         fh.seek(0)
-        nv, nf, _ = _counts(path, fh)
+        nv, nf = _counts(path, _data_lines(fh))
         verts = faces = None
         # np.loadtxt reserves max_rows rows up front; n bytes hold fewer rows
         if nv + nf <= size:

@@ -56,10 +56,10 @@ class DiscreteMeasure:
     Coincident atoms (equal to 12 decimals) are merged on construction,
     keeping the first occurrence as the representative point; zero-weight
     atoms are dropped.  Non-finite points or weights, negative weights and
-    weights whose total overflows are rejected.  A measure is not changed
-    after construction: :func:`gny_decompose` keeps the distance table of
-    its last call on it, for a next decomposition with the same seed and
-    reach.
+    weights whose total overflows are rejected.  Its points and weights
+    are not changed after construction; :func:`gny_decompose` keeps on it
+    the distance table of its last call, for a next decomposition with
+    the same seed and reach.
     """
 
     def __init__(self, points, weights):

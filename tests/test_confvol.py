@@ -294,6 +294,21 @@ def test_bfgs_reaches_a_far_minimum_in_logarithmically_many_calls(distance):
     assert len(seen) <= 8 * np.log2(distance)
 
 
+def test_bfgs_stops_when_no_step_makes_an_armijo_decrease():
+    # a gradient of the wrong sign points every step uphill: steps shrink
+    # below 1e-10 and the search stops where it started
+    seen = []
+
+    def uphill(x):
+        seen.append(x)
+        return x @ x, -2.0 * x
+
+    g = _bfgs(uphill, np.ones(2))
+    assert np.array_equal(g, [-2.0, -2.0])  # the gradient at the start
+    assert np.max(np.abs(seen[-1] - 1.0)) < 1e-9  # the last trial, a step under 1e-10 |d|
+    assert 2 < len(seen) < 100
+
+
 @pytest.mark.parametrize("starts", [0, -1])
 def test_conformal_volume_rejects_no_starts(sphere3, starts):
     with pytest.raises(ValueError, match=f"^starts must be an integer >= 1, got {starts}$"):
@@ -426,6 +441,15 @@ def test_hersch_center_damps_steps_that_do_not_lower_the_moment(sphere3, monkeyp
         best = min(best, norm)
     assert (res.iterations, len(trials), rejected) == (95, 95, 30)
     assert res.moment_norm < HERSCH_TOL
+
+
+def test_hersch_center_stops_at_its_damping_floor(sphere3):
+    # every image at one pole: no dilation moves it, the moment never
+    # drops, and the damping halves from 1 below 1e-8 in 27 rejected steps
+    north = np.tile([0.0, 0.0, 1.0], (sphere3.nv, 1))
+    res = hersch_center(SphereImmersion(sphere3, north))
+    assert res.iterations == 26
+    assert res.moment_norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_hersch_center_recenters_a_dilated_sphere(sphere4):

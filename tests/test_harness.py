@@ -100,6 +100,18 @@ def test_constants_for_a_huge_dimension_are_refused_before_they_are_formed():
         proof_constants(200000, 2)
 
 
+def test_constants_section_refuses_a_broken_chain(monkeypatch):
+    exact = harness.proof_constants
+
+    def broken(n, m):
+        cs = exact(n, m)
+        return replace(cs, count_curvature=cs.count_curvature * 2)
+
+    monkeypatch.setattr(harness, "proof_constants", broken)
+    with pytest.raises(VerificationError, match="^constant chain broke; arithmetic is rational$"):
+        run_verification("constants")
+
+
 def test_constants_reject_bad_dimensions():
     with pytest.raises(ValueError):
         proof_constants(3, 2)
@@ -184,6 +196,17 @@ def test_surface_solves_once_for_every_check(monkeypatch):
     assert counts == [74] * 3
 
 
+@pytest.mark.parametrize("section", ["constants", "index", "counts", "balance"])
+def test_sections_that_read_no_spectrum_solve_none(monkeypatch, section):
+    # a reference surface is solved when a check first reads its
+    # spectrum, not when a row first names it
+    def solve(*args, **kwargs):
+        raise AssertionError(f"verify {section} solved a spectrum no row reads")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    assert run_verification(section, 0).sections
+
+
 def test_checks_given_a_spectrum_match_their_own_solve(sphere3, assert_report_close):
     spectrum = eigensolve(sphere3, 70)
     immersion = SphereImmersion.identity(sphere3)
@@ -250,14 +273,22 @@ def test_checks_refuse_a_spectrum_shorter_than_they_read(sphere3, sphere3_spec):
             check()
 
 
-@pytest.mark.parametrize("vc", [0.0, -1.0, float("nan"), float("inf")])
-def test_checks_refuse_a_vc_reference_not_finite_and_positive(sphere3, sphere3_spec, vc):
+# a bool reads as 1.0 or 0.0 through float(); it is refused, as a bool
+# count or kappa is
+@pytest.mark.parametrize("vc", [0.0, -1.0, float("nan"), float("inf"),
+                                True, False, np.True_, np.False_])
+def test_checks_refuse_a_vc_reference_not_finite_and_positive(monkeypatch, sphere3, vc):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before vc_reference was checked")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    monkeypatch.setattr(harness, "negative_count", solve)
     immersion = SphereImmersion.identity(sphere3)
     checks = [
-        lambda: check_first_eigenvalue(sphere3, immersion, vc, spectrum=sphere3_spec),
-        lambda: check_higher_eigenvalues(sphere3, vc_reference=vc, spectrum=sphere3_spec),
+        lambda: check_first_eigenvalue(sphere3, immersion, vc),
+        lambda: check_higher_eigenvalues(sphere3, vc_reference=vc),
         lambda: check_eigenvalue_counts(sphere3, 2.5, vc_reference=vc),
-        lambda: build_witness_chain(sphere3, immersion, 2, vc, spectrum=sphere3_spec),
+        lambda: build_witness_chain(sphere3, immersion, 2, vc),
     ]
     for check in checks:
         with pytest.raises(ValueError, match="^vc_reference must be finite and positive, got "):

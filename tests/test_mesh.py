@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import threading
 
 import numpy as np
@@ -495,6 +496,45 @@ def test_off_ambient_comment_after_counts_is_ignored(tmp_path, monkeypatch):
         assert mesh.ambient is None
         assert np.array_equal(mesh.vertices, verts * np.sqrt(3.0))
         assert np.array_equal(mesh.faces, faces)
+
+
+def _icosphere1_off(tmp_path):
+    # icosphere(1) as save_off writes it: header, counts, 42 vertex lines,
+    # so its first face is line 45
+    mesh = icosphere(1)
+    path = tmp_path / "plain.off"
+    save_off(mesh, path)
+    return load_off(path), path.read_text().splitlines(keepends=True)
+
+
+def _same_mesh(a, b):
+    return a.vertices.tobytes() == b.vertices.tobytes() and a.faces.tobytes() == b.faces.tobytes()
+
+
+def test_off_header_and_counts_lines_take_trailing_comments(tmp_path, monkeypatch):
+    plain, lines = _icosphere1_off(tmp_path)
+    lines[0], lines[1] = "OFF # from tool\n", lines[1].rstrip() + "\t# counts\n"
+    path = tmp_path / "commented.off"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(mesh_module, "_name_refused_line", _namer_refused)
+    assert _same_mesh(load_off(path), plain)
+    monkeypatch.undo()
+    lines[44] = "3 0 x 1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:45: bad face index$"):
+        load_off(path)
+
+
+def test_off_byte_order_mark_is_skipped(tmp_path):
+    plain, lines = _icosphere1_off(tmp_path)
+    path = tmp_path / "bom.off"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(lines).encode())
+    assert _same_mesh(load_off(path), plain)
+    # the mark does not shift the numbers of refused lines
+    lines[44] = "4 0 1 2 3\n"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(lines).encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:45: only triangle faces"):
+        load_off(path)
 
 
 def test_off_io_logs_one_debug_record_each(tmp_path, caplog, sphere3):

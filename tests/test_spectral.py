@@ -179,6 +179,20 @@ def test_one_blas_thread_is_a_no_op_without_a_setter(monkeypatch):
     assert spectral.blas_threads() == []
 
 
+def test_no_openblas_is_found_without_proc(monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    # the module's own open shadows the builtin; the cache is emptied so
+    # that the builds are looked up again, and the real cache comes back
+    monkeypatch.setattr(spectral, "open", no_proc, raising=False)
+    monkeypatch.setattr(spectral, "_openblas_found", {})
+    assert spectral._find_openblas() == ()
+    assert spectral.blas_threads() == []
+    with spectral.one_blas_thread():
+        pass
+
+
 def test_arpack_runs_with_every_settable_build_at_one_thread(monkeypatch, clifford32):
     import scipy.sparse.linalg
 
