@@ -266,7 +266,7 @@ class SphereImmersion:
 
     @classmethod
     def identity(cls, mesh: TriangleMesh) -> "SphereImmersion":
-        if mesh.vertices is None:
+        if mesh.ambient != "unit_sphere":
             raise ValueError("identity immersion needs a unit_sphere mesh")
         return cls(mesh, mesh.vertices)
 

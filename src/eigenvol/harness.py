@@ -265,21 +265,20 @@ def _vc(vc_reference) -> float | None:
     return vc
 
 
-def _lowest(mesh: TriangleMesh, spectrum: SpectrumResult | None, count: int, seed: int = 0):
-    """The lowest `count` pairs of `spectrum`, which must be a spectrum of
-    `mesh`, or of a fresh solve when it is None."""
+def _eigenvalues(mesh: TriangleMesh, spectrum: SpectrumResult | None, pairs: int, count: int,
+                 seed: int = 0) -> tuple[SpectrumResult, np.ndarray]:
+    """The harness's one spectrum reader: the lowest `pairs` pairs of
+    `spectrum`, which must be a spectrum of `mesh`, or of a fresh solve when
+    it is None, and their `count` lowest nonzero eigenvalues."""
     if spectrum is None:
-        return eigensolve(mesh, count=count, seed=seed)
-    _own(mesh, spectrum, "spectrum")
-    return spectrum.head(count)
-
-
-def _nonzero(spec: SpectrumResult, count: int) -> np.ndarray:
-    """The `count` lowest nonzero eigenvalues of `spec`."""
+        spec = eigensolve(mesh, count=pairs, seed=seed)
+    else:
+        _own(mesh, spectrum, "spectrum")
+        spec = spectrum.head(pairs)
     lams = spec.nonzero()[:count]
     if lams.shape[0] < count:
         raise ValueError(f"spectrum only has {lams.shape[0]} nonzero eigenvalues, need {count}")
-    return lams
+    return spec, lams
 
 
 def _component(mesh: TriangleMesh, kappa: float) -> str:
@@ -331,8 +330,8 @@ def check_first_eigenvalue(
     vc = _vc(vc_reference)
     if vc is None and immersion is None:
         raise ValueError("need either vc_reference or an immersion")
-    spec = _lowest(mesh, spectrum, _FIRST_PAIRS, seed)
-    lam1 = float(_nonzero(spec, 1)[0])
+    spec, lams = _eigenvalues(mesh, spectrum, _FIRST_PAIRS, 1, seed)
+    lam1 = float(lams[0])
     vol = mesh.area
     lhs = lam1 * vol
 
@@ -406,8 +405,8 @@ def check_curvature_first_eigenvalue(
     its lowest pairs.
     """
     w2 = willmore_energy(mesh, _component(mesh, kappa))
-    spec = _lowest(mesh, spectrum, _FIRST_PAIRS)
-    lam1 = float(_nonzero(spec, 1)[0])
+    spec, lams = _eigenvalues(mesh, spectrum, _FIRST_PAIRS, 1)
+    lam1 = float(lams[0])
     vol = mesh.area
     rhs = 2.0 * (w2 + kappa * vol) / vol
     return _ineq(
@@ -451,19 +450,18 @@ def check_higher_eigenvalues(
     is needed.  The constants are astronomically generous; the point of
     evaluating them literally is that the margin, too, becomes a number.
     `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
-    its kmax + 4 lowest pairs.
+    its kmax + 4 lowest pairs, which the mesh must hold.
     """
-    kmax = integer(kmax, "kmax", 1)
+    kmax = integer(integer(kmax, "kmax", 1), "kmax", 1, mesh.nv - 4)
     vc = _vc(vc_reference)
     if vc is None and kappa is None:
         raise ValueError("nothing to check: pass vc_reference or kappa")
+    consts = proof_constants(2, m)
     vol = mesh.area
     if kappa is not None:
         avg = (willmore_energy(mesh, _component(mesh, kappa)) + kappa * vol) / vol
-    spec = _lowest(mesh, spectrum, kmax + 4)
-    lams = _nonzero(spec, kmax)
+    spec, lams = _eigenvalues(mesh, spectrum, kmax + 4, kmax)
     ks = np.arange(1, kmax + 1, dtype=float)
-    consts = proof_constants(2, m)
     results = []
 
     # both forms bound lambda_k (times Vol in the conformal one) by C x k
@@ -575,20 +573,22 @@ def check_eigenvalue_counts(
     """Lower bounds for the number of negative Schroedinger eigenvalues.
 
     For the operator -Laplace - V with V >= 0 the count N(V) dominates
-    explicit multiples of int V.  Four forms are checked where their
-    hypotheses apply: conformal (needs Vc), minimal-in-sphere, and two
-    curvature forms (need an embedding, int(|H|^2 + kappa)).
+    explicit multiples of int V.  The forms are one table of rows
+    N(V) >= bound, each where its hypotheses apply: count-conformal (needs
+    Vc), count-minimal (Vc and `minimal_in_sphere`) and count-curvature
+    (`kappa`; reads int(|H|^2 + kappa)).
 
-    When an immersion is supplied, the proof is replayed: annuli are
-    packed against the potential-weighted image measure, their test
-    functions pulled back, and each verified to make the quadratic form
-    strictly negative wherever the guaranteed count is positive.  At
-    guaranteed count zero the constant function is the witness: its
-    form value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
+    With an immersion, the conformal and curvature proofs are replayed:
+    annuli are packed against the potential-weighted image measure, their
+    test functions pulled back, and each verified to make the quadratic
+    form strictly negative wherever the guaranteed count is positive.  At
+    guaranteed count zero the constant function is the witness: its form
+    value is -int V / Vol < 0, so N(V) >= 1 whenever int V > 0.
     """
     seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
+    consts = proof_constants(2, m)
     # a contiguous copy: vertex_areas @ V rounds otherwise on a broadcast view
     V = vertex_values(mesh, potential, "potential").copy()
     vol = mesh.area
@@ -600,47 +600,30 @@ def check_eigenvalue_counts(
         raise ValueError(f"int V must be finite, got {intV}")
     counted = negative_count(mesh, V)
     N = counted.count
-    consts = proof_constants(2, m)
-    results = []
     bars = {"boundary_modes": counted.boundary_count, "count_tol": counted.tol}
 
-    def count_check(name, lhs, statement, detail):
-        guaranteed = int(np.floor(lhs))
-        detail = dict(detail, guaranteed_count=guaranteed, observed_count=N)
-        results.append(
-            _ineq(name, statement, lhs, float(N), detail=detail, error_bars=bars)
-        )
-        return guaranteed
-
-    k_conformal = None
-    if vc_reference is not None:
-        C = float(consts.count_conformal)
-        lhs = C / vc_reference * intV  # Vol^{1 - n/2} = 1 at n = 2
-        k_conformal = count_check(
-            "count-conformal",
-            lhs,
-            f"N(V) = {N} >= (C/Vc) int V = {lhs:.3e}",
-            {"constant": str(consts.count_conformal), "vc": vc_reference, "int_V": intV},
-        )
+    # the forms as (row name, lower bound, formula, detail, replay family or
+    # None); the conformal family packs twice the annuli it needs and keeps
+    # the lightest, the curvature family uses every annulus it packs
+    C, C3 = float(consts.count_conformal), float(consts.count_curvature)
+    forms = []
+    if vc_reference is not None:  # Vol^{1 - n/2} = 1 at n = 2
+        forms.append(("count-conformal", C / vc_reference * intV, "(C/Vc) int V",
+                      {"constant": str(consts.count_conformal), "vc": vc_reference,
+                       "int_V": intV}, ("conformal_family", True)))
         if minimal_in_sphere:
-            lhs2 = C * intV / vol
-            count_check(
-                "count-minimal",
-                lhs2,
-                f"N(V) = {N} >= C avg V = {lhs2:.3e}",
-                {"constant": str(consts.count_conformal), "int_V": intV},
-            )
-
-    k_curvature = None
+            forms.append(("count-minimal", C * intV / vol, "C avg V",
+                          {"constant": str(consts.count_conformal), "int_V": intV}, None))
     if kappa is not None:
-        C3 = float(consts.count_curvature)
-        lhs3 = C3 * intV / denom
-        k_curvature = count_check(
-            "count-curvature",
-            lhs3,
-            f"N(V) = {N} >= C int V / int(|H|^2 + {kappa:g}) = {lhs3:.3e}",
-            {"constant": str(consts.count_curvature), "curvature_integral": denom},
-        )
+        forms.append(("count-curvature", C3 * intV / denom,
+                      f"C int V / int(|H|^2 + {kappa:g})",
+                      {"constant": str(consts.count_curvature), "curvature_integral": denom},
+                      ("curvature_family", False)))
+    results = [
+        _ineq(name, f"N(V) = {N} >= {formula} = {lhs:.3e}", lhs, float(N), error_bars=bars,
+              detail=dict(detail, guaranteed_count=int(np.floor(lhs)), observed_count=N))
+        for name, lhs, formula, detail, _ in forms
+    ]
 
     # ---- constructive replay -------------------------------------- #
     if immersion is not None and intV > 0.0:
@@ -654,18 +637,14 @@ def check_eigenvalue_counts(
         nu = pushforward_measure(immersion, density=V)
         mu = pushforward_measure(immersion)
 
-        # the conformal form packs twice the annuli it needs and keeps the
-        # lightest; the curvature form uses every annulus it packs
-        for key, guaranteed, doubled in (
-            ("conformal_family", k_conformal, True),
-            ("curvature_family", k_curvature, False),
-        ):
-            if guaranteed is None:
+        for (*_, family), result in zip(forms, results):
+            if family is None:
                 continue
-            kk = max(guaranteed, 0)
-            pieces = 2 * (kk + 1) if doubled else kk + 1
+            # int V > 0 here, so no guaranteed count is negative
+            (key, doubled), guaranteed = family, result.detail["guaranteed_count"]
+            pieces = 2 * (guaranteed + 1) if doubled else guaranteed + 1
             _, beta, chosen, _, energies, pot_masses = _replay_family(
-                immersion, nu, pieces, seed, V, light=(mu, kk + 1) if doubled else None
+                immersion, nu, pieces, seed, V, light=(mu, guaranteed + 1) if doubled else None
             )
             strict = energies < pot_masses
             replay[key] = {
@@ -954,18 +933,19 @@ def build_witness_chain(
       principle, allowed only the eigensolver's own residual.
 
     `spectrum`, pairs of `mesh` solved elsewhere, replaces the solve of
-    its k + 4 lowest pairs; every pair it holds counts towards the
-    spectral error bar.
+    its k + 4 lowest pairs, which the mesh must hold; every pair it holds
+    counts towards the spectral error bar.
     """
-    k = integer(k, "k", 1)
+    k = integer(integer(k, "k", 1), "k", 1, mesh.nv - 4)
     seed = integer(seed, "seed", 0)
     _own(mesh, immersion, "immersion")
     vc_reference = _vc(vc_reference)
     if vc_reference is None:
         raise ValueError("the witness chain needs vc_reference")
+    consts = proof_constants(2, immersion.target_dim)
     pairs = k + 4 if spectrum is None else spectrum.eigenvalues.shape[0]
-    spec = _lowest(mesh, spectrum, pairs, seed)
-    lam_k = float(_nonzero(spec, k)[k - 1])
+    spec, lams = _eigenvalues(mesh, spectrum, pairs, k, seed)
+    lam_k = float(lams[k - 1])
     vol = mesh.area
     mu = pushforward_measure(immersion)
 
@@ -977,7 +957,6 @@ def build_witness_chain(
         raise VerificationError("squared mass fell below 81/625 of the annulus")
 
     rayleighs = energies / sq_masses
-    consts = proof_constants(2, immersion.target_dim)
     punch = float(consts.higher_eigenvalue) * vc_reference / vol * k
 
     dist = immersion.distortion
@@ -1107,13 +1086,14 @@ class _Reference:
 
     def __init__(self, name: str, kmax: int, seed: int):
         build, immerse, self.vc = _REFERENCE_SURFACES[name]
-        self.name, self.seed, self.pairs = name, seed, max(_WEYL_PAIRS, kmax + 4)
+        self.name, self.kmax, self.seed = name, kmax, seed
         self.mesh = build()
         self.immersion = immerse(self.mesh) if immerse else None
 
     @cached_property
     def spectrum(self) -> SpectrumResult:
-        return eigensolve(self.mesh, count=self.pairs, seed=self.seed)
+        kmax = integer(self.kmax, "kmax", 1, self.mesh.nv - 4)
+        return eigensolve(self.mesh, count=max(_WEYL_PAIRS, kmax + 4), seed=self.seed)
 
 
 def _constants_section() -> list[CheckResult]:
@@ -1149,7 +1129,7 @@ def _constants_section() -> list[CheckResult]:
 def _genus_check(ref: _Reference) -> CheckResult:
     """lambda_1 Vol <= 2 Vc with Vc bounded by the covering degree."""
     mesh = ref.mesh
-    lam1 = float(_nonzero(ref.spectrum, 1)[0])
+    lam1 = float(_eigenvalues(mesh, ref.spectrum, _FIRST_PAIRS, 1)[1][0])
     bound = 2.0 * genus_conformal_volume_bound(mesh.genus, mesh.orientable)
     return _ineq(
         f"first-eigenvalue-genus-{ref.name}",

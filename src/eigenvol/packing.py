@@ -329,7 +329,7 @@ def _searchsorted(table, lo, hi, values):
     return lo
 
 
-def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive=None):
+def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive):
     """Cheapest admissible annulus over all candidate centers.
 
     `D` holds the distance from every candidate to every accepted shell
@@ -352,7 +352,7 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive=None):
     changes neither the answer nor its ties.
     """
     radii, cum, first, last, complete = geometry
-    live = np.flatnonzero(np.ones(D.shape[0], dtype=bool) if alive is None else alive)
+    live = np.flatnonzero(alive)
     D = D[live]
     lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
     upper = np.minimum(np.minimum(np.pi, D + shell_hi), 2.0 * np.pi - D - shell_lo)
@@ -389,9 +389,8 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive=None):
     # that bound lies below the best decided outer radius.
     reached = radii[last - 1]
     decided = complete[rows] | (j + 1 < last) | (reached >= top)
-    if alive is not None:
-        alive[live] = False
-        alive[rows[fits | ~decided]] = True
+    alive[live] = False
+    alive[rows[fits | ~decided]] = True
     outer = np.where(fits & decided, outer, np.inf)
     bound = outer.min(initial=np.inf)
     short = np.unique(rows[~decided & (np.maximum(reached, inner) < bound)])

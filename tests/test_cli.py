@@ -188,6 +188,12 @@ def test_power_map_of_a_mesh_outside_r3_is_one_line(runner):
     assert result.output.splitlines() == ["Error: power map needs a unit_sphere mesh in R^3"]
 
 
+def test_identity_map_of_a_mesh_off_the_unit_sphere_is_one_line(runner):
+    result = runner.invoke(main, ["confvol", "--fixture", "revolution:3,1,8", "--map", "identity"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: identity immersion needs a unit_sphere mesh"]
+
+
 def test_confvol_unknown_map_is_one_line(runner):
     result = runner.invoke(main, ["confvol", "--fixture", "icosphere:1", "--map", "shear"])
     assert result.exit_code == 2
@@ -273,6 +279,14 @@ def test_verify_rejects_kmax_below_one(runner):
     result = runner.invoke(main, ["verify", "higher", "--kmax", "0"])
     assert result.exit_code == 1
     assert result.output.splitlines() == ["Error: kmax must be an integer >= 1, got 0"]
+
+
+@pytest.mark.parametrize("section, kmax", [("higher", 1000), ("weyl", 700)])
+def test_verify_refuses_a_kmax_past_the_sphere_by_name(runner, section, kmax):
+    # icosphere(3), the first surface solved, holds kmax + 4 pairs up to kmax = 638
+    result = runner.invoke(main, ["verify", section, "--kmax", str(kmax)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: kmax must be an integer in [1, 638], got {kmax}"]
 
 
 def test_verify_section_and_report(runner, tmp_path):

@@ -534,7 +534,7 @@ def test_immersion_images_follow_the_unit_sphere_rule(row, scale, worst):
     (lambda: SphereImmersion(icosphere(1), icosphere(1).vertices, [80]),
      "singular face index out of range"),
     (lambda: SphereImmersion.identity(revolution_torus()),
-     r"point not on the unit sphere \(\|norm - 1\| = 1\.414e\+00\)"),
+     "identity immersion needs a unit_sphere mesh"),
     (lambda: SphereImmersion.identity(flat_torus(1.0, 1.0, 8)),
      "identity immersion needs a unit_sphere mesh"),
     (lambda: SphereImmersion.fold(revolution_torus(), [0.0, 0.0, 1.0]),

@@ -430,6 +430,28 @@ def test_checks_with_nothing_to_check_refuse_before_any_solve(monkeypatch, spher
         check_first_eigenvalue(sphere3)
 
 
+def test_checks_read_the_proof_constants_before_any_solve_count_or_packing(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("worked before the proof constants were read")
+
+    for name in ("eigensolve", "negative_count", "gny_decompose"):
+        monkeypatch.setattr(harness, name, reached)
+    mesh = icosphere(2)
+    i = np.arange(mesh.nv)
+    circle = SphereImmersion(mesh, np.column_stack([np.cos(i), np.sin(i)]))  # into S^1
+    low, overflow = r"m must be an integer >= 2, got 1", r"the proof constants for n = 2, m = 30"
+    cases = [
+        (lambda: check_higher_eigenvalues(mesh, 4, m=1, vc_reference=SPHERE_AREA), low),
+        (lambda: check_higher_eigenvalues(mesh, 4, m=30, vc_reference=SPHERE_AREA), overflow),
+        (lambda: check_eigenvalue_counts(mesh, 2.5, m=1, vc_reference=SPHERE_AREA), low),
+        (lambda: check_eigenvalue_counts(mesh, 2.5, m=30, vc_reference=SPHERE_AREA), overflow),
+        (lambda: build_witness_chain(mesh, circle, 2, SPHERE_AREA), low),
+    ]
+    for check, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check()
+
+
 def test_higher_eigenvalues_both_forms(sphere3):
     rs = check_higher_eigenvalues(
         sphere3, kmax=6, m=2, vc_reference=SPHERE_AREA, kappa=0.0
@@ -454,6 +476,32 @@ def test_kmax_below_one_is_rejected(sphere3, kmax):
         check_higher_eigenvalues(sphere3, kmax=kmax, vc_reference=SPHERE_AREA)
     with pytest.raises(ValueError, match=message):
         run_verification("higher", kmax=kmax)
+
+
+def test_checks_refuse_a_k_the_mesh_cannot_hold_before_any_solve(monkeypatch):
+    # a check reads k + 4 pairs, so k is refused by its own name past
+    # nv - 4: 38 on icosphere(1), 317 on the battery's veronese(3)
+    def solve(*args, **kwargs):
+        raise AssertionError("solved more pairs than the mesh holds")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    mesh = icosphere(1)
+    cases = [
+        (lambda: check_higher_eigenvalues(mesh, kmax=40, vc_reference=SPHERE_AREA),
+         r"kmax must be an integer in \[1, 38\], got 40"),
+        (lambda: build_witness_chain(mesh, SphereImmersion.identity(mesh), 40, SPHERE_AREA),
+         r"k must be an integer in \[1, 38\], got 40"),
+        (lambda: run_verification("higher", kmax=1000),
+         r"kmax must be an integer in \[1, 638\], got 1000"),
+        (lambda: harness._Reference("veronese", 318, 0).spectrum,
+         r"kmax must be an integer in \[1, 317\], got 318"),
+    ]
+    for check, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
+    assert check_higher_eigenvalues(
+        mesh, kmax=38, vc_reference=SPHERE_AREA, spectrum=eigensolve(mesh, 42)
+    )[0].detail["eigenvalues"].shape == (38,)
 
 
 # ---------------------------------------------------------------------- #
@@ -529,6 +577,33 @@ def test_count_replay_refuses_a_guarantee_its_annuli_do_not_meet(sphere3, monkey
         check_eigenvalue_counts(
             sphere3, 1.5, vc_reference=SPHERE_AREA, immersion=SphereImmersion.identity(sphere3)
         )
+
+
+def test_count_replay_certifies_positive_guarantees(sphere3, monkeypatch):
+    # with both counting constants set to 1/10, V = 60 on icosphere(3)
+    # guarantees 5, 6 and 5 of the 64 negative eigenvalues: the conformal
+    # replay packs 12 annuli and keeps the 6 lightest, the curvature replay
+    # packs 6, and every annulus function makes the form strictly negative
+    constants = harness.proof_constants
+    monkeypatch.setattr(
+        harness, "proof_constants",
+        lambda n, m: replace(constants(n, m), count_conformal=Fraction(1, 10),
+                             count_curvature=Fraction(1, 10)),
+    )
+    rs = check_eigenvalue_counts(
+        sphere3, 60.0, vc_reference=SPHERE_AREA, immersion=SphereImmersion.identity(sphere3),
+        kappa=0.0, minimal_in_sphere=True,
+    )
+    assert [r.name for r in rs] == ["count-conformal", "count-minimal", "count-curvature"]
+    assert [r.detail["guaranteed_count"] for r in rs] == [5, 6, 5]
+    assert all(r.ok and r.detail["observed_count"] == 64 for r in rs)
+    conformal, curvature = (rs[0].detail["replay"][key]
+                            for key in ("conformal_family", "curvature_family"))
+    assert conformal["annuli"] == 12 and len(conformal["selected"]) == 6
+    assert curvature["annuli"] == 6 and "selected" not in curvature
+    for family in (conformal, curvature):
+        assert len(family["energies"]) == 6 and family["strictly_negative"].all()
+        assert np.all(family["energies"] < family["potential_masses"])
 
 
 def test_counts_reject_signed_potential(sphere3):

@@ -708,8 +708,12 @@ def test_sphere_vertices_follow_the_unit_sphere_rule():
     assert TriangleMesh(verts * (1.0 + 5e-13), faces).ambient == "unit_sphere"
     outside = TriangleMesh(verts * (1.0 + 2e-12), faces)
     assert outside.ambient is None
-    with pytest.raises(ValueError, match=r"^point not on the unit sphere \(\|norm - 1\| = 2\.0"):
+    # the identity refuses by its own name what the tag refuses; the same
+    # images given directly meet the same rule
+    with pytest.raises(ValueError, match="^identity immersion needs a unit_sphere mesh$"):
         SphereImmersion.identity(outside)
+    with pytest.raises(ValueError, match=r"^point not on the unit sphere \(\|norm - 1\| = 2\.0"):
+        SphereImmersion(outside, outside.vertices)
 
 
 def _bad_mesh(vertices=None, faces=None, **kwargs):

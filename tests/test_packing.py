@@ -501,7 +501,7 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
         hi = np.minimum(lo + rng.uniform(0.05, 1.5, shells.shape[0]), np.pi)
         full = (np.tile(f_radii, 2), np.tile(f_cum, 2), np.array([0, f_size]),
                 np.array([f_size - 1, 2 * f_size - 1]), np.ones(2, dtype=bool))
-        want, _ = packing._best_annulus(full, D, lo, hi, tau, r_max)
+        want, _ = packing._best_annulus(full, D, lo, hi, tau, r_max, np.ones(D.shape[0], bool))
         radii, cum, first, last, complete = _center_geometry(
             np.repeat(c, mu.size, axis=0), mu, lengths, min(r_max, np.pi / 2)
         )
@@ -511,7 +511,9 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
             geometry = (np.append(radii[row], f_radii), np.append(cum[row], f_cum),
                         np.array([0, size]), np.array([size - 1, size + f_size - 1]),
                         np.array([complete[i], True]))
-            got, short = packing._best_annulus(geometry, D, lo, hi, tau, r_max)
+            got, short = packing._best_annulus(
+                geometry, D, lo, hi, tau, r_max, np.ones(D.shape[0], bool)
+            )
             short_rows += short.size
             if not short.size:
                 decided += 1
@@ -540,7 +542,9 @@ def test_candidates_without_a_fitting_gap_stay_without_one_as_shells_are_added()
         alive = np.ones(centers.shape[0], dtype=bool)
         for s in range(7):
             D = geodesic_distance(centers[:, None, :], shells[:s])
-            want, _ = packing._best_annulus(geometry, D, lo[:s], hi[:s], tau, r_max)
+            want, _ = packing._best_annulus(
+                geometry, D, lo[:s], hi[:s], tau, r_max, np.ones(D.shape[0], bool)
+            )
             dead = ~alive
             got, short = packing._best_annulus(geometry, D, lo[:s], hi[:s], tau, r_max, alive)
             assert got == want and short.size == 0
