@@ -1090,10 +1090,13 @@ class _Reference:
         self.mesh = build()
         self.immersion = immerse(self.mesh) if immerse else None
 
+    def pairs(self) -> int:
+        """Pairs its spectrum holds; refuses a kmax its mesh cannot hold."""
+        return max(_WEYL_PAIRS, integer(self.kmax, "kmax", 1, self.mesh.nv - 4) + 4)
+
     @cached_property
     def spectrum(self) -> SpectrumResult:
-        kmax = integer(self.kmax, "kmax", 1, self.mesh.nv - 4)
-        return eigensolve(self.mesh, count=max(_WEYL_PAIRS, kmax + 4), seed=self.seed)
+        return eigensolve(self.mesh, count=self.pairs(), seed=self.seed)
 
 
 def _constants_section() -> list[CheckResult]:
@@ -1182,8 +1185,8 @@ def _weyl_check(ref: _Reference) -> CheckResult:
 
 
 def _battery(kmax: int, seed: int) -> list:
-    """The battery as (section, report title, rows), each row a
-    (surface, check) pair run in order.
+    """The battery as (section, report title, reads spectra, rows), each
+    row a (surface, check) pair run in order.
 
     A row naming a reference surface runs ``check(ref)`` on its
     :class:`_Reference`, passing the check what it reads of it; a row
@@ -1220,30 +1223,30 @@ def _battery(kmax: int, seed: int) -> list:
         return chain.results
 
     return [
-        ("constants", "constants", [(None, _constants_section)]),
-        ("first", "first-eigenvalue",
+        ("constants", "constants", False, [(None, _constants_section)]),
+        ("first", "first-eigenvalue", True,
          [(s, first) for s in (*vc_known, "revolution")]
          + [(s, _genus_check) for s in vc_known]),
-        ("curvature", "curvature-first-eigenvalue",
+        ("curvature", "curvature-first-eigenvalue", True,
          [(s, curvature(kappa))
           for s, kappa in (("sphere", 0.0), ("revolution", 0.0), ("clifford", 1.0))]),
-        ("higher", "higher-eigenvalues", [
+        ("higher", "higher-eigenvalues", True, [
             ("sphere", higher(2, kappa=0.0)),
             ("clifford", higher(3, kappa=1.0)),
             ("veronese", higher(4)),
         ]),
-        ("counts", "negative-counts", [
+        ("counts", "negative-counts", False, [
             ("sphere", counts(2.5, 2, kappa=0.0)),
             # the stability potential n + |S|^2 of the square torus
             ("clifford", counts(4.0, 3, kappa=1.0)),
             ("veronese", counts(2.5, 4)),
         ]),
-        ("index", "index", [("sphere", index(0.0, 1)), ("clifford", index(2.0, 5))]),
-        ("balance", "conformal-balance",
+        ("index", "index", False, [("sphere", index(0.0, 1)), ("clifford", index(2.0, 5))]),
+        ("balance", "conformal-balance", False,
          [(None, _balance_decay_check)]
          + [(s, _balance_integral_check) for s in ("sphere", "revolution")]),
-        ("witness", "witness-chain", [(s, witness) for s in ("sphere", "clifford")]),
-        ("weyl", "weyl", [(s, _weyl_check) for s in ("sphere", "flat-torus")]),
+        ("witness", "witness-chain", True, [(s, witness) for s in ("sphere", "clifford")]),
+        ("weyl", "weyl", True, [(s, _weyl_check) for s in ("sphere", "flat-torus")]),
     ]
 
 
@@ -1253,22 +1256,25 @@ def run_verification(which: str = "all", seed: int = 0, kmax: int = 8) -> Verifi
     All meshes are small enough for the dense eigensolver, so a fixed
     seed yields bit-identical reports.  `which` is "all" or a section of
     :func:`_battery`: constants, first, curvature, higher, counts, index,
-    balance, witness, weyl.  Each reference surface is built and solved
-    once: built when a row first names it, and solved when a check first
-    reads its spectrum, for every check that reads it.
+    balance, witness, weyl.  Each reference surface is built once and
+    solved once, when a check first reads its spectrum; a `kmax` past a
+    spectrum the chosen sections read is refused before any solve.
     """
     kmax = integer(kmax, "kmax", 1)
     seed = integer(seed, "seed", 0)
     battery = _battery(kmax, seed)
-    valid = ["all"] + [section for section, _, _ in battery]
+    valid = ["all"] + [section for section, *_ in battery]
     if which not in valid:
         raise ValueError(f"unknown battery {which!r}; choose from {sorted(valid)}")
 
     reference = cache(_Reference)
+    chosen = [(title, spectral, rows) for section, title, spectral, rows in battery
+              if which in ("all", section)]
+    for _, spectral, rows in chosen:
+        for name, _ in rows if spectral else ():
+            reference(name, kmax, seed).pairs()
     sections = []
-    for section, title, rows in battery:
-        if which not in ("all", section):
-            continue
+    for title, _, rows in chosen:
         results = []
         for name, check in rows:
             out = check(reference(name, kmax, seed)) if name else check()

@@ -190,31 +190,33 @@ def _start_length(n, k):
 def _center_geometry(centers, mu, length, reach):
     """Nearest distinct distances from each center to the atoms, with running mass.
 
-    Row i covers the ``length[i]`` atoms nearest center i and every atom
-    tied with the farthest of them, but no atom beyond the first at
-    distance >= `reach`, as no query reads further.  Returns flat tables
-    ``radii`` and ``cum`` with row bounds ``first`` and ``last``: center i
-    owns positions ``first[i]`` to ``last[i]``, which hold its distinct
+    Row i holds every atom strictly nearer center i than its *sentinel*:
+    the distance of the (``length[i]`` + 1)-th nearest atom or of the
+    nearest atom at distance >= `reach`, whichever is nearer, or +inf
+    when the row holds every atom.  Returns flat tables ``radii`` and
+    ``cum`` with row bounds ``first`` and ``last``: center i owns
+    positions ``first[i]`` to ``last[i]``, which hold its distinct
     distances in increasing order and the mass at distance <= each, then
-    +inf in both at ``last[i]``.  Also returns whether each row is
-    complete: it covers every atom, or reaches `reach`.
+    at ``last[i]`` the sentinel in ``radii`` and +inf in ``cum``.  The
+    sentinel is the full sorted row's next distance, and no query reads
+    past `reach`.
 
     Each batch of centers writes its distances into one buffer in
     :func:`geodesic_distance`'s order of operations, so they are that
-    function's to the bit.  A partition one past the longest row keeps
-    each row's nearest atoms, sorted, and a pivot that bounds every atom
-    outside them: each row's end is read off its sorted head, and only a
-    row that ends at the pivot counts its ties over all atoms.  Tied atoms
-    are summed in atom order, as a stable sort of one center's distances
-    has them, so every row is a prefix of the full sorted row, the same to
-    the bit whatever the lengths and the chunk.  ``radii`` and ``cum`` are
-    views of buffers with room after the rows, for :func:`_grow_rows`, to
-    rebuild complete each row short of all atoms.
+    function's to the bit.  A partition at the batch's farthest sentinel
+    keeps, sorted, each row's atoms and its sentinel.  Tied atoms are
+    summed in atom order, as a stable sort of one center's distances has
+    them, so every row is a prefix of the full sorted row, the same to
+    the bit whatever the lengths and the chunk.  ``radii`` and ``cum``
+    are views of buffers with room after the rows, for
+    :func:`_grow_rows`, to rebuild out to `reach` each row short of all
+    atoms.
     """
     n, rows = mu.size, centers.shape[0]
     cover = np.minimum(length, n)
-    # a row holds one distinct distance at most per atom covered, and +inf;
-    # unwritten pages (repeated distances, rows never rebuilt) stay virtual
+    # a row holds at most cover[i] distinct distances and its sentinel, a
+    # rebuilt row at most n and its sentinel; unwritten pages (repeated
+    # distances, rows never rebuilt) stay virtual
     room = int(cover.sum()) + rows + (n + 1) * int(np.count_nonzero(cover < n))
     try:
         radii, cum = np.empty(room), np.empty(room)
@@ -222,7 +224,6 @@ def _center_geometry(centers, mu, length, reach):
         raise PackingError(f"cannot reserve the distance table of {n} atoms and "
                            f"{rows} candidates: {16 * room} bytes") from None
     first, last = np.empty((2, rows), dtype=np.intp)
-    complete = np.empty(rows, dtype=bool)
     end = 0
     step = min(max(1, _GEOMETRY_CHUNK // n), rows)
     coords = np.ascontiguousarray(mu.points.T)
@@ -235,44 +236,23 @@ def _center_geometry(centers, mu, length, reach):
         for i in range(1, coords.shape[0]):
             d += np.multiply(c[:, i], coords[i], out=t)
         np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
-        # a row ends at its want-th atom, or at the first at distance >=
-        # reach, whichever is nearer; rows of every atom count theirs first
-        want = cover[a:b]
-        if want.max() == n:
-            want = np.minimum(want, np.count_nonzero(d < reach, axis=1) + 1)
-        size = int(want.max())
-        # no atom outside the head lies below the pivot, nor any in it above;
-        # rows are read through flat indices, row i's from i * n
-        part = np.argpartition(d, min(size, n - 1), axis=1)
-        pivot = d[r, part[:, min(size, n - 1)]]
+        # the sentinel sits at index want of the sorted row, +inf past its
+        # end: want is the length, or the count of atoms below reach if fewer
+        want = np.minimum(cover[a:b], np.count_nonzero(d < reach, axis=1))
+        size = min(int(want.max()) + 1, n)
+        # a sorted head of each row's nearest atoms holds its atoms and
+        # sentinel; rows are read through flat indices, row i's from i * n
+        part = np.argpartition(d, size - 1, axis=1)
         flat = r[:, None] * n
         ds = d.ravel().take(part[:, :size] + flat)
         ids = part.ravel().take(np.argsort(ds, axis=1) + flat)
-        ds = d.ravel().take(ids + flat)
-        # the head holds every atom below the pivot, so every atom < reach
-        # when it holds one >= reach
-        want = np.minimum(want, np.count_nonzero(ds < reach, axis=1) + 1)
-        cut = ds[r, want - 1]
-        atoms = np.count_nonzero(ds <= cut[:, None], axis=1)
-        # a row takes all atoms tied at its cut; only a row cut at the pivot
-        # can have some outside the head, so it writes its cut's run afresh
-        # from every atom there, past the head if need be
-        tied = np.flatnonzero(cut == pivot)
-        i, j = np.nonzero(d[tied] == cut[tied, None])
-        start = np.count_nonzero(ds[tied] < cut[tied, None], axis=1)
-        counts = np.bincount(i, minlength=tied.size)
-        atoms[tied] = start + counts
-        width = max(size, int(atoms.max()))
-        ds = np.hstack([ds, np.repeat(pivot[:, None], width + 1 - size, axis=1)])
-        ids = np.hstack([ids, np.zeros((b - a, width - size), dtype=ids.dtype)])
-        ids[tied[i], np.arange(i.size) + (start - np.cumsum(counts) + counts)[i]] = j
-        size = width
-        complete[a:b] = (atoms == n) | (cut >= reach)
-        ds[r, atoms] = np.inf  # atoms: the column of each row's +inf
+        ds = np.hstack([d.ravel().take(ids + flat), np.full((b - a, 1), np.inf)])
+        # atoms: the row's atoms, all in the head, and its sentinel's column
+        atoms = np.count_nonzero(ds < ds[r, want][:, None], axis=1)
         # runs of equal distances start where `new`; each ends just before
-        # the next start, and the +inf column is a run of its own
+        # the next start, and the sentinel is a run of its own
         new = np.ones(ds.shape, dtype=bool)
-        new[:, 1:size] = ds[:, 1:size] != ds[:, : size - 1]
+        new[:, 1:] = ds[:, 1:] != ds[:, :-1]
         new &= np.arange(size + 1) <= atoms[:, None]
         # put each run back in atom order, a stable sort's order, found
         # faster than by a stable sort: sort by run, then atom
@@ -287,46 +267,48 @@ def _center_geometry(centers, mu, length, reach):
         ends = np.zeros_like(new)
         ends[:, :size] = new[:, 1:]
         ends[r, atoms] = True
-        stop = end + np.cumsum(new.sum(axis=1))  # one past each row's +inf
+        stop = end + np.cumsum(new.sum(axis=1))  # one past each row's sentinel
         first[a:b], last[a:b] = np.append(end, stop[:-1]), stop - 1
         np.compress(new.ravel(), ds.ravel(), out=radii[end : stop[-1]])
         np.compress(ends.ravel(), mass.ravel(), out=cum[end : stop[-1]])
         end = stop[-1]
-    return radii[:end], cum[:end], first, last, complete
+    return radii[:end], cum[:end], first, last
 
 
 def _grow_rows(geometry, rows, centers, mu, reach):
-    """`geometry` with `rows` rebuilt complete after its last entry.
+    """`geometry` with `rows` rebuilt out to `reach` after its last entry.
 
-    A complete row decides every query, so no row is rebuilt twice, and
-    the room :func:`_center_geometry` leaves after the table holds every
-    rebuilt row.  The old entries stay, unread; `geometry`'s per-row arrays
-    are updated in place.
+    A rebuilt row ends at a sentinel >= `reach`, or at +inf, and so
+    decides every query: no row is rebuilt twice, and the room
+    :func:`_center_geometry` leaves after the table holds every rebuilt
+    row.  The old entries stay, unread; `geometry`'s row bounds are
+    updated in place.
     """
-    radii, cum, first, last, complete = geometry
-    g_radii, g_cum, g_first, g_last, complete[rows] = _center_geometry(
+    radii, cum, first, last = geometry
+    g_radii, g_cum, g_first, g_last = _center_geometry(
         centers[rows], mu, np.full(rows.shape[0], mu.size), reach
     )
     end, grown = radii.shape[0], radii.shape[0] + g_radii.shape[0]
     first[rows], last[rows] = end + g_first, end + g_last
     radii, cum = radii.base[:grown], cum.base[:grown]
     radii[end:], cum[end:] = g_radii, g_cum
-    return radii, cum, first, last, complete
+    return radii, cum, first, last
 
 
 def _searchsorted(table, lo, hi, values):
-    """``lo + np.searchsorted(table[lo:hi + 1], v)`` for every query.
+    """``lo + np.searchsorted(table[lo:hi + 1], v)``, at most ``hi``, for every query.
 
     Bisects all slices at once, comparing table entries with the values
-    and nothing else.  Each slice must be sorted and end in +inf at
-    ``hi``, and the values must be finite.
+    and nothing else.  Each slice must be sorted and end in its sentinel
+    at ``hi``: +inf for a row of every atom, finite for a cut row.  A
+    value past the sentinel returns ``hi``.
     """
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) // 2
         below = table[mid] < values
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
-    return lo
+    return np.minimum(lo, hi)  # a value past a finite sentinel may leave lo at hi + 1
 
 
 def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive):
@@ -342,7 +324,8 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive):
     (candidate index, inner, outer) with the smallest outer radius, or None
     if nothing fits; ties go to the first candidate and, within it, to the
     first gap.  `short` lists the rows of `geometry` too short to decide
-    the answer, which is then None; rebuild them complete and ask again.
+    the answer, which is then None; rebuild them out to the reach and ask
+    again.
 
     `alive`, a mask over the candidates, limits the query to those it
     marks, and loses each whose row decides that none of its gaps holds an
@@ -351,7 +334,7 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive):
     `tau` and `r_max` such a candidate can never fit again; leaving it out
     changes neither the answer nor its ties.
     """
-    radii, cum, first, last, complete = geometry
+    radii, cum, first, last = geometry
     live = np.flatnonzero(alive)
     D = D[live]
     lower = np.maximum(np.maximum(0.0, D - shell_hi), shell_lo - D)
@@ -378,22 +361,23 @@ def _best_annulus(geometry, D, shell_lo, shell_hi, tau, r_max, alive):
     base_idx = _searchsorted(radii, first, last, inner)
     base = np.where(base_idx > first, cum[base_idx - 1], 0.0)
     j = _searchsorted(cum, first, last, base + tau)
-    lo_excl = radii[j]  # +inf: no radius holds that much mass
+    lo_excl = radii[j]  # the sentinel when the row holds too little mass
     nxt = np.minimum(radii[np.minimum(j + 1, last)], np.pi)  # pi past the last
     outer = np.minimum(0.5 * (lo_excl + nxt), top)
     fits = outer > lo_excl
-    # A cut row answers as the full row would when it holds radius j + 1,
-    # or when its last radius reaches top, so that nothing beyond fits.
-    # Otherwise the query fits, if at all, with outer > lo_excl, beyond
-    # both the row's last radius and the inner one: it can win only when
-    # that bound lies below the best decided outer radius.
-    reached = radii[last - 1]
-    decided = complete[rows] | (j + 1 < last) | (reached >= top)
+    # A row answers as the full row would when it holds radius j, as the
+    # radius after it is the full row's next, or when its sentinel reaches
+    # top, so that nothing from there on fits.  Otherwise the query fits,
+    # if at all, with outer > lo_excl, beyond both the sentinel and the
+    # inner radius: it can win only when that bound lies below the best
+    # decided outer radius.
+    sentinel = radii[last]
+    decided = (j < last) | (sentinel >= top)
     alive[live] = False
     alive[rows[fits | ~decided]] = True
     outer = np.where(fits & decided, outer, np.inf)
     bound = outer.min(initial=np.inf)
-    short = np.unique(rows[~decided & (np.maximum(reached, inner) < bound)])
+    short = np.unique(rows[~decided & (np.maximum(sentinel, inner) < bound)])
     if short.size or bound == np.inf:
         return None, short
     best = np.argmin(outer)
@@ -415,12 +399,13 @@ def gny_decompose(
     (the support atoms plus a few seeded random poles), the admissible
     annulus with the smallest outer radius; ties break by candidate
     order, so the whole construction is deterministic for a fixed seed.
-    Each candidate's row of sorted distances starts at its nearest atoms
-    and is rebuilt complete, once, when a round cannot be decided without
-    it; a candidate whose row shows that no gap fits is not asked again
-    in that round.  The table is kept on `mu` and reused by the next call
-    with the same seed and reach; as its rows are exact prefixes of the
-    full rows, the result does not depend on it.  Each call logs one
+    Each candidate's row of sorted distances starts at its nearest atoms,
+    ends at a sentinel, the next distance of the full row, and is rebuilt
+    out to the reach, once, when a round cannot be decided without it; a
+    candidate whose row shows that no gap fits is not asked again in that
+    round.  The table is kept on `mu` and reused by the next call with
+    the same seed and reach; as its rows are exact prefixes of the full
+    rows, the result does not depend on it.  Each call logs one
     DEBUG record on the ``eigenvol.packing`` logger: table built or
     reused, its size against the full one, rows extended, the seconds
     spent building the table and growing its rows, and the beta trail.

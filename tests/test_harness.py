@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import re
 import time
 from dataclasses import replace
@@ -199,12 +200,13 @@ def test_surface_solves_once_for_every_check(monkeypatch):
 @pytest.mark.parametrize("section", ["constants", "index", "counts", "balance"])
 def test_sections_that_read_no_spectrum_solve_none(monkeypatch, section):
     # a reference surface is solved when a check first reads its
-    # spectrum, not when a row first names it
+    # spectrum, not when a row first names it, and a kmax past the pairs
+    # veronese(3) holds concerns no row of these sections
     def solve(*args, **kwargs):
         raise AssertionError(f"verify {section} solved a spectrum no row reads")
 
     monkeypatch.setattr(harness, "eigensolve", solve)
-    assert run_verification(section, 0).sections
+    assert run_verification(section, 0, kmax=400).sections
 
 
 def test_checks_given_a_spectrum_match_their_own_solve(sphere3, assert_report_close):
@@ -504,6 +506,20 @@ def test_checks_refuse_a_k_the_mesh_cannot_hold_before_any_solve(monkeypatch):
     )[0].detail["eigenvalues"].shape == (38,)
 
 
+@pytest.mark.parametrize("section", ["higher", "first", "all"])
+def test_battery_refuses_a_kmax_past_any_surface_it_reads_before_any_solve(
+    monkeypatch, section
+):
+    # veronese(3) holds kmax + 4 pairs up to kmax = 317; icosphere(3) and
+    # clifford_torus(32), which hold more, were solved first
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a spectrum before refusing kmax")
+
+    monkeypatch.setattr(harness, "eigensolve", solve)
+    with pytest.raises(ValueError, match=r"^kmax must be an integer in \[1, 317\], got 400$"):
+        run_verification(section, kmax=400)
+
+
 # ---------------------------------------------------------------------- #
 # counting checks
 
@@ -604,6 +620,21 @@ def test_count_replay_certifies_positive_guarantees(sphere3, monkeypatch):
     for family in (conformal, curvature):
         assert len(family["energies"]) == 6 and family["strictly_negative"].all()
         assert np.all(family["energies"] < family["potential_masses"])
+
+
+def test_sphere_count_replay_reuses_its_table_without_growing_it(sphere3, caplog):
+    # the battery's sphere count replay: the conformal family builds the
+    # packing table and the curvature family reuses it.  Rows that end at
+    # their sentinel decide every query of both as built; rows that ended
+    # at their last atom had 15 of them rebuilt
+    with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
+        check_eigenvalue_counts(
+            sphere3, 2.5, 2, SPHERE_AREA, SphereImmersion.identity(sphere3), 0.0,
+            minimal_in_sphere=True,
+        )
+    records = [r.args for r in caplog.records if r.name == "eigenvol.packing"]
+    assert [r["table"] for r in records] == ["built", "reused"]
+    assert [r["extended"] for r in records] == [0, 0]
 
 
 def test_counts_reject_signed_potential(sphere3):

@@ -349,6 +349,27 @@ def _reference_gny(mu, k, seed=0, r_max=np.pi, gap=0.0):
     raise PackingError("reference packing failed", attempts=attempts)
 
 
+def _assert_rows_match_reference(centers, mu, length, reach):
+    """Every row of `_center_geometry` against the reference's full row:
+    every distance below the sentinel, then the sentinel, the distance of
+    the (length + 1)-th atom or of the first at distance >= reach,
+    whichever is nearer, or +inf past the last atom.  Returns the
+    sentinels."""
+    radii, cum, first, last = _center_geometry(centers, mu, length, reach)
+    assert first[0] == 0 and last[-1] == radii.shape[0] - 1
+    assert np.array_equal(first[1:], last[:-1] + 1)
+    sentinels = np.empty(centers.shape[0])
+    for i, c in enumerate(centers):
+        uniq, cum_at = _reference_geometry(c, mu)
+        d = np.append(np.sort(geodesic_distance(c, mu.points)), np.inf)
+        sentinels[i] = min(d[min(length[i], mu.size)], d[np.searchsorted(d, reach)])
+        held = uniq < sentinels[i]
+        row = slice(first[i], last[i] + 1)
+        assert np.array_equal(radii[row], np.append(uniq[held], sentinels[i]))
+        assert np.array_equal(cum[row], np.append(cum_at[held], np.inf))
+    return sentinels
+
+
 @pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
 def test_center_geometry_rows_are_prefixes(sphere3, chunk, monkeypatch):
     # icosphere atoms tie in distance, also at exactly pi/2; unequal
@@ -359,48 +380,13 @@ def test_center_geometry_rows_are_prefixes(sphere3, chunk, monkeypatch):
     length = rng.integers(1, mu.size + 1, centers.shape[0])
     reach = np.pi / 2
     monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
-    radii, cum, first, last, complete = _center_geometry(centers, mu, length, reach)
-    assert complete.any() and not complete.all()
-    # the rows lie one after another and fill the table
-    assert first[0] == 0 and last[-1] == radii.shape[0] - 1
-    assert np.array_equal(first[1:], last[:-1] + 1)
-    for i, c in enumerate(centers):
-        uniq, cum_at = _reference_geometry(c, mu)
-        d = np.sort(geodesic_distance(c, mu.points))
-        # the length-th nearest atom or the first at distance >= reach,
-        # whichever is nearer, ends the row together with its ties: the
-        # running mass at the cut counts every atom tied there
-        cut = min(d[length[i] - 1], d[min(np.searchsorted(d, reach), mu.size - 1)])
-        size = np.searchsorted(uniq, cut, side="right")
-        row = slice(first[i], last[i] + 1)
-        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
-        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
-        # relevant: every distance up to the first >= reach
-        relevant = min(np.searchsorted(uniq, reach) + 1, uniq.shape[0])
-        assert complete[i] == (size >= relevant)
-
-
-def _assert_rows_match_reference(centers, mu, length, reach):
-    """Every row of `_center_geometry` against the reference's full row:
-    cut after the length-th atom or the first at distance >= reach, with
-    every atom tied there.  Returns which rows reach `reach`."""
-    radii, cum, first, last, complete = _center_geometry(centers, mu, length, reach)
-    assert first[0] == 0 and last[-1] == radii.shape[0] - 1
-    assert np.array_equal(first[1:], last[:-1] + 1)
-    reached = np.empty(centers.shape[0], dtype=bool)
-    for i, c in enumerate(centers):
-        uniq, cum_at = _reference_geometry(c, mu)
-        d = np.sort(geodesic_distance(c, mu.points))
-        nth = d[min(length[i], mu.size) - 1]
-        reached[i] = nth >= reach
-        cut = min(nth, d[min(np.searchsorted(d, reach), mu.size - 1)])
-        size = np.searchsorted(uniq, cut, side="right")
-        row = slice(first[i], last[i] + 1)
-        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
-        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
-        relevant = min(np.searchsorted(uniq, reach) + 1, uniq.shape[0])
-        assert complete[i] == (size >= relevant)
-    return reached
+    sentinels = _assert_rows_match_reference(centers, mu, length, reach)
+    # rows end short of the reach and at it; some short rows hold fewer
+    # than `length` atoms, as their sentinel ties with their last atoms
+    assert (sentinels >= reach).any() and not (sentinels >= reach).all()
+    held = np.array([np.count_nonzero(geodesic_distance(c, mu.points) < s)
+                     for c, s in zip(centers, sentinels)])
+    assert (held < length)[sentinels < reach].any()
 
 
 @pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
@@ -433,23 +419,25 @@ def _rings(heights, count):
 @pytest.mark.parametrize("chunk", [1, packing._GEOMETRY_CHUNK])
 def test_center_geometry_cut_on_a_tie_straddling_the_pivot(chunk, monkeypatch):
     # from the north pole, six atoms at each of three heights; the longest
-    # row asks for 8, so the head holds 8 atoms and its pivot, the 9th,
-    # ties with the cut of rows asking for 7 or 8: those rows hold all
-    # twelve atoms of the first two circles, some from past the head
+    # row asks for 8, so the head holds 9 atoms, and the second circle
+    # straddles its end.  Rows asking for 7 or 8 atoms stop before that
+    # circle, which is their sentinel; a row asking for 3 holds no atom
     rng = np.random.default_rng(2)
     pts = _rings([0.9, 0.6, 0.2], 6)
     mu = DiscreteMeasure(pts, rng.choice([0.25, 1.0, 3.0], pts.shape[0]))
     centers = np.repeat([[0.0, 0.0, 1.0]], 5, axis=0)
     length = np.array([8, 3, 6, 7, 8])
     monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
-    radii, cum, first, last, complete = _center_geometry(centers, mu, length, np.pi)
-    assert (last - first).tolist() == [2, 1, 1, 2, 2]
-    assert not complete.any()
-    _assert_rows_match_reference(centers, mu, length, np.pi)
-    # a reach at the second circle ends the row there with all its atoms
-    d = geodesic_distance(centers[0], pts[6])
-    assert _assert_rows_match_reference(centers, mu, length, d).tolist() == [
-        True, False, False, True, True
+    radii, cum, first, last = _center_geometry(centers, mu, length, np.pi)
+    ring1, ring2 = geodesic_distance(centers[0], pts[[0, 6]])
+    assert (last - first).tolist() == [1, 0, 1, 1, 1]
+    assert radii[last].tolist() == [ring2, ring1, ring2, ring2, ring2]
+    assert _assert_rows_match_reference(centers, mu, length, np.pi).tolist() == [
+        ring2, ring1, ring2, ring2, ring2
+    ]
+    # a reach at the second circle leaves every row as it was
+    assert _assert_rows_match_reference(centers, mu, length, ring2).tolist() == [
+        ring2, ring1, ring2, ring2, ring2
     ]
 
 
@@ -463,7 +451,7 @@ def test_center_geometry_rows_that_do_and_do_not_reach(chunk, monkeypatch):
     length = rng.integers(1, 40, centers.shape[0])
     length[::7] = mu.size
     monkeypatch.setattr(packing, "_GEOMETRY_CHUNK", chunk)
-    reached = _assert_rows_match_reference(centers, mu, length, 0.3)
+    reached = _assert_rows_match_reference(centers, mu, length, 0.3) >= 0.3
     assert reached[length == mu.size].all()
     batch = reached[: max(1, packing._GEOMETRY_CHUNK // mu.size)]
     assert batch.size == 1 or (batch.any() and not batch.all())
@@ -484,7 +472,7 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
     decided = short_rows = 0
     for trial in range(80):
         c = centers[rng.integers(0, centers.shape[0], 1)]
-        f_radii, f_cum, _, _, _ = _center_geometry(c, mu, lengths[-1:], np.pi)
+        f_radii, f_cum, _, _ = _center_geometry(c, mu, lengths[-1:], np.pi)
         f_size = f_radii.shape[0]
         r_max = rng.choice([np.pi, rng.uniform(0.2, np.pi)])
         shells = centers[rng.integers(0, centers.shape[0], rng.integers(0, 4))]
@@ -500,17 +488,16 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
         lo = rng.uniform(0.0, 1.0, shells.shape[0])
         hi = np.minimum(lo + rng.uniform(0.05, 1.5, shells.shape[0]), np.pi)
         full = (np.tile(f_radii, 2), np.tile(f_cum, 2), np.array([0, f_size]),
-                np.array([f_size - 1, 2 * f_size - 1]), np.ones(2, dtype=bool))
+                np.array([f_size - 1, 2 * f_size - 1]))
         want, _ = packing._best_annulus(full, D, lo, hi, tau, r_max, np.ones(D.shape[0], bool))
-        radii, cum, first, last, complete = _center_geometry(
+        radii, cum, first, last = _center_geometry(
             np.repeat(c, mu.size, axis=0), mu, lengths, min(r_max, np.pi / 2)
         )
         for i in range(mu.size):
             row = slice(first[i], last[i] + 1)
             size = row.stop - row.start
             geometry = (np.append(radii[row], f_radii), np.append(cum[row], f_cum),
-                        np.array([0, size]), np.array([size - 1, size + f_size - 1]),
-                        np.array([complete[i], True]))
+                        np.array([0, size]), np.array([size - 1, size + f_size - 1]))
             got, short = packing._best_annulus(
                 geometry, D, lo, hi, tau, r_max, np.ones(D.shape[0], bool)
             )
@@ -521,6 +508,39 @@ def test_best_annulus_decides_only_what_the_full_row_decides():
             else:
                 assert short.tolist() == [0]
     assert decided > 1000 and short_rows > 300
+
+
+def test_searchsorted_stops_at_the_sentinel():
+    # slices of distinct radii ending in their sentinel, finite for a cut
+    # row and +inf for a full one; a value past the sentinel returns hi
+    table = np.array([0.1, 0.3, 0.5, 0.2, np.inf, 0.4])
+    lo, hi = np.array([0, 0, 0, 0, 0, 3, 3, 5, 5]), np.array([2, 2, 2, 2, 2, 4, 4, 5, 5])
+    values = np.array([0.05, 0.3, 0.4, 0.5, 0.7, 0.2, 9.0, 0.4, 0.7])
+    assert packing._searchsorted(table, lo, hi, values).tolist() == [0, 1, 2, 2, 2, 3, 4, 5, 5]
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        size = rng.integers(1, 12)
+        row = np.sort(rng.choice(np.linspace(0.0, 3.0, 31), size, replace=False))
+        if rng.integers(2):
+            row[-1] = np.inf
+        v = rng.uniform(-0.5, 4.0, 5)
+        got = packing._searchsorted(row, np.zeros(5, int), np.full(5, size - 1), v)
+        assert got.tolist() == np.minimum(np.searchsorted(row, v), size - 1).tolist()
+
+
+def test_best_annulus_bounds_a_short_row_by_its_sentinel_and_inner_radius():
+    # candidate 0 holds one atom, at 0.1, and its sentinel 0.2; a shell
+    # about it leaves it the gap [0.5, pi], so inner radius 1 > 0.2.
+    # Candidate 1, whose full row is far from the shell, fits at outer
+    # 0.4 < 1 for tau = 1.5, which row 0 cannot beat; for tau = 10
+    # nothing is decided to fit, and row 0 comes back short
+    geometry = (np.array([0.1, 0.2, 0.3, 0.5, np.inf]), np.array([1.0, np.inf, 2.0, 4.0, np.inf]),
+                np.array([0, 2]), np.array([1, 4]))
+    D, lo, hi = np.array([[0.0], [np.pi]]), np.array([0.0]), np.array([0.5])
+    best, short = packing._best_annulus(geometry, D, lo, hi, 1.5, np.pi, np.ones(2, bool))
+    assert best == (1, 0.0, 0.4) and short.size == 0
+    best, short = packing._best_annulus(geometry, D, lo, hi, 10.0, np.pi, np.ones(2, bool))
+    assert best is None and short.tolist() == [0]
 
 
 def test_candidates_without_a_fitting_gap_stay_without_one_as_shells_are_added():
@@ -649,13 +669,13 @@ def test_three_atom_rows_are_rebuilt_over_several_queries(caplog):
     # heavy atoms let three-atom rows decide the first queries; the rows
     # that later queries find short are rebuilt then
     rng = np.random.default_rng(1)
-    pts = rng.standard_normal((40, 3))
+    pts = rng.standard_normal((60, 3))
     mu = DiscreteMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
-                         rng.choice([0.25, 1.0, 1.0, 3.0], size=40))
+                         rng.choice([0.25, 1.0, 1.0, 3.0], size=60))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_start_length", lambda n, k: 3)
         with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
-            _assert_same_packing(mu, 8)
+            _assert_same_packing(mu, 6)
     (record,) = caplog.records
     assert record.args["rebuilds"] > 1
     assert 0 < record.args["extended"] < record.args["candidates"]
@@ -749,34 +769,37 @@ def test_a_seed_sweep_keeps_only_the_last_table(sphere3, caplog):
 
 def test_grown_rows_are_rebuilt_once_complete_within_the_reserved_room(sphere3, caplog):
     # every row starts at its nearest atom; two decompositions share one
-    # table, and each short row is rebuilt complete after the table's last
-    # entry, into room reserved with the table, at most once
+    # table, and each short row is rebuilt out to the reach after the
+    # table's last entry, into room reserved with the table, at most once
     mu = pushforward_measure(SphereImmersion.identity(sphere3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_start_length", lambda n, k: 1)
         with caplog.at_level(logging.DEBUG, logger="eigenvol.packing"):
             gny_decompose(mu, 6, r_max=R_MAX_TEST)
             gny_decompose(mu, 3, r_max=R_MAX_TEST)
-    key, (radii, cum, first, last, complete) = mu._table
-    centers = _candidate_centers(mu, key[0])
+    (seed, reach), (radii, cum, first, last) = mu._table
+    centers = _candidate_centers(mu, seed)
     rows, n = centers.shape[0], mu.size
     extended = [r.args["extended"] for r in caplog.records]
     assert extended[0] > 0 and max(extended) <= rows
-    # the rows as built take two entries each; rebuilt rows follow them
-    grown = first >= 2 * rows
+    # rebuilt rows follow the rows as built
+    built = _center_geometry(centers, mu, np.ones(rows, dtype=int), reach)[0].shape[0]
+    grown = first >= built
     assert grown.sum() == sum(extended)
-    assert complete[grown].all()
     assert radii.shape[0] <= radii.base.shape[0] == 2 * rows + rows * (n + 1)
     assert cum.shape == radii.shape and cum.base.shape == radii.base.shape
     for i, c in enumerate(centers):
         uniq, cum_at = _reference_geometry(c, mu)
-        size = last[i] - first[i]
+        sentinel = radii[last[i]]
+        held = uniq < sentinel
         row = slice(first[i], last[i] + 1)
-        assert np.array_equal(radii[row], np.append(uniq[:size], np.inf))
-        assert np.array_equal(cum[row], np.append(cum_at[:size], np.inf))
-        if grown[i]:
-            # complete: every distance up to the first >= reach
-            assert size == min(np.searchsorted(uniq, key[1]) + 1, uniq.shape[0])
+        assert np.array_equal(radii[row], np.append(uniq[held], sentinel))
+        assert np.array_equal(cum[row], np.append(cum_at[held], np.inf))
+        # a row as built ends at its second atom at the latest; a rebuilt
+        # one at the first distance >= reach, or +inf past the last atom
+        d = np.append(np.sort(geodesic_distance(c, mu.points)), np.inf)
+        beyond = d[np.searchsorted(d, reach)]
+        assert sentinel == (beyond if grown[i] else min(d[1], beyond))
 
 
 def test_debug_record_times_the_table_and_its_grown_rows(sphere3, caplog):
